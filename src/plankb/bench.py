@@ -4,26 +4,19 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .kg.store import Graph, Iri
 from .macros import MacroSchema, augment_domain
-from .pddl.ast import DomainDef, ProblemDef
+from .pddl.ast import Atom, DomainDef, ProblemDef
 from .select import (
     NoDataForDomain,
     select_ontology,
     select_random,
 )
-from .semantics import (
-    GroundAction,
-    Plan,
-    State,
-    applicable,
-    apply_action,
-    goal_satisfied,
-    ground,
-)
+from .semantics import GroundAction, Plan, ground
 
 ALGORITHMS = ("breadth-first", "greedy-best-first", "a-star")
 HEURISTICS = ("goal-count", "zero")
@@ -35,7 +28,6 @@ class SearchConfig:
     heuristic: str = "goal-count"
     max_expansions: int = 1_000_000
     max_seconds: float = 60.0
-    seed: int = 0  # recorded for tie-order audits; search itself is FIFO
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -56,94 +48,194 @@ class SearchStats:
     status: str = "solved"  # "solved" | "exhausted" | "limit"
 
 
-def _heuristic(name: str, p: ProblemDef) -> Callable[[State], int]:
-    if name == "zero":
-        return lambda s: 0
-    goal = p.goal
+#: One compiled action: (grounding index, pre, neg, keep, add) masks.
+Op = tuple[int, int, int, int, int]
 
-    def goal_count(s: State) -> int:
-        unsatisfied = 0
-        for lit in goal:
-            if lit.negated == (lit.atom in s):
-                unsatisfied += 1
-        return unsatisfied
 
-    return goal_count
+@dataclass(frozen=True)
+class CompiledTask:
+    """A grounded task over bitmask states, built once by `compile_task`.
+
+    Every ground atom that occurs in the initial state, the goal, or an
+    action's preconditions or effects owns one bit, and a state is the int
+    whose set bits are the atoms true in it (closed world).  Action i
+    applies in state s when ``s & pre == pre and not s & neg`` and leads to
+    ``(s & keep) | add``, where ``keep`` is the complement of its delete
+    mask.  The goal holds when ``s & goal_pos == goal_pos and not s &
+    goal_neg``, and goal-count is ``(goal_pos & ~s).bit_count() + (goal_neg
+    & s).bit_count()``.
+
+    Successor generator: each action with a positive precondition sits in the
+    bucket of exactly one of its precondition bits, so a state's candidates
+    are the buckets of its true bits plus `unkeyed`, the actions with no
+    positive precondition.  The key is the precondition atom least likely to
+    be true: first one that init lacks and no action adds (the action can
+    never apply), else one some action adds or deletes, else one that stays
+    true; among equals, the atom the fewest actions need, then the least
+    (predicate, args).
+    """
+
+    actions: tuple[GroundAction, ...]  # in grounding order
+    init: int
+    goal_pos: int
+    goal_neg: int
+    buckets: tuple[tuple[Op, ...], ...]  # indexed by key bit position
+    keys: int  # the bits whose bucket is not empty
+    unkeyed: tuple[Op, ...]
+
+
+def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
+    """Ground d and p once and compile the result into bitmasks."""
+    actions = tuple(ground(d, p))
+    # Atoms are numbered through plain (predicate, args) tuples, whose
+    # hashing and comparison run in C; the Atom dataclass's run in Python.
+    index: dict[tuple[str, tuple[str, ...]], int] = {}
+
+    def bits(atoms: Iterable[Atom]) -> list[int]:
+        return [index.setdefault((x.predicate, x.args), len(index)) for x in atoms]
+
+    def mask_of(bs: Iterable[int]) -> int:
+        m = 0
+        for b in bs:
+            m |= 1 << b
+        return m
+
+    def mask(atoms: Iterable[Atom]) -> int:
+        return mask_of(bits(atoms))
+
+    init = mask(p.init)
+    goal_pos = mask(lit.atom for lit in p.goal if not lit.negated)
+    goal_neg = mask(lit.atom for lit in p.goal if lit.negated)
+    pre_bits = [bits(a.pre_pos) for a in actions]
+    ops = [
+        (i, mask_of(pre_bits[i]), mask(a.pre_neg), ~mask(a.delete), mask(a.add))
+        for i, a in enumerate(actions)
+    ]
+    added = deleted = 0
+    for _, _, _, keep, add in ops:
+        added |= add
+        deleted |= ~keep
+    never, always = ~(init | added), init & ~deleted
+    needed_by = Counter(b for bs in pre_bits for b in bs)
+    rank = [
+        (0 if never >> b & 1 else 2 if always >> b & 1 else 1, needed_by[b], atom)
+        for b, atom in enumerate(index)
+    ]
+    buckets: list[list[Op]] = [[] for _ in index]
+    keys = 0
+    unkeyed = []
+    for op, bs in zip(ops, pre_bits):
+        if bs:
+            key = min(bs, key=rank.__getitem__)
+            buckets[key].append(op)
+            keys |= 1 << key
+        else:
+            unkeyed.append(op)
+    return CompiledTask(
+        actions, init, goal_pos, goal_neg,
+        tuple(map(tuple, buckets)), keys, tuple(unkeyed),
+    )
+
+
+def search(
+    task: CompiledTask, cfg: SearchConfig = SearchConfig(), start: Optional[float] = None
+) -> tuple[Optional[Plan], SearchStats]:
+    """Forward search from the initial state of a compiled task.
+
+    Counters: generated = nodes constructed (the root included), evaluated =
+    heuristic calls, expanded = nodes popped and expanded.  Duplicates are
+    detected on generation, before evaluation, so generated >= evaluated >=
+    expanded always holds.  The successors of a state are generated in
+    grounding order, and ties in the frontier are broken FIFO by generation
+    index, so runs are deterministic and match the plain scan over every
+    ground action in order.  `start` is the `time.monotonic()` reading that
+    `wall_time` and `max_seconds` count from; it defaults to the call.
+    """
+    if start is None:
+        start = time.monotonic()
+    clock = time.monotonic
+    heappush, heappop = heapq.heappush, heapq.heappop
+    breadth_first = cfg.algorithm == "breadth-first"
+    greedy = cfg.algorithm == "greedy-best-first"
+    count_goals = cfg.heuristic == "goal-count"
+    goal_pos, goal_neg = task.goal_pos, task.goal_neg
+    buckets, keys, unkeyed = task.buckets, task.keys, task.unkeyed
+    max_expansions, deadline = cfg.max_expansions, start + cfg.max_seconds
+    # A* orders by (f, h); h < hbound, so f * hbound + h gives the same
+    # order as one int.
+    hbound = goal_pos.bit_count() + goal_neg.bit_count() + 1
+
+    s = task.init
+    h = (goal_pos & ~s).bit_count() + (goal_neg & s).bit_count() if count_goals else 0
+    key = 0 if breadth_first else h if greedy else h * hbound + h
+    # state -> (predecessor, action index); also the set of seen states.
+    parent: dict[int, Optional[tuple[int, int]]] = {s: None}
+    frontier = [(key, 0, s, 0)]  # (priority, generation index, state, depth)
+    # evaluated, the root aside, doubles as the generation index.
+    expanded = generated = evaluated = 0
+    status = "exhausted"
+    while frontier:
+        if clock() > deadline:
+            status = "limit"
+            break
+        _, _, s, depth = heappop(frontier)
+        if s & goal_pos == goal_pos and not s & goal_neg:
+            status = "solved"
+            break
+        if expanded >= max_expansions:
+            status = "limit"
+            break
+        expanded += 1
+        applicable = [op for op in unkeyed if not s & op[2]]
+        rest = s & keys
+        while rest:
+            low = rest & -rest
+            for op in buckets[low.bit_length() - 1]:
+                if s & op[1] == op[1] and not s & op[2]:
+                    applicable.append(op)
+            rest ^= low
+        applicable.sort()
+        depth += 1
+        for i, _, _, keep, add in applicable:
+            succ = s & keep | add
+            generated += 1
+            if succ in parent:
+                continue
+            parent[succ] = (s, i)
+            evaluated += 1
+            if breadth_first:
+                key = depth
+            else:
+                h = (
+                    (goal_pos & ~succ).bit_count() + (goal_neg & succ).bit_count()
+                    if count_goals else 0
+                )
+                key = h if greedy else (depth + h) * hbound + h
+            heappush(frontier, (key, evaluated, succ, depth))
+
+    stats = SearchStats(expanded, evaluated + 1, generated + 1, status=status)
+    plan = None
+    if status == "solved":
+        steps = []
+        link = parent[s]
+        while link is not None:
+            s, i = link
+            steps.append(task.actions[i])
+            link = parent[s]
+        steps.reverse()
+        plan = Plan(tuple(steps))
+        stats.plan_cost = plan.cost
+    stats.wall_time = clock() - start
+    return plan, stats
 
 
 def solve(
     d: DomainDef, p: ProblemDef, cfg: SearchConfig = SearchConfig()
 ) -> tuple[Optional[Plan], SearchStats]:
-    """Forward search from the initial state.
-
-    Counters: generated = nodes constructed (the root included), evaluated =
-    heuristic calls, expanded = nodes popped and expanded.  Duplicates are
-    detected on generation, before evaluation, so generated >= evaluated >=
-    expanded always holds.  FIFO tie order by generation index makes runs
-    deterministic.
-    """
+    """Ground and compile the task, then `search` it; `wall_time` and the
+    time limit include the compilation."""
     start = time.monotonic()
-    actions = ground(d, p)
-    h = _heuristic(cfg.heuristic, p)
-    stats = SearchStats()
-
-    init: State = frozenset(p.init)
-    # node: (state, parent node, action leading here, depth)
-    root = (init, None, None, 0)
-    stats.generated = 1
-    stats.evaluated = 1
-    h0 = h(init)
-
-    def priority(hval: int, depth: int) -> tuple:
-        if cfg.algorithm == "breadth-first":
-            return (depth,)
-        if cfg.algorithm == "greedy-best-first":
-            return (hval,)
-        return (depth + hval, hval)
-
-    counter = 0
-    frontier: list[tuple] = [(priority(h0, 0), counter, root)]
-    seen: set[State] = {init}
-
-    while frontier:
-        if time.monotonic() - start > cfg.max_seconds:
-            stats.status = "limit"
-            stats.wall_time = time.monotonic() - start
-            return None, stats
-        _, _, node = heapq.heappop(frontier)
-        state, _, _, depth = node
-        if goal_satisfied(state, p):
-            steps = []
-            cur = node
-            while cur[1] is not None:
-                steps.append(cur[2])
-                cur = cur[1]
-            steps.reverse()
-            plan = Plan(tuple(steps))
-            stats.plan_cost = plan.cost
-            stats.wall_time = time.monotonic() - start
-            return plan, stats
-        if stats.expanded >= cfg.max_expansions:
-            stats.status = "limit"
-            stats.wall_time = time.monotonic() - start
-            return None, stats
-        stats.expanded += 1
-        for a in actions:
-            if applicable(state, a):
-                succ = apply_action(state, a)
-                stats.generated += 1
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                stats.evaluated += 1
-                counter += 1
-                heapq.heappush(
-                    frontier,
-                    (priority(h(succ), depth + 1), counter, (succ, node, a, depth + 1)),
-                )
-    stats.status = "exhausted"
-    stats.wall_time = time.monotonic() - start
-    return None, stats
+    return search(compile_task(d, p), cfg, start)
 
 
 # --- macro benchmark -------------------------------------------------------
@@ -318,6 +410,7 @@ def policy_experiment(
 
     report = PolicyReport()
     for i, (d, domain, p) in enumerate(tasks):
+        task = compile_task(d, p)
         try:
             picked = select_ontology(g, domain, candidates)
         except NoDataForDomain as exc:
@@ -325,10 +418,10 @@ def policy_experiment(
             picked = None
         if picked is not None:
             name = local[picked.chosen]
-            _, stats = solve(d, p, configs[name])
+            _, stats = search(task, configs[name])
             report.rows.append(PolicyRow(p.name, "ontology", name, stats))
         outcome = select_random(candidates, seed + i)
         name = local[outcome.chosen]
-        _, stats = solve(d, p, configs[name])
+        _, stats = search(task, configs[name])
         report.rows.append(PolicyRow(p.name, "random", name, stats))
     return report

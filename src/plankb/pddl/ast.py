@@ -7,6 +7,7 @@ case-insensitive).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 OBJECT_TYPE = "object"
@@ -130,19 +131,26 @@ class DomainDef:
             declared.add(t.name)
         return declared
 
+    @cached_property
+    def _ancestors(self) -> dict[str, frozenset[str]]:
+        """Each declared type with itself and its ancestors; a cycle in the
+        parent links stops the walk instead of looping."""
+        parents = self.type_parents()
+        closure = {}
+        for name in parents:
+            seen: set[str] = set()
+            cur: Optional[str] = name
+            while cur is not None and cur not in seen:
+                seen.add(cur)
+                cur = parents.get(cur)
+            closure[name] = frozenset(seen)
+        return closure
+
     def is_subtype(self, sub: str, sup: str) -> bool:
         """True if sub is sup or a descendant of it in the type forest."""
-        if sup == OBJECT_TYPE:
+        if sup == OBJECT_TYPE or sub == sup:
             return True
-        parents = self.type_parents()
-        seen: set[str] = set()
-        cur: Optional[str] = sub
-        while cur is not None and cur not in seen:
-            if cur == sup:
-                return True
-            seen.add(cur)
-            cur = parents.get(cur)
-        return False
+        return sup in self._ancestors.get(sub, ())
 
 
 @dataclass(frozen=True)

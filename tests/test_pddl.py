@@ -15,7 +15,7 @@ from plankb.pddl import (
     print_problem,
     validate_domain,
 )
-from plankb.pddl.ast import Atom, Literal
+from plankb.pddl.ast import OBJECT_TYPE, Atom, DomainDef, Literal, TypeName
 
 DOMAINS = list(bundles.DOMAIN_NAMES)
 
@@ -52,6 +52,30 @@ def test_driverlog_type_hierarchy():
     assert d.is_subtype("truck", "locatable")
     assert d.is_subtype("truck", "object")
     assert not d.is_subtype("locatable", "truck")
+
+
+def test_is_subtype_matches_parent_walk():
+    # a <- b <- c is a chain; x and y name each other as parent (a cycle,
+    # which must not loop); z is undeclared.
+    types = (TypeName("a"), TypeName("b", "a"), TypeName("c", "b"),
+             TypeName("x", "y"), TypeName("y", "x"))
+    d = DomainDef("t", frozenset(), types, (), (), ())
+    parents = d.type_parents()
+
+    def walk(sub, sup):
+        seen, cur = set(), sub
+        while cur is not None and cur not in seen:
+            if cur == sup:
+                return True
+            seen.add(cur)
+            cur = parents.get(cur)
+        return False
+
+    names = ["a", "b", "c", "x", "y", "z"]
+    for sub in names + [OBJECT_TYPE]:
+        for sup in names:
+            assert d.is_subtype(sub, sup) == walk(sub, sup), (sub, sup)
+        assert d.is_subtype(sub, OBJECT_TYPE)
 
 
 @pytest.mark.parametrize("name", DOMAINS)

@@ -1,6 +1,7 @@
 """Instrumented forward search: optimality, counters, determinism, limits."""
 
 import collections
+import heapq
 
 import pytest
 
@@ -10,13 +11,23 @@ from plankb.bench import (
     BenchReport,
     SearchConfig,
     bench_compare,
+    compile_task,
     policy_experiment,
+    search,
     solve,
 )
 from plankb.mapper import domain_iri, map_ipc_results, PlannerRecord
 from plankb.kg.store import Graph
+from plankb.pddl import parse_domain, parse_problem
 from plankb.pddl.ast import Atom, Literal, ProblemDef
-from plankb.semantics import applicable, apply_action, ground, validate_plan
+from plankb.semantics import (
+    Plan,
+    applicable,
+    apply_action,
+    goal_satisfied,
+    ground,
+    validate_plan,
+)
 
 
 def oracle_optimal_cost(d, p):
@@ -204,3 +215,160 @@ def test_policy_experiment_reports_missing_data():
     report = policy_experiment(Graph(), [(d, domain_iri("blocksworld"), p)])
     assert len(report.failures) == 1
     assert [r.policy for r in report.rows] == ["random"]
+
+
+# --- compiled core against the frozenset reference -------------------------
+
+
+def reference_solve(d, p, cfg):
+    """The search over frozenset states that the compiled core replaced: it
+    scans every ground action in grounding order at every expansion and
+    applies it through `semantics`.  Returns (plan, status, expanded,
+    evaluated, generated)."""
+    actions = ground(d, p)
+
+    def h(s):
+        if cfg.heuristic == "zero":
+            return 0
+        return sum(1 for lit in p.goal if lit.negated == (lit.atom in s))
+
+    def priority(hval, depth):
+        if cfg.algorithm == "breadth-first":
+            return (depth,)
+        if cfg.algorithm == "greedy-best-first":
+            return (hval,)
+        return (depth + hval, hval)
+
+    init = frozenset(p.init)
+    root = (init, None, None, 0)  # (state, parent node, action, depth)
+    expanded, evaluated, generated = 0, 1, 1
+    counter = 0
+    frontier = [(priority(h(init), 0), counter, root)]
+    seen = {init}
+    while frontier:
+        _, _, node = heapq.heappop(frontier)
+        state, _, _, depth = node
+        if goal_satisfied(state, p):
+            steps = []
+            while node[1] is not None:
+                steps.append(node[2])
+                node = node[1]
+            return Plan(tuple(reversed(steps))), "solved", expanded, evaluated, generated
+        if expanded >= cfg.max_expansions:
+            return None, "limit", expanded, evaluated, generated
+        expanded += 1
+        for a in actions:
+            if applicable(state, a):
+                succ = apply_action(state, a)
+                generated += 1
+                if succ in seen:
+                    continue
+                seen.add(succ)
+                evaluated += 1
+                counter += 1
+                heapq.heappush(
+                    frontier,
+                    (priority(h(succ), depth + 1), counter, (succ, node, a, depth + 1)),
+                )
+    return None, "exhausted", expanded, evaluated, generated
+
+
+def assert_matches_reference(d, p, cfg):
+    plan, stats = solve(d, p, cfg)
+    ref_plan, status, expanded, evaluated, generated = reference_solve(d, p, cfg)
+    assert (stats.status, stats.expanded, stats.evaluated, stats.generated) == (
+        status, expanded, evaluated, generated
+    )
+    if ref_plan is None:
+        assert plan is None and stats.plan_cost is None
+    else:
+        assert [a.name for a in plan.steps] == [a.name for a in ref_plan.steps]
+        assert stats.plan_cost == ref_plan.cost
+    return plan, stats
+
+
+ALL_CONFIGS = [
+    SearchConfig(algorithm=algo, heuristic=heuristic, max_expansions=200_000)
+    for algo in ("breadth-first", "greedy-best-first", "a-star")
+    for heuristic in ("goal-count", "zero")
+]
+
+
+@pytest.mark.parametrize("d,p", all_tasks())
+def test_compiled_search_matches_reference(d, p):
+    for cfg in ALL_CONFIGS:
+        assert_matches_reference(d, p, cfg)
+
+
+LIGHTS_DOMAIN = """
+(define (domain lights)
+  (:requirements :strips :typing :negative-preconditions)
+  (:types lamp)
+  (:predicates (lit ?x - lamp) (broken ?x - lamp) (powered))
+  (:action switch-on
+    :parameters (?x - lamp)
+    :precondition (and (powered) (not (lit ?x)) (not (broken ?x)))
+    :effect (lit ?x))
+  (:action switch-off
+    :parameters (?x - lamp)
+    :precondition (lit ?x)
+    :effect (not (lit ?x)))
+  (:action cut-power
+    :parameters ()
+    :precondition (powered)
+    :effect (not (powered)))
+  (:action restore-power
+    :parameters ()
+    :precondition (not (powered))
+    :effect (powered)))
+"""
+
+LIGHTS_PROBLEM = """
+(define (problem lights-{name})
+  (:domain lights)
+  (:objects a b c - lamp)
+  (:init (powered) (broken c) (lit b))
+  (:goal (and {goal})))
+"""
+
+
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: c.algorithm + "/" + c.heuristic)
+def test_compiled_search_negative_literals(cfg):
+    d = parse_domain(LIGHTS_DOMAIN)
+    # A negated goal literal, and negative preconditions that keep lamp c
+    # dark; restore-power has no positive precondition.
+    p = parse_problem(LIGHTS_PROBLEM.format(
+        name="off", goal="(lit a) (not (lit b)) (not (powered))"), d)
+    plan, stats = assert_matches_reference(d, p, cfg)
+    assert stats.status == "solved"
+    assert validate_plan(d, p, plan).valid
+    # No action adds (broken a), so the goal is unreachable.
+    p = parse_problem(LIGHTS_PROBLEM.format(name="stuck", goal="(lit a) (broken a)"), d)
+    plan, stats = assert_matches_reference(d, p, cfg)
+    assert plan is None and stats.status == "exhausted"
+
+
+def test_compiled_task_masks():
+    d = parse_domain(LIGHTS_DOMAIN)
+    p = parse_problem(LIGHTS_PROBLEM.format(name="off", goal="(not (lit b))"), d)
+    task = compile_task(d, p)
+    assert [a.name for a in task.actions] == [a.name for a in ground(d, p)]
+    assert task.init.bit_count() == len(p.init)
+    assert task.goal_pos == 0 and task.goal_neg.bit_count() == 1
+    # restore-power is the only action with no positive precondition.
+    assert [task.actions[op[0]].name for op in task.unkeyed] == ["(restore-power)"]
+    keyed = sorted(op[0] for bucket in task.buckets for op in bucket)
+    assert keyed == sorted(set(range(len(task.actions))) - {op[0] for op in task.unkeyed})
+
+
+def test_search_reuses_a_compiled_task():
+    d = bundles.load_domain("gripper")
+    p = bundles.load_problems("gripper")[0]
+    task = compile_task(d, p)
+    for cfg in PLANNER_CONFIGS.values():
+        plan, stats = search(task, cfg)
+        expect_plan, expect = solve(d, p, cfg)
+        assert plan == expect_plan
+        assert (stats.expanded, stats.evaluated, stats.generated) == (
+            expect.expanded, expect.evaluated, expect.generated
+        )
