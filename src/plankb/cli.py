@@ -23,7 +23,10 @@ from .kg.store import Graph, Iri
 from .kg.turtle import TurtleSyntaxError, export_turtle, import_turtle
 from .macros import (
     LiftedPair,
+    MacroSchema,
     NoPlansForDomain,
+    TypeConflict,
+    UnknownSchema,
     chain_filter,
     compose,
     mine_pairs,
@@ -59,10 +62,8 @@ from .select import (
 )
 from .semantics import (
     DomainProblemMismatch,
-    Plan,
     PlanParseError,
-    ground,
-    parse_plan_text,
+    resolve_plan,
 )
 
 DOMAIN_ERRORS = (
@@ -78,6 +79,8 @@ DOMAIN_ERRORS = (
     NoPlansForDomain,
     DomainProblemMismatch,
     PlanParseError,
+    UnknownSchema,
+    TypeConflict,
     FileNotFoundError,
 )
 
@@ -150,7 +153,7 @@ def cmd_build_kg(args) -> int:
                     file=sys.stderr,
                 )
                 continue
-            plan = parse_plan_text(plan_path.read_text(), ground(domain, problem))
+            plan = resolve_plan(domain, problem, plan_path.read_text())
             g.update(describe_planner(planner_name))
             g.update(
                 map_plan(
@@ -169,7 +172,7 @@ def cmd_build_kg(args) -> int:
 
 def cmd_query(args) -> int:
     g = _load_graph(args.graph)
-    params = dict(kv.split("=", 1) for kv in args.arg)
+    params = dict(args.arg)
     result = run_competency(g, args.id, params)
     if isinstance(result, int):
         if args.format == "json":
@@ -230,6 +233,18 @@ def _pair_from_json(obj: dict) -> LiftedPair:
         raise JsonSchemaError("bad macro report entry: {}".format(obj)) from exc
 
 
+def _load_macros(domain, path: str) -> list[MacroSchema]:
+    """The chainable pairs of a mine-macros JSON report, composed."""
+    try:
+        report = json.loads(_resolve(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise JsonSchemaError("{}: not a JSON macro report: {}".format(path, exc)) from exc
+    if not isinstance(report, list):
+        raise JsonSchemaError("{}: a macro report is a JSON list".format(path))
+    pairs = [_pair_from_json(o) for o in report]
+    return [compose(domain, p) for p in pairs if chain_filter(domain, p)]
+
+
 def cmd_mine_macros(args) -> int:
     g = _load_graph(args.graph)
     pairs = mine_pairs(g, domain_iri(args.domain))
@@ -253,8 +268,7 @@ def cmd_augment(args) -> int:
     from .macros import augment_domain
 
     domain = parse_domain(_resolve(args.domain).read_text())
-    pairs = [_pair_from_json(o) for o in json.loads(_resolve(args.macros).read_text())]
-    macros = [compose(domain, p) for p in pairs if chain_filter(domain, p)]
+    macros = _load_macros(domain, args.macros)
     augmented = augment_domain(domain, macros, args.k)
     out = _resolve(args.output)
     out.write_text(print_domain(augmented))
@@ -279,12 +293,7 @@ def cmd_bench(args) -> int:
         max_expansions=args.max_expansions,
         max_seconds=args.max_seconds,
     )
-    macros = []
-    if args.macros:
-        pairs = [
-            _pair_from_json(o) for o in json.loads(_resolve(args.macros).read_text())
-        ]
-        macros = [compose(domain, p) for p in pairs if chain_filter(domain, p)]
+    macros = _load_macros(domain, args.macros) if args.macros else []
     report = bench_compare(domain, macros, problems, cfg, k=args.k)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -316,6 +325,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _key_value(text: str) -> tuple[str, str]:
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError("expected KEY=VALUE, got '{}'".format(text))
+    return key, value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plankb",
@@ -339,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="run a competency query against a graph")
     p.add_argument("graph")
     p.add_argument("--id", required=True, choices=sorted(COMPETENCY_QUERIES))
-    p.add_argument("--arg", action="append", default=[], metavar="KEY=VALUE")
+    p.add_argument("--arg", action="append", default=[], metavar="KEY=VALUE",
+                   type=_key_value)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_query)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 
@@ -10,22 +10,47 @@ class VariableInData(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# Iri, TypedLiteral and Triple are slotted and hash once: the hash is cached
+# in __post_init__ and equals the generated hash((field, ...)), so set and
+# dict iteration order (and every output) is the same as without the cache.
+# __reduce__ rebuilds through __init__, since a pickled hash is stale in
+# another process.
+
+
+@dataclass(frozen=True, slots=True)
 class Iri:
     value: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.value:
             raise ValueError("IRI must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Iri, (self.value,)
 
     def __str__(self) -> str:
         return "<{}>".format(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypedLiteral:
     lexical: str
     datatype: Iri
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return TypedLiteral, (self.lexical, self.datatype)
 
     def __str__(self) -> str:
         return '"{}"^^<{}>'.format(self.lexical, self.datatype.value)
@@ -50,16 +75,26 @@ def term_key(t: Node) -> tuple:
     return (1, t.datatype.value, t.lexical)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Iri
     predicate: Iri
     object: Node
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.subject, Variable) or isinstance(self.predicate, Variable) \
                 or isinstance(self.object, Variable):
             raise VariableInData("stored triples must not contain variables")
+        object.__setattr__(
+            self, "_hash", hash((self.subject, self.predicate, self.object))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
     def key(self) -> tuple:
         return (term_key(self.subject), term_key(self.predicate), term_key(self.object))
@@ -98,8 +133,9 @@ class Graph:
     def add(self, t: Triple) -> "Graph":
         if not isinstance(t, Triple):
             raise TypeError("expected a Triple")
-        if t not in self._triples:
-            self._triples.add(t)
+        n = len(self._triples)
+        self._triples.add(t)
+        if len(self._triples) != n:
             self._by_s.setdefault(t.subject, set()).add(t)
             self._by_p.setdefault(t.predicate, set()).add(t)
             self._by_o.setdefault(t.object, set()).add(t)

@@ -134,28 +134,36 @@ def _resolve_pname(pname: str, prefixes: dict[str, str], line: int, col: int) ->
 def import_turtle(text: str) -> Graph:
     g = Graph()
     prefixes: dict[str, str] = {}
+    # Each IRI or prefixed-name token is resolved once per call; a prefix
+    # declared again clears the table, since its names now mean other IRIs.
+    iris: dict[str, Iri] = {}
+    rdf_type = Iri(RDF_NS + "type")
     tokens = list(_tokenize(text))
     i = 0
 
+    def iri(kind: str, value: str, line: int, col: int) -> Iri:
+        found = iris.get(value)
+        if found is None:
+            if kind == "iriref":
+                found = Iri(value[1:-1])
+            else:
+                found = _resolve_pname(value, prefixes, line, col)
+            iris[value] = found
+        return found
+
     def term_at(j: int) -> tuple[Node, int]:
         kind, value, line, col = tokens[j]
-        if kind == "iriref":
-            return Iri(value[1:-1]), j + 1
-        if kind == "pname":
-            return _resolve_pname(value, prefixes, line, col), j + 1
+        if kind == "iriref" or kind == "pname":
+            return iri(kind, value, line, col), j + 1
         if kind == "kw_a":
-            return Iri(RDF_NS + "type"), j + 1
+            return rdf_type, j + 1
         if kind == "literal":
             lexical = _unescape(value[1:-1])
             if j + 1 < len(tokens) and tokens[j + 1][0] == "dcaret":
                 dt_kind, dt_value, dt_line, dt_col = tokens[j + 2]
-                if dt_kind == "iriref":
-                    dt = Iri(dt_value[1:-1])
-                elif dt_kind == "pname":
-                    dt = _resolve_pname(dt_value, prefixes, dt_line, dt_col)
-                else:
+                if dt_kind != "iriref" and dt_kind != "pname":
                     raise TurtleSyntaxError("expected datatype IRI", dt_line, dt_col)
-                return TypedLiteral(lexical, dt), j + 3
+                return TypedLiteral(lexical, iri(*tokens[j + 2])), j + 3
             return TypedLiteral(lexical, XSD_STRING), j + 1
         raise TurtleSyntaxError("expected an IRI or literal", line, col)
 
@@ -165,6 +173,8 @@ def import_turtle(text: str) -> Graph:
             if tokens[i + 1][0] != "pname" or tokens[i + 2][0] != "iriref":
                 raise TurtleSyntaxError("malformed @prefix declaration", line, col)
             prefix = tokens[i + 1][1].rstrip(":")
+            if prefix in prefixes:
+                iris.clear()
             prefixes[prefix] = tokens[i + 2][1][1:-1]
             if tokens[i + 3][0] != "dot":
                 raise TurtleSyntaxError("expected '.' after @prefix", line, col)

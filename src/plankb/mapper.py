@@ -20,7 +20,7 @@ from .kg.schema import (
 from .kg.store import Graph, Iri, Triple, TypedLiteral, Variable
 from .pddl.ast import Atom, DomainDef, Literal, ProblemDef
 from .pddl.validate import validate_domain
-from .semantics import GroundAction, Plan, parse_plan_text, ground
+from .semantics import GroundAction, Plan, resolve_plan
 
 
 class MappingError(Exception):
@@ -681,8 +681,7 @@ def from_json(doc: dict) -> tuple[DomainDef, list[ProblemDef], list[PlanEntry]]:
             raise JsonSchemaError(
                 "plan references unknown problem '{}'".format(e["problem"])
             )
-        actions = ground(domain, prob)
-        plan = parse_plan_text("\n".join(e["steps"]), actions)
+        plan = resolve_plan(domain, prob, "\n".join(e["steps"]))
         plans.append(PlanEntry(e["problem"], e["planner"], plan))
     return domain, problems, plans
 

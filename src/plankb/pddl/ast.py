@@ -39,12 +39,27 @@ class PredicateSchema:
         return len(self.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
-    """Predicate applied to terms; variables start with '?'."""
+    """Predicate applied to terms; variables start with '?'.
+
+    The hash is computed once, equal to the generated ``hash((predicate,
+    args))``, so sets of atoms iterate in the same order as without the cache.
+    """
 
     predicate: str
     args: tuple[str, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a pickled hash is stale in another process.
+        return Atom, (self.predicate, self.args)
 
     def substitute(self, binding: dict[str, str]) -> "Atom":
         return Atom(self.predicate, tuple(binding.get(a, a) for a in self.args))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .pddl.ast import (
@@ -76,52 +77,140 @@ class ValidationReport:
         return self.valid
 
 
+# --- grounding through compiled schema templates ---------------------------
+#
+# A schema is compiled once into templates: each literal argument becomes the
+# position of its parameter in a binding combo (an int) or stays a constant
+# (a str).  A template atom is (predicate, spec, key), where key maps a combo
+# to the values of the parameters the atom uses; spec is None when that key is
+# already the args tuple (two or more parameters, no constant).  Grounding a
+# combo looks each atom up in a per-template cache under key(combo), and on a
+# miss in a table keyed by (predicate, args) shared by the whole call, so every
+# distinct ground atom is built and hashed once per call.
+
+_TemplateAtom = tuple  # (predicate, spec, key)
+
+
+def _no_parameters(combo: tuple) -> tuple:
+    return ()
+
+
+@dataclass(frozen=True)
+class _Template:
+    name: str
+    variables: tuple[str, ...]
+    positions: tuple[int, ...]  # combo position bound to each variable
+    equalities: tuple[tuple[object, object, bool], ...]  # (spec, spec, negated)
+    atoms: tuple[_TemplateAtom, ...]  # pre_pos, then pre_neg, then add, then delete
+    ends: tuple[int, int, int]  # where pre_pos, pre_neg and add end in atoms
+
+
+def _compile(schema: ActionSchema) -> _Template:
+    # As dict(zip(variables, combo)) does, a repeated variable takes the
+    # value at its last position.
+    position = {v: i for i, v in enumerate(schema.variables)}
+
+    def spec(atom: Atom) -> tuple:
+        return tuple(position.get(a, a) for a in atom.args)
+
+    def template(atom: Atom) -> _TemplateAtom:
+        sp = spec(atom)
+        used = [x for x in sp if type(x) is int]
+        if not used:
+            return atom.predicate, sp, _no_parameters
+        return atom.predicate, None if len(used) == len(sp) > 1 else sp, itemgetter(*used)
+
+    equalities, pos, neg = [], [], []
+    for lit in schema.precondition:
+        if lit.atom.predicate == EQUALITY_PREDICATE:
+            a, b = spec(lit.atom)
+            equalities.append((a, b, lit.negated))
+        else:
+            (neg if lit.negated else pos).append(template(lit.atom))
+    add = [template(a) for a in schema.add]
+    delete = [template(a) for a in schema.delete]
+    return _Template(
+        schema.name,
+        schema.variables,
+        tuple(position[v] for v in schema.variables),
+        tuple(equalities),
+        tuple(pos + neg + add + delete),
+        (len(pos), len(pos) + len(neg), len(pos) + len(neg) + len(add)),
+    )
+
+
+def _instantiate(
+    t: _Template, combo: tuple, caches: list[dict], table: dict
+) -> Optional[GroundAction]:
+    for a, b, negated in t.equalities:
+        x = combo[a] if type(a) is int else a
+        y = combo[b] if type(b) is int else b
+        if (x == y) == negated:
+            return None
+    atoms = []
+    for (predicate, spec, key), cache in zip(t.atoms, caches):
+        k = key(combo)
+        atom = cache.get(k)
+        if atom is None:
+            if spec is None:
+                args = k
+            else:
+                args = tuple(combo[x] if type(x) is int else x for x in spec)
+            atom = table.get((predicate, args))
+            if atom is None:
+                atom = table[predicate, args] = Atom(predicate, args)
+            cache[k] = atom
+        atoms.append(atom)
+    i, j, n = t.ends
+    add = frozenset(atoms[j:n])
+    # frozenset(set(x)) can lay out its table unlike frozenset(x); the
+    # preconditions take the first form so they iterate like sets built
+    # literal by literal (validate_plan names the first failing one).
+    return GroundAction(
+        t.name,
+        tuple(zip(t.variables, [combo[x] for x in t.positions])),
+        frozenset(set(atoms[:i])),
+        frozenset(set(atoms[i:j])),
+        add,
+        frozenset(atoms[n:]) - add,
+    )
+
+
 def instantiate(schema: ActionSchema, binding: dict[str, str]) -> Optional[GroundAction]:
     """Ground a schema under a complete binding.
 
     Equality literals are resolved statically; returns None when one fails.
     """
-    pre_pos: set[GroundAtom] = set()
-    pre_neg: set[GroundAtom] = set()
-    for lit in schema.precondition:
-        atom = lit.atom.substitute(binding)
-        if atom.predicate == EQUALITY_PREDICATE:
-            equal = atom.args[0] == atom.args[1]
-            if equal == lit.negated:
-                return None
-            continue
-        (pre_neg if lit.negated else pre_pos).add(atom)
-    add = frozenset(a.substitute(binding) for a in schema.add)
-    delete = frozenset(a.substitute(binding) for a in schema.delete) - add
-    return GroundAction(
-        schema.name,
-        tuple((v, binding[v]) for v in schema.variables),
-        frozenset(pre_pos),
-        frozenset(pre_neg),
-        add,
-        delete,
-    )
+    t = _compile(schema)
+    combo = tuple(binding[v] for v in schema.variables)
+    return _instantiate(t, combo, [{} for _ in t.atoms], {})
 
 
-def ground(d: DomainDef, p: ProblemDef) -> list[GroundAction]:
-    """Every type-consistent instantiation of every schema, in deterministic
-    order: schema declaration order, then lexicographic bindings."""
+def _check_match(d: DomainDef, p: ProblemDef) -> None:
     if p.domain_name != d.name:
         raise DomainProblemMismatch(
             "problem '{}' references domain '{}', not '{}'".format(
                 p.name, p.domain_name, d.name
             )
         )
+
+
+def ground(d: DomainDef, p: ProblemDef) -> list[GroundAction]:
+    """Every type-consistent instantiation of every schema, in deterministic
+    order: schema declaration order, then lexicographic bindings."""
+    _check_match(d, p)
     pool = list(d.constants) + list(p.objects)
+    table: dict = {}
     actions: list[GroundAction] = []
     for schema in d.actions:
         candidates = []
         for _, ptype in schema.params:
             names = sorted(o for o, otype in pool if d.is_subtype(otype, ptype))
             candidates.append(names)
+        t = _compile(schema)
+        caches = [{} for _ in t.atoms]
         for combo in itertools.product(*candidates):
-            binding = dict(zip(schema.variables, combo))
-            ga = instantiate(schema, binding)
+            ga = _instantiate(t, combo, caches, table)
             if ga is not None:
                 actions.append(ga)
     return actions
@@ -195,10 +284,9 @@ class PlanParseError(Exception):
     pass
 
 
-def parse_plan_text(text: str, actions: Iterable[GroundAction]) -> Plan:
-    """Resolve an IPC-style solution file against a grounded action list."""
-    index = {(a.schema, a.objects): a for a in actions}
-    steps: list[GroundAction] = []
+def _plan_steps(text: str):
+    """Yield (line number, step text, (name, objects)) for each step line of
+    an IPC-style solution file, lowercased as PDDL names are."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()
         if not line:
@@ -208,12 +296,62 @@ def parse_plan_text(text: str, actions: Iterable[GroundAction]) -> Plan:
         parts = line[1:-1].split()
         if not parts:
             raise PlanParseError("line {}: empty step".format(lineno))
-        key = (parts[0].lower(), tuple(x.lower() for x in parts[1:]))
+        yield lineno, line, (parts[0].lower(), tuple(x.lower() for x in parts[1:]))
+
+
+def _no_match(lineno: int, line: str) -> PlanParseError:
+    return PlanParseError("line {}: no ground action matches {}".format(lineno, line))
+
+
+def parse_plan_text(text: str, actions: Iterable[GroundAction]) -> Plan:
+    """Resolve an IPC-style solution file against a grounded action list."""
+    index = {(a.schema, a.objects): a for a in actions}
+    steps: list[GroundAction] = []
+    for lineno, line, key in _plan_steps(text):
         action = index.get(key)
         if action is None:
-            raise PlanParseError(
-                "line {}: no ground action matches {}".format(lineno, line)
-            )
+            raise _no_match(lineno, line)
+        steps.append(action)
+    return Plan(tuple(steps))
+
+
+def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
+    """Resolve an IPC-style solution file without grounding the problem.
+
+    Each step is type-checked against its schema and instantiated alone, so
+    the plan and the errors are those of ``parse_plan_text(text, ground(d,
+    p))``.  Where schemas share a name, the last one that grounds the step
+    wins, as in that function's index.
+    """
+    _check_match(d, p)
+    types: dict[str, list[str]] = {}
+    for o, otype in list(d.constants) + list(p.objects):
+        types.setdefault(o, []).append(otype)
+    by_name: dict[str, list] = {}
+    for schema in d.actions:
+        t = _compile(schema)
+        by_name.setdefault(schema.name, []).insert(0, (schema, t, [{} for _ in t.atoms]))
+    table: dict = {}
+
+    def step(name: str, objects: tuple[str, ...]) -> Optional[GroundAction]:
+        for schema, t, caches in by_name.get(name, ()):
+            if len(objects) != len(schema.params) or not all(
+                any(d.is_subtype(otype, ptype) for otype in types.get(o, ()))
+                for o, (_, ptype) in zip(objects, schema.params)
+            ):
+                continue
+            action = _instantiate(t, objects, caches, table)
+            # A repeated parameter binds its last object, so the step's own
+            # objects must come back for the ground action to be the one named.
+            if action is not None and action.objects == objects:
+                return action
+        return None
+
+    steps: list[GroundAction] = []
+    for lineno, line, key in _plan_steps(text):
+        action = step(*key)
+        if action is None:
+            raise _no_match(lineno, line)
         steps.append(action)
     return Plan(tuple(steps))
 

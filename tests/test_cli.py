@@ -160,3 +160,37 @@ def test_store_flag_persists_macros(bw_ttl, capsys):
     from plankb.mapper import domain_iri
 
     assert g.match(s=domain_iri("blocksworld"), p=SCHEMA.prop("hasMacro"))
+
+
+BW_DOMAIN = data("domains/blocksworld.pddl")
+UNKNOWN_ACTION = json.dumps([{
+    "first": "fly", "second": "stack", "pattern": [[0, 0]],
+    "first_arity": 1, "frequency": 3,
+}])
+
+
+@pytest.mark.parametrize("argv,files,code", [
+    (["query", "bw.ttl", "--id", "C3", "--arg", "domain"], {}, 2),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "out.pddl"],
+     {"m.json": "{not json"}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "out.pddl"],
+     {"m.json": "5"}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "out.pddl"],
+     {"m.json": '[{"first": "pick-up"}]'}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "out.pddl"],
+     {"m.json": UNKNOWN_ACTION}, 1),
+    (["bench", "--domain", BW_DOMAIN, "--problems", data("problems"),
+      "--macros", "m.json"], {"m.json": "[1, 2"}, 1),
+    (["bench", "--domain", BW_DOMAIN, "--problems", data("problems"),
+      "--macros", "m.json"], {"m.json": ""}, 1),
+])
+def test_malformed_input_exits_with_error_not_traceback(
+        bw_ttl, workspace, capsys, argv, files, code):
+    for name, text in files.items():
+        (workspace / name).write_text(text)
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert "error:" in capsys.readouterr().err

@@ -101,3 +101,26 @@ def test_unexpected_character():
 def test_literal_subject_rejected():
     with pytest.raises(TurtleSyntaxError):
         import_turtle('"lit" <{0}p> <{0}o> .'.format(EX))
+
+
+def test_prefix_declared_again_rebinds_later_names():
+    other = "http://example.com/v2#"
+    g = import_turtle(
+        "@prefix p: <{0}> .\n"
+        "p:s p:p p:o .\n"
+        'p:s p:n "1"^^p:int .\n'
+        "@prefix p: <{1}> .\n"
+        "p:s p:p p:o .\n"
+        'p:s p:n "1"^^p:int .\n'.format(EX, other)
+    )
+    assert g.triples() == {
+        Triple(Iri(ns + "s"), Iri(ns + "p"), Iri(ns + "o")) for ns in (EX, other)
+    } | {
+        Triple(Iri(ns + "s"), Iri(ns + "n"), TypedLiteral("1", Iri(ns + "int")))
+        for ns in (EX, other)
+    }
+
+
+def test_repeated_names_share_one_iri():
+    g = import_turtle("@prefix ex: <{0}> .\nex:s ex:p ex:o .\nex:s ex:q ex:o .\n".format(EX))
+    assert len({id(t.subject) for t in g}) == len({id(t.object) for t in g}) == 1
