@@ -34,7 +34,8 @@ class SearchConfig:
             raise ValueError("unknown algorithm '{}'".format(self.algorithm))
         if self.heuristic not in HEURISTICS:
             raise ValueError("unknown heuristic '{}'".format(self.heuristic))
-        if self.max_expansions <= 0 or self.max_seconds <= 0:
+        # `not x > 0` also rejects NaN, which would switch a limit off.
+        if not (self.max_expansions > 0 and self.max_seconds > 0):
             raise ValueError("limits must be positive")
 
 

@@ -23,6 +23,7 @@ from .kg.store import Graph, Iri
 from .kg.turtle import TurtleSyntaxError, export_turtle, import_turtle
 from .macros import (
     LiftedPair,
+    MacroReportError,
     MacroSchema,
     NoPlansForDomain,
     TypeConflict,
@@ -36,7 +37,6 @@ from .mapper import (
     COMPETENCY_QUERIES,
     InvalidRecord,
     describe_planner,
-    JsonSchemaError,
     MappingError,
     UnknownDomain,
     UnknownQueryId,
@@ -72,7 +72,7 @@ DOMAIN_ERRORS = (
     MappingError,
     UnknownDomain,
     UnknownQueryId,
-    JsonSchemaError,
+    MacroReportError,
     InvalidRecord,
     NoCandidates,
     NoDataForDomain,
@@ -85,6 +85,10 @@ DOMAIN_ERRORS = (
 )
 
 
+class UsageError(Exception):
+    """Arguments that parse but do not make sense together: exit 2."""
+
+
 def workspace() -> Path:
     return Path(os.environ.get("PLANKB_WORKSPACE", "."))
 
@@ -92,6 +96,13 @@ def workspace() -> Path:
 def _resolve(path: str) -> Path:
     p = Path(path)
     return p if p.is_absolute() else workspace() / p
+
+
+def _input_dir(path: str) -> Path:
+    d = _resolve(path)
+    if not d.is_dir():
+        raise FileNotFoundError("{}: no such directory".format(d))
+    return d
 
 
 def _load_graph(path: str) -> Graph:
@@ -135,7 +146,7 @@ def cmd_build_kg(args) -> int:
         problems[problem.name] = problem
         g.update(map_problem(problem, g))
     if args.plans:
-        for plan_path in sorted(_resolve(args.plans).glob("*.plan")):
+        for plan_path in sorted(_input_dir(args.plans).glob("*.plan")):
             stem_parts = plan_path.stem.rsplit(".", 1)
             if len(stem_parts) != 2:
                 print(
@@ -230,7 +241,7 @@ def _pair_from_json(obj: dict) -> LiftedPair:
             obj["frequency"],
         )
     except (KeyError, TypeError) as exc:
-        raise JsonSchemaError("bad macro report entry: {}".format(obj)) from exc
+        raise MacroReportError("bad macro report entry: {}".format(obj)) from exc
 
 
 def _load_macros(domain, path: str) -> list[MacroSchema]:
@@ -238,14 +249,16 @@ def _load_macros(domain, path: str) -> list[MacroSchema]:
     try:
         report = json.loads(_resolve(path).read_text())
     except json.JSONDecodeError as exc:
-        raise JsonSchemaError("{}: not a JSON macro report: {}".format(path, exc)) from exc
+        raise MacroReportError("{}: not a JSON macro report: {}".format(path, exc)) from exc
     if not isinstance(report, list):
-        raise JsonSchemaError("{}: a macro report is a JSON list".format(path))
+        raise MacroReportError("{}: a macro report is a JSON list".format(path))
     pairs = [_pair_from_json(o) for o in report]
     return [compose(domain, p) for p in pairs if chain_filter(domain, p)]
 
 
 def cmd_mine_macros(args) -> int:
+    if args.store and not args.domain_file:
+        raise UsageError("mine-macros --store needs --domain-file")
     g = _load_graph(args.graph)
     pairs = mine_pairs(g, domain_iri(args.domain))
     if args.domain_file:
@@ -278,8 +291,9 @@ def cmd_augment(args) -> int:
 
 def cmd_bench(args) -> int:
     domain = parse_domain(_resolve(args.domain).read_text())
+    problem_dir = _input_dir(args.problems)
     problems = []
-    for path in sorted(_resolve(args.problems).glob("*.pddl")):
+    for path in sorted(problem_dir.glob("*.pddl")):
         text = path.read_text()
         # Problem directories may mix domains; keep only files whose
         # :domain declaration matches.
@@ -287,6 +301,10 @@ def cmd_bench(args) -> int:
         if m and m.group(1).lower() != domain.name:
             continue
         problems.append(parse_problem(text, domain))
+    if not problems:
+        raise FileNotFoundError(
+            "{}: no problem of domain '{}'".format(problem_dir, domain.name)
+        )
     cfg = SearchConfig(
         algorithm=args.algo,
         heuristic=args.heuristic,
@@ -323,6 +341,20 @@ def cmd_solve(args) -> int:
         )
     )
     return 0
+
+
+def _limit(kind):
+    """An argparse type for a search limit: a `kind` number above 0.  NaN
+    is not above 0, so it cannot switch the time limit off."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError("must be > 0, got '{}'".format(text))
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
 
 
 def _key_value(text: str) -> tuple[str, str]:
@@ -399,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=2)
     p.add_argument("--algo", choices=ALGORITHMS, default="greedy-best-first")
     p.add_argument("--heuristic", choices=HEURISTICS, default="goal-count")
-    p.add_argument("--max-expansions", type=int, default=1_000_000)
-    p.add_argument("--max-seconds", type=float, default=60.0)
+    p.add_argument("--max-expansions", type=_limit(int), default=1_000_000)
+    p.add_argument("--max-seconds", type=_limit(float), default=60.0)
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.set_defaults(func=cmd_bench)
 
@@ -409,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem")
     p.add_argument("--algo", choices=ALGORITHMS, default="breadth-first")
     p.add_argument("--heuristic", choices=HEURISTICS, default="goal-count")
-    p.add_argument("--max-expansions", type=int, default=1_000_000)
-    p.add_argument("--max-seconds", type=float, default=60.0)
+    p.add_argument("--max-expansions", type=_limit(int), default=1_000_000)
+    p.add_argument("--max-seconds", type=_limit(float), default=60.0)
     p.set_defaults(func=cmd_solve)
 
     return parser
@@ -421,6 +453,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
     except DOMAIN_ERRORS as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 1

@@ -28,6 +28,10 @@ class NoPlansForDomain(Exception):
     pass
 
 
+class MacroReportError(Exception):
+    """A mine-macros JSON report that is not a list of lifted pairs."""
+
+
 @dataclass(frozen=True)
 class GroundPairOccurrence:
     first: str

@@ -1,13 +1,11 @@
-"""Mapping between PDDL artifacts, the JSON interchange format, and the
-planning knowledge graph, plus the ten named competency queries."""
+"""Mapping between PDDL artifacts and the planning knowledge graph, plus the
+ten named competency queries."""
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import jsonschema
 
 from .kg.schema import (
     RDF_TYPE,
@@ -18,9 +16,9 @@ from .kg.schema import (
     string_literal,
 )
 from .kg.store import Graph, Iri, Triple, TypedLiteral, Variable
-from .pddl.ast import Atom, DomainDef, Literal, ProblemDef
+from .pddl.ast import DomainDef, ProblemDef
 from .pddl.validate import validate_domain
-from .semantics import GroundAction, Plan, resolve_plan
+from .semantics import Plan
 
 
 class MappingError(Exception):
@@ -32,10 +30,6 @@ class UnknownDomain(Exception):
 
 
 class UnknownQueryId(Exception):
-    pass
-
-
-class JsonSchemaError(Exception):
     pass
 
 
@@ -422,124 +416,7 @@ def run_competency(g: Graph, qid: str, args: Optional[dict[str, str]] = None):
     return g.query(patterns, select=select, distinct=distinct)
 
 
-# --- JSON interchange ------------------------------------------------------
-
-_param_schema = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {"name": {"type": "string"}, "type": {"type": "string"}},
-        "required": ["name", "type"],
-        "additionalProperties": False,
-    },
-}
-
-_atom_schema = {
-    "type": "object",
-    "properties": {
-        "predicate": {"type": "string"},
-        "args": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": ["predicate", "args"],
-    "additionalProperties": False,
-}
-
-_literal_schema = {
-    "type": "object",
-    "properties": {
-        "predicate": {"type": "string"},
-        "args": {"type": "array", "items": {"type": "string"}},
-        "negated": {"type": "boolean"},
-    },
-    "required": ["predicate", "args"],
-    "additionalProperties": False,
-}
-
-INTERCHANGE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "domain": {
-            "type": "object",
-            "properties": {
-                "name": {"type": "string"},
-                "requirements": {"type": "array", "items": {"type": "string"}},
-                "types": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "name": {"type": "string"},
-                            "parent": {"type": "string"},
-                        },
-                        "required": ["name", "parent"],
-                        "additionalProperties": False,
-                    },
-                },
-                "constants": _param_schema,
-                "predicates": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "name": {"type": "string"},
-                            "parameters": _param_schema,
-                        },
-                        "required": ["name", "parameters"],
-                        "additionalProperties": False,
-                    },
-                },
-                "actions": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "name": {"type": "string"},
-                            "parameters": _param_schema,
-                            "precondition": {"type": "array", "items": _literal_schema},
-                            "add": {"type": "array", "items": _atom_schema},
-                            "del": {"type": "array", "items": _atom_schema},
-                        },
-                        "required": ["name", "parameters", "precondition", "add", "del"],
-                        "additionalProperties": False,
-                    },
-                },
-            },
-            "required": ["name", "requirements", "types", "constants",
-                         "predicates", "actions"],
-            "additionalProperties": False,
-        },
-        "problems": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "name": {"type": "string"},
-                    "objects": _param_schema,
-                    "init": {"type": "array", "items": _atom_schema},
-                    "goal": {"type": "array", "items": _literal_schema},
-                },
-                "required": ["name", "objects", "init", "goal"],
-                "additionalProperties": False,
-            },
-        },
-        "plans": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "problem": {"type": "string"},
-                    "planner": {"type": "string"},
-                    "steps": {"type": "array", "items": {"type": "string"}},
-                    "cost": {"type": "integer", "minimum": 0},
-                },
-                "required": ["problem", "planner", "steps", "cost"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["domain", "problems", "plans"],
-    "additionalProperties": False,
-}
+# --- bundles ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -547,143 +424,6 @@ class PlanEntry:
     problem: str
     planner: str
     plan: Plan
-
-
-def _atom_to_json(a: Atom) -> dict:
-    return {"predicate": a.predicate, "args": list(a.args)}
-
-
-def _literal_to_json(lit: Literal) -> dict:
-    out = _atom_to_json(lit.atom)
-    if lit.negated:
-        out["negated"] = True
-    return out
-
-
-def _atom_key(a: Atom):
-    return (a.predicate, a.args)
-
-
-def to_json(
-    d: DomainDef,
-    problems: Iterable[ProblemDef] = (),
-    plans: Iterable[PlanEntry] = (),
-) -> dict:
-    doc = {
-        "domain": {
-            "name": d.name,
-            "requirements": sorted(d.requirements),
-            "types": [{"name": t.name, "parent": t.parent} for t in d.types],
-            "constants": [{"name": n, "type": t} for n, t in d.constants],
-            "predicates": [
-                {
-                    "name": p.name,
-                    "parameters": [{"name": n, "type": t} for n, t in p.params],
-                }
-                for p in d.predicates
-            ],
-            "actions": [
-                {
-                    "name": a.name,
-                    "parameters": [{"name": n, "type": t} for n, t in a.params],
-                    "precondition": [
-                        _literal_to_json(l)
-                        for l in sorted(a.precondition,
-                                        key=lambda l: (l.negated, _atom_key(l.atom)))
-                    ],
-                    "add": [_atom_to_json(x) for x in sorted(a.add, key=_atom_key)],
-                    "del": [_atom_to_json(x) for x in sorted(a.delete, key=_atom_key)],
-                }
-                for a in d.actions
-            ],
-        },
-        "problems": [
-            {
-                "name": p.name,
-                "objects": [{"name": n, "type": t} for n, t in p.objects],
-                "init": [_atom_to_json(a) for a in sorted(p.init, key=_atom_key)],
-                "goal": [
-                    _literal_to_json(l)
-                    for l in sorted(p.goal,
-                                    key=lambda l: (l.negated, _atom_key(l.atom)))
-                ],
-            }
-            for p in problems
-        ],
-        "plans": [
-            {
-                "problem": e.problem,
-                "planner": e.planner,
-                "steps": [s.name for s in e.plan.steps],
-                "cost": e.plan.cost,
-            }
-            for e in plans
-        ],
-    }
-    jsonschema.validate(doc, INTERCHANGE_SCHEMA)
-    return doc
-
-
-def _json_atom(obj: dict) -> Atom:
-    return Atom(obj["predicate"], tuple(obj["args"]))
-
-
-def _json_literal(obj: dict) -> Literal:
-    return Literal(_json_atom(obj), obj.get("negated", False))
-
-
-def from_json(doc: dict) -> tuple[DomainDef, list[ProblemDef], list[PlanEntry]]:
-    from .pddl.ast import ActionSchema, PredicateSchema, TypeName
-
-    try:
-        jsonschema.validate(doc, INTERCHANGE_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise JsonSchemaError(exc.message) from exc
-
-    dd = doc["domain"]
-    domain = DomainDef(
-        dd["name"],
-        frozenset(dd["requirements"]),
-        tuple(TypeName(t["name"], t["parent"]) for t in dd["types"]),
-        tuple((c["name"], c["type"]) for c in dd["constants"]),
-        tuple(
-            PredicateSchema(
-                p["name"], tuple((x["name"], x["type"]) for x in p["parameters"])
-            )
-            for p in dd["predicates"]
-        ),
-        tuple(
-            ActionSchema.make(
-                a["name"],
-                [(x["name"], x["type"]) for x in a["parameters"]],
-                [_json_literal(l) for l in a["precondition"]],
-                [_json_atom(x) for x in a["add"]],
-                [_json_atom(x) for x in a["del"]],
-            )
-            for a in dd["actions"]
-        ),
-    )
-    problems = [
-        ProblemDef(
-            p["name"],
-            domain.name,
-            tuple((o["name"], o["type"]) for o in p["objects"]),
-            frozenset(_json_atom(a) for a in p["init"]),
-            frozenset(_json_literal(l) for l in p["goal"]),
-        )
-        for p in doc["problems"]
-    ]
-    by_name = {p.name: p for p in problems}
-    plans: list[PlanEntry] = []
-    for e in doc["plans"]:
-        prob = by_name.get(e["problem"])
-        if prob is None:
-            raise JsonSchemaError(
-                "plan references unknown problem '{}'".format(e["problem"])
-            )
-        plan = resolve_plan(domain, prob, "\n".join(e["steps"]))
-        plans.append(PlanEntry(e["problem"], e["planner"], plan))
-    return domain, problems, plans
 
 
 def build_graph(

@@ -1,6 +1,10 @@
 """Command-line interface, exercised in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,8 @@ def test_store_flag_persists_macros(bw_ttl, capsys):
 
 
 BW_DOMAIN = data("domains/blocksworld.pddl")
+BW_PROBLEM = str(bundles.problem_paths("blocksworld")[0])
+GRIPPER_PROBLEM = (bundles.data_dir() / "problems" / "gr-p01.pddl").read_text()
 UNKNOWN_ACTION = json.dumps([{
     "first": "fly", "second": "stack", "pattern": [[0, 0]],
     "first_arity": 1, "frequency": 3,
@@ -183,10 +189,34 @@ UNKNOWN_ACTION = json.dumps([{
       "--macros", "m.json"], {"m.json": "[1, 2"}, 1),
     (["bench", "--domain", BW_DOMAIN, "--problems", data("problems"),
       "--macros", "m.json"], {"m.json": ""}, 1),
+    (["bench", "--domain", BW_DOMAIN, "--problems", "no-such-dir"], {}, 1),
+    (["bench", "--domain", BW_DOMAIN, "--problems", "other"],
+     {"other/gr-p01.pddl": GRIPPER_PROBLEM}, 1),
+    (["bench", "--domain", BW_DOMAIN, "--problems", data("problems"),
+      "--max-expansions", "0"], {}, 2),
+    (["bench", "--domain", BW_DOMAIN, "--problems", data("problems"),
+      "--max-seconds", "nan"], {}, 2),
+    (["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "no-such-dir",
+      "-o", "out.ttl"], {}, 1),
+    (["build-kg", BW_DOMAIN, "p.pddl", "-o", "out.ttl"],
+     {"p.pddl": "(define (problem"}, 1),
+    (["ingest-ipc", "ipc.csv", "-o", "out.ttl"],
+     {"ipc.csv": "planner,domain,solved,total\nlama,elevators,x,20\n"}, 1),
+    (["select-planner", "bad.ttl", "--domain", "elevators", "--policy", "ontology"],
+     {"bad.ttl": "<a> <b"}, 1),
+    (["mine-macros", "bw.ttl", "--domain", "blocksworld", "--store"], {}, 2),
+    (["mine-macros", "bw.ttl", "--domain", "nowhere"], {}, 1),
+    (["parse", BW_DOMAIN, "p.pddl"], {"p.pddl": "(define (problem"}, 1),
+    (["solve", BW_DOMAIN, BW_PROBLEM, "--max-expansions", "0"], {}, 2),
+    (["solve", BW_DOMAIN, BW_PROBLEM, "--max-expansions", "-3"], {}, 2),
+    (["solve", BW_DOMAIN, BW_PROBLEM, "--max-seconds", "-1"], {}, 2),
+    (["solve", BW_DOMAIN, BW_PROBLEM, "--max-seconds", "nan"], {}, 2),
+    (["solve", BW_DOMAIN, "p.pddl"], {"p.pddl": GRIPPER_PROBLEM}, 1),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):
     for name, text in files.items():
+        (workspace / name).parent.mkdir(parents=True, exist_ok=True)
         (workspace / name).write_text(text)
     try:
         rc = main(argv)
@@ -194,3 +224,20 @@ def test_malformed_input_exits_with_error_not_traceback(
         rc = exc.code
     assert rc == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_imports_only_the_standard_library():
+    # The modules loaded before the import (a site `.pth` file may load
+    # some) are left out, so only what `plankb.cli` pulls in is checked.
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import plankb.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - {'plankb'} - set(sys.stdlib_module_names)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,4 @@
-"""PDDL-to-graph mapping, JSON interchange, and the competency queries."""
+"""PDDL-to-graph mapping and the competency queries."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from plankb.kg.store import Graph, Iri, Variable
 from plankb.mapper import (
     COMPETENCY_QUERIES,
     InvalidRecord,
-    JsonSchemaError,
     MappingError,
     PlannerRecord,
     UnknownDomain,
@@ -17,7 +16,6 @@ from plankb.mapper import (
     build_graph,
     competency_patterns,
     domain_iri,
-    from_json,
     map_domain,
     map_problem,
     planner_iri,
@@ -25,7 +23,6 @@ from plankb.mapper import (
     problem_iri,
     requirement_iri,
     run_competency,
-    to_json,
 )
 from plankb.pddl.ast import DomainDef, PredicateSchema
 from test_kg_store import oracle_query
@@ -217,38 +214,6 @@ def test_c10_parameter_types(gripper_graph):
     rows = run_competency(gripper_graph, "C10", {"domain": "gripper"})
     names = {r["t"].value.rsplit("-", 1)[-1] for r in rows}
     assert names == {"room", "ball", "gripper"}
-
-
-# --- JSON interchange -------------------------------------------------------
-
-
-def test_json_roundtrip_preserves_bundle(gripper_bundle):
-    d, problems, entries = gripper_bundle
-    doc = to_json(d, problems, entries)
-    d2, problems2, entries2 = from_json(doc)
-    assert d2 == d
-    assert problems2 == problems
-    assert [e.plan for e in entries2] == [e.plan for e in entries]
-
-
-def test_json_path_equivalence(gripper_bundle):
-    d, problems, entries = gripper_bundle
-    direct = build_graph(d, problems, entries)
-    via_json = build_graph(*from_json(to_json(d, problems, entries)))
-    assert direct.triples() == via_json.triples()
-
-
-def test_from_json_rejects_bad_document():
-    with pytest.raises(JsonSchemaError):
-        from_json({"domain": {}, "problems": [], "plans": []})
-
-
-def test_from_json_rejects_dangling_plan(gripper_bundle):
-    d, problems, entries = gripper_bundle
-    doc = to_json(d, problems, entries)
-    doc["plans"][0]["problem"] = "no-such-problem"
-    with pytest.raises(JsonSchemaError):
-        from_json(doc)
 
 
 def test_planner_record_validation():

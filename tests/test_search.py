@@ -155,6 +155,9 @@ def test_bad_config_rejected():
         SearchConfig(heuristic="landmarks")
     with pytest.raises(ValueError):
         SearchConfig(max_expansions=0)
+    for seconds in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SearchConfig(max_seconds=seconds)
 
 
 # --- benchmark report -------------------------------------------------------
