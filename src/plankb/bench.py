@@ -10,6 +10,7 @@ from typing import Iterable, Optional
 
 from .kg.store import Graph, Iri
 from .macros import MacroSchema, augment_domain
+from .mapper import planner_iri
 from .pddl.ast import Atom, DomainDef, ProblemDef
 from .select import (
     NoDataForDomain,
@@ -245,13 +246,15 @@ def solve(
 @dataclass(frozen=True)
 class BenchRow:
     problem: str
-    variant: str  # "original" | "macro"
+    variant: str  # "original" | "macro", or a selection policy
     stats: SearchStats
+    planner: str = ""  # the configuration a selection policy picked
 
 
 @dataclass
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
+    failures: list[str] = field(default_factory=list)
 
     def solved_rows(self, variant: str) -> list[BenchRow]:
         return [
@@ -301,18 +304,19 @@ class BenchReport:
                     r.stats.generated, cost,
                 )
             )
-        for variant in ("original", "macro"):
-            if any(r.variant == variant for r in self.rows):
-                means = [self.mean(variant, a) for a in ("expanded", "evaluated", "generated")]
-                if means[0] is not None:
-                    lines.append(
-                        "{:<16} {:<9} {:>9.1f} {:>9.1f} {:>9.1f}".format(
-                            "mean", variant, *means
-                        )
+        for variant in dict.fromkeys(r.variant for r in self.rows):
+            means = [self.mean(variant, a) for a in ("expanded", "evaluated", "generated")]
+            if means[0] is not None:
+                lines.append(
+                    "{:<16} {:<9} {:>9.1f} {:>9.1f} {:>9.1f}".format(
+                        "mean", variant, *means
                     )
+                )
         regressed = self.regressions()
         if regressed:
             lines.append("macro regressions: " + ", ".join(regressed))
+        for f in self.failures:
+            lines.append("no data: " + f)
         return "\n".join(lines)
 
 
@@ -345,71 +349,18 @@ PLANNER_CONFIGS: dict[str, SearchConfig] = {
 }
 
 
-@dataclass(frozen=True)
-class PolicyRow:
-    problem: str
-    policy: str
-    planner: str
-    stats: SearchStats
-
-
-@dataclass
-class PolicyReport:
-    rows: list[PolicyRow] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-
-    def mean(self, policy: str, attr: str) -> Optional[float]:
-        rows = [
-            r for r in self.rows if r.policy == policy and r.stats.status == "solved"
-        ]
-        if not rows:
-            return None
-        return sum(getattr(r.stats, attr) for r in rows) / len(rows)
-
-    def format_table(self) -> str:
-        lines = [
-            "{:<16} {:<9} {:<16} {:>9} {:>6}".format(
-                "problem", "policy", "planner", "expanded", "cost"
-            )
-        ]
-        for r in self.rows:
-            cost = "-" if r.stats.plan_cost is None else str(r.stats.plan_cost)
-            lines.append(
-                "{:<16} {:<9} {:<16} {:>9} {:>6}".format(
-                    r.problem, r.policy, r.planner, r.stats.expanded, cost
-                )
-            )
-        for policy in ("ontology", "random"):
-            mean_exp = self.mean(policy, "expanded")
-            mean_cost = self.mean(policy, "plan_cost")
-            if mean_exp is not None:
-                lines.append(
-                    "{:<16} {:<9} {:<16} {:>9.1f} {:>6.1f}".format(
-                        "mean", policy, "", mean_exp, mean_cost
-                    )
-                )
-        for f in self.failures:
-            lines.append("no data: " + f)
-        return "\n".join(lines)
-
-
 def policy_experiment(
     g: Graph,
     tasks: Iterable[tuple[DomainDef, Iri, ProblemDef]],
-    cfg_overrides: Optional[dict[str, SearchConfig]] = None,
     seed: int = 0,
-) -> PolicyReport:
+) -> BenchReport:
     """Run the ontology and random selection policies over (domain, problem)
-    tasks, picking among the built-in planner configurations."""
-    from .mapper import planner_iri
+    tasks, picking among the built-in planner configurations.  Each row's
+    variant is the policy that picked its planner."""
+    candidates = [planner_iri(name) for name in sorted(PLANNER_CONFIGS)]
+    local = {planner_iri(name): name for name in PLANNER_CONFIGS}
 
-    configs = dict(PLANNER_CONFIGS)
-    if cfg_overrides:
-        configs.update(cfg_overrides)
-    candidates = [planner_iri(name) for name in sorted(configs)]
-    local = {planner_iri(name): name for name in configs}
-
-    report = PolicyReport()
+    report = BenchReport()
     for i, (d, domain, p) in enumerate(tasks):
         task = compile_task(d, p)
         try:
@@ -419,10 +370,10 @@ def policy_experiment(
             picked = None
         if picked is not None:
             name = local[picked.chosen]
-            _, stats = search(task, configs[name])
-            report.rows.append(PolicyRow(p.name, "ontology", name, stats))
+            _, stats = search(task, PLANNER_CONFIGS[name])
+            report.rows.append(BenchRow(p.name, "ontology", stats, name))
         outcome = select_random(candidates, seed + i)
         name = local[outcome.chosen]
-        _, stats = search(task, configs[name])
-        report.rows.append(PolicyRow(p.name, "random", name, stats))
+        _, stats = search(task, PLANNER_CONFIGS[name])
+        report.rows.append(BenchRow(p.name, "random", stats, name))
     return report

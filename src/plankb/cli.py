@@ -12,7 +12,6 @@ from pathlib import Path
 from .bench import (
     ALGORITHMS,
     HEURISTICS,
-    PLANNER_CONFIGS,
     SearchConfig,
     bench_compare,
     solve,
@@ -22,31 +21,29 @@ from .kg.schema import RDF_TYPE, SCHEMA
 from .kg.store import Graph, Iri
 from .kg.turtle import TurtleSyntaxError, export_turtle, import_turtle
 from .macros import (
-    LiftedPair,
     MacroReportError,
     MacroSchema,
     NoPlansForDomain,
     TypeConflict,
     UnknownSchema,
+    augment_domain,
     chain_filter,
     compose,
+    dump_report,
+    load_report,
     mine_pairs,
+    report_lines,
     store_macros,
 )
 from .mapper import (
     COMPETENCY_QUERIES,
-    InvalidRecord,
-    describe_planner,
     MappingError,
     UnknownDomain,
     UnknownQueryId,
+    build_graph,
     domain_iri,
-    map_domain,
+    load_plans,
     map_ipc_results,
-    map_plan,
-    map_problem,
-    planner_iri,
-    problem_iri,
     run_competency,
 )
 from .pddl.ast import PddlError
@@ -54,17 +51,14 @@ from .pddl.parser import parse_domain, parse_problem
 from .pddl.printer import print_domain, print_problem
 from .pddl.validate import validate_domain
 from .select import (
+    InvalidRecord,
     NoCandidates,
     NoDataForDomain,
     read_ipc_csv,
     select_ontology,
     select_random,
 )
-from .semantics import (
-    DomainProblemMismatch,
-    PlanParseError,
-    resolve_plan,
-)
+from .semantics import DomainProblemMismatch, PlanParseError
 
 DOMAIN_ERRORS = (
     PddlError,
@@ -138,41 +132,12 @@ def cmd_parse(args) -> int:
 
 def cmd_build_kg(args) -> int:
     domain = parse_domain(_resolve(args.domain).read_text())
-    g = Graph()
-    g.update(map_domain(domain))
-    problems = {}
-    for ppath in args.problems:
-        problem = parse_problem(_resolve(ppath).read_text(), domain)
-        problems[problem.name] = problem
-        g.update(map_problem(problem, g))
-    if args.plans:
-        for plan_path in sorted(_input_dir(args.plans).glob("*.plan")):
-            stem_parts = plan_path.stem.rsplit(".", 1)
-            if len(stem_parts) != 2:
-                print(
-                    "skipping {}: expected <problem>.<planner>.plan".format(plan_path),
-                    file=sys.stderr,
-                )
-                continue
-            problem_name, planner_name = stem_parts
-            problem = problems.get(problem_name)
-            if problem is None:
-                print(
-                    "skipping {}: problem '{}' not in this bundle".format(
-                        plan_path, problem_name
-                    ),
-                    file=sys.stderr,
-                )
-                continue
-            plan = resolve_plan(domain, problem, plan_path.read_text())
-            g.update(describe_planner(planner_name))
-            g.update(
-                map_plan(
-                    plan,
-                    problem_iri(domain.name, problem_name),
-                    planner_iri(planner_name),
-                )
-            )
+    problems = [parse_problem(_resolve(p).read_text(), domain) for p in args.problems]
+    plan_paths = sorted(_input_dir(args.plans).glob("*.plan")) if args.plans else []
+    entries, skipped = load_plans(domain, problems, plan_paths)
+    for message in skipped:
+        print(message, file=sys.stderr)
+    g = build_graph(domain, problems, entries)
     violations = validate_axioms(g, post_solve=bool(args.plans))
     for v in violations:
         print("axiom violation: {}".format(v), file=sys.stderr)
@@ -221,38 +186,9 @@ def cmd_select_planner(args) -> int:
     return 0
 
 
-def _pair_to_json(pair: LiftedPair) -> dict:
-    return {
-        "first": pair.first,
-        "second": pair.second,
-        "pattern": list(pair.pattern),
-        "first_arity": pair.first_arity,
-        "frequency": pair.frequency,
-    }
-
-
-def _pair_from_json(obj: dict) -> LiftedPair:
-    try:
-        return LiftedPair(
-            obj["first"],
-            obj["second"],
-            tuple(obj["pattern"]),
-            obj["first_arity"],
-            obj["frequency"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise MacroReportError("bad macro report entry: {}".format(obj)) from exc
-
-
 def _load_macros(domain, path: str) -> list[MacroSchema]:
     """The chainable pairs of a mine-macros JSON report, composed."""
-    try:
-        report = json.loads(_resolve(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise MacroReportError("{}: not a JSON macro report: {}".format(path, exc)) from exc
-    if not isinstance(report, list):
-        raise MacroReportError("{}: a macro report is a JSON list".format(path))
-    pairs = [_pair_from_json(o) for o in report]
+    pairs = load_report(_resolve(path).read_text(), path)
     return [compose(domain, p) for p in pairs if chain_filter(domain, p)]
 
 
@@ -270,16 +206,14 @@ def cmd_mine_macros(args) -> int:
             )
             _save_graph(g, args.graph)
     if args.format == "json":
-        print(json.dumps([_pair_to_json(p) for p in pairs], indent=2))
+        print(dump_report(pairs))
     else:
-        for p in pairs:
-            print("{} * {} -- {}".format(p.first, p.second, p.frequency))
+        for line in report_lines(pairs):
+            print(line)
     return 0
 
 
 def cmd_augment(args) -> int:
-    from .macros import augment_domain
-
     domain = parse_domain(_resolve(args.domain).read_text())
     macros = _load_macros(domain, args.macros)
     augmented = augment_domain(domain, macros, args.k)
@@ -420,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="inject top-k macros into a domain")
     p.add_argument("--domain", required=True)
     p.add_argument("--macros", required=True, help="JSON report from mine-macros")
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=_limit(int), default=2)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_augment)
 
@@ -428,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--problems", required=True, help="directory of problem files")
     p.add_argument("--macros")
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=_limit(int), default=2)
     p.add_argument("--algo", choices=ALGORITHMS, default="greedy-best-first")
     p.add_argument("--heuristic", choices=HEURISTICS, default="goal-count")
     p.add_argument("--max-expansions", type=_limit(int), default=1_000_000)

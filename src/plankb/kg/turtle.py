@@ -8,7 +8,7 @@ import re
 from .schema import PLAN_NS, RDF_NS, XSD_NS, XSD_STRING
 from .store import Graph, Iri, Node, Triple, TypedLiteral
 
-DEFAULT_PREFIXES = {
+PREFIXES = {
     "plan": PLAN_NS,
     "rdf": RDF_NS,
     "xsd": XSD_NS,
@@ -49,8 +49,8 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def _format_iri(iri: Iri, prefixes: dict[str, str]) -> str:
-    for prefix, ns in prefixes.items():
+def _format_iri(iri: Iri) -> str:
+    for prefix, ns in PREFIXES.items():
         if iri.value.startswith(ns):
             local = iri.value[len(ns):]
             if _SAFE_LOCAL.match(local):
@@ -58,26 +58,25 @@ def _format_iri(iri: Iri, prefixes: dict[str, str]) -> str:
     return "<{}>".format(iri.value)
 
 
-def _format_term(term: Node, prefixes: dict[str, str]) -> str:
+def _format_term(term: Node) -> str:
     if isinstance(term, Iri):
-        return _format_iri(term, prefixes)
+        return _format_iri(term)
     if term.datatype == XSD_STRING:
         return '"{}"'.format(_escape(term.lexical))
-    return '"{}"^^{}'.format(_escape(term.lexical), _format_iri(term.datatype, prefixes))
+    return '"{}"^^{}'.format(_escape(term.lexical), _format_iri(term.datatype))
 
 
-def export_turtle(g: Graph, prefixes: dict[str, str] | None = None) -> str:
-    prefixes = prefixes or DEFAULT_PREFIXES
+def export_turtle(g: Graph) -> str:
     lines = [
-        "@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(prefixes.items())
+        "@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())
     ]
     lines.append("")
     for t in sorted(g.triples(), key=Triple.key):
         lines.append(
             "{} {} {} .".format(
-                _format_iri(t.subject, prefixes),
-                _format_iri(t.predicate, prefixes),
-                _format_term(t.object, prefixes),
+                _format_iri(t.subject),
+                _format_iri(t.predicate),
+                _format_term(t.object),
             )
         )
     return "\n".join(lines) + "\n"

@@ -3,11 +3,12 @@ precondition chaining checks, pairwise composition, and domain injection."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .kg.schema import RDF_TYPE, SCHEMA, integer_literal, string_literal
-from .kg.store import Graph, Iri, Triple, TypedLiteral, Variable
+from .kg.store import Graph, Iri, Triple, Variable
 from .mapper import UnknownDomain, action_iri
 from .pddl.ast import ActionSchema, Atom, DomainDef, Literal, EQUALITY_PREDICATE
 
@@ -30,16 +31,6 @@ class NoPlansForDomain(Exception):
 
 class MacroReportError(Exception):
     """A mine-macros JSON report that is not a list of lifted pairs."""
-
-
-@dataclass(frozen=True)
-class GroundPairOccurrence:
-    first: str
-    first_args: tuple[str, ...]
-    second: str
-    second_args: tuple[str, ...]
-    plan: Iri
-    position: int
 
 
 @dataclass(frozen=True)
@@ -332,8 +323,48 @@ def store_macros(g: Graph, domain: Iri, macros: Iterable[MacroSchema]) -> Graph:
     return g
 
 
+# --- reports ---------------------------------------------------------------
+
+
 def report_lines(pairs: Iterable[LiftedPair]) -> list[str]:
     """Ranked `first * second -- frequency` listing."""
     return [
         "{} * {} -- {}".format(p.first, p.second, p.frequency) for p in pairs
     ]
+
+
+def dump_report(pairs: Iterable[LiftedPair]) -> str:
+    """The JSON macro report: a list with one object per lifted pair."""
+    return json.dumps(
+        [
+            {
+                "first": p.first,
+                "second": p.second,
+                "pattern": list(p.pattern),
+                "first_arity": p.first_arity,
+                "frequency": p.frequency,
+            }
+            for p in pairs
+        ],
+        indent=2,
+    )
+
+
+def load_report(text: str, source: str) -> list[LiftedPair]:
+    """The lifted pairs of a JSON macro report; `source` names it in errors."""
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MacroReportError("{}: not a JSON macro report: {}".format(source, exc)) from exc
+    if not isinstance(report, list):
+        raise MacroReportError("{}: a macro report is a JSON list".format(source))
+    pairs = []
+    for obj in report:
+        try:
+            pairs.append(LiftedPair(
+                obj["first"], obj["second"], tuple(obj["pattern"]),
+                obj["first_arity"], obj["frequency"],
+            ))
+        except (KeyError, TypeError) as exc:
+            raise MacroReportError("bad macro report entry: {}".format(obj)) from exc
+    return pairs

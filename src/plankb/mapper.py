@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional
 
 from .kg.schema import (
@@ -15,10 +16,11 @@ from .kg.schema import (
     plan_iri,
     string_literal,
 )
-from .kg.store import Graph, Iri, Triple, TypedLiteral, Variable
+from .kg.store import Graph, Iri, Triple, Variable
 from .pddl.ast import DomainDef, ProblemDef
 from .pddl.validate import validate_domain
-from .semantics import Plan
+from .select import PlannerRecord, relevance
+from .semantics import Plan, resolve_plan
 
 
 class MappingError(Exception):
@@ -30,10 +32,6 @@ class UnknownDomain(Exception):
 
 
 class UnknownQueryId(Exception):
-    pass
-
-
-class InvalidRecord(Exception):
     pass
 
 
@@ -220,12 +218,8 @@ def map_plan(plan: Plan, problem: Iri, planner: Iri) -> set[Triple]:
     return out
 
 
-def describe_planner(
-    name: str,
-    planner_type: str = "satisficing",
-    requirements: tuple[str, ...] = (":strips",),
-) -> set[Triple]:
-    """Type a planner node and record what it is and what it can solve.
+def describe_planner(name: str) -> set[Triple]:
+    """Type a planner node as a satisficing STRIPS planner.
 
     Plans reference planners via isGeneratedBy; a typed planner additionally
     needs at least one ofPlannerType and one solvesRequirement to pass
@@ -235,48 +229,27 @@ def describe_planner(
     t = SCHEMA.prop
     c = SCHEMA.cls
     PN = planner_iri(name)
-    PT = planner_type_iri(planner_type)
+    PT = planner_type_iri("satisficing")
     out: set[Triple] = {
         Triple(PN, RDF_TYPE, c("Planner")),
         Triple(PT, RDF_TYPE, c("PlannerType")),
         Triple(PN, t("ofPlannerType"), PT),
     }
-    for req in requirements:
-        R = requirement_iri(req)
-        out.add(Triple(R, RDF_TYPE, c("DomainRequirement")))
-        out.add(Triple(PN, t("solvesRequirement"), R))
+    R = requirement_iri(":strips")
+    out.add(Triple(R, RDF_TYPE, c("DomainRequirement")))
+    out.add(Triple(PN, t("solvesRequirement"), R))
     return out
 
 
 # --- IPC results -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlannerRecord:
-    planner: str
-    domain: str
-    solved: int
-    total: int
-
-    def __post_init__(self):
-        if self.total <= 0 or not 0 <= self.solved <= self.total:
-            raise InvalidRecord(
-                "bad record for ({}, {}): solved={} total={}".format(
-                    self.planner, self.domain, self.solved, self.total
-                )
-            )
-
-
 def map_ipc_results(
-    rows: Iterable[PlannerRecord],
-    planner_type: str = "optimal",
-    solves_requirements: tuple[str, ...] = (":strips", ":typing"),
+    rows: Iterable[PlannerRecord], planner_type: str = "optimal"
 ) -> set[Triple]:
     # Domain nodes referenced here are deliberately left untyped: IPC result
     # tables name domains whose PDDL may never be ingested, and typing them
     # as PlanningDomain would trip the domain axioms.
-    from .select import relevance  # local import; select depends on kg only
-
     t = SCHEMA.prop
     c = SCHEMA.cls
     out: set[Triple] = set()
@@ -286,7 +259,7 @@ def map_ipc_results(
         PN = planner_iri(row.planner)
         out.add(Triple(PN, RDF_TYPE, c("Planner")))
         out.add(Triple(PN, t("ofPlannerType"), PT))
-        for req in solves_requirements:
+        for req in (":strips", ":typing"):
             R = requirement_iri(req)
             out.add(Triple(R, RDF_TYPE, c("DomainRequirement")))
             out.add(Triple(PN, t("solvesRequirement"), R))
@@ -426,25 +399,51 @@ class PlanEntry:
     plan: Plan
 
 
+def load_plans(
+    d: DomainDef, problems: Iterable[ProblemDef], paths: Iterable[Path]
+) -> tuple[list[PlanEntry], list[str]]:
+    """Resolve `<problem>.<planner>.plan` files against a bundle's problems.
+
+    Returns the plan entries and one message per file that is skipped because
+    its name has no planner part or names a problem outside the bundle.
+    """
+    by_name = {p.name: p for p in problems}
+    entries: list[PlanEntry] = []
+    skipped: list[str] = []
+    for path in paths:
+        stem_parts = path.stem.rsplit(".", 1)
+        if len(stem_parts) != 2:
+            skipped.append("skipping {}: expected <problem>.<planner>.plan".format(path))
+            continue
+        problem_name, planner = stem_parts
+        problem = by_name.get(problem_name)
+        if problem is None:
+            skipped.append(
+                "skipping {}: problem '{}' not in this bundle".format(path, problem_name)
+            )
+            continue
+        plan = resolve_plan(d, problem, path.read_text())
+        entries.append(PlanEntry(problem_name, planner, plan))
+    return entries, skipped
+
+
 def build_graph(
     d: DomainDef,
     problems: Iterable[ProblemDef] = (),
     plans: Iterable[PlanEntry] = (),
-    planner_prefix: str = "",
 ) -> Graph:
     """Map a whole bundle (domain, problems, plans) into a fresh graph."""
     g = Graph()
     g.update(map_domain(d))
-    probs = list(problems)
-    for p in probs:
+    for p in problems:
         g.update(map_problem(p, g))
     for entry in plans:
-        g.update(describe_planner(planner_prefix + entry.planner))
+        g.update(describe_planner(entry.planner))
         g.update(
             map_plan(
                 entry.plan,
                 problem_iri(d.name, entry.problem),
-                planner_iri(planner_prefix + entry.planner),
+                planner_iri(entry.planner),
             )
         )
     return g

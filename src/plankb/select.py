@@ -6,7 +6,7 @@ import csv
 import io
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .kg.schema import SCHEMA
 from .kg.store import Graph, Iri, TypedLiteral, Variable
@@ -20,6 +20,26 @@ class NoCandidates(Exception):
 
 class NoDataForDomain(Exception):
     pass
+
+
+class InvalidRecord(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class PlannerRecord:
+    planner: str
+    domain: str
+    solved: int
+    total: int
+
+    def __post_init__(self):
+        if self.total <= 0 or not 0 <= self.solved <= self.total:
+            raise InvalidRecord(
+                "bad record for ({}, {}): solved={} total={}".format(
+                    self.planner, self.domain, self.solved, self.total
+                )
+            )
 
 
 @dataclass(frozen=True)
@@ -45,8 +65,6 @@ def relevance(solved: int, total: int) -> Relevance:
     cross-multiplication, so exact boundary ratios never suffer float
     rounding.
     """
-    from .mapper import InvalidRecord
-
     if total <= 0 or not 0 <= solved <= total:
         raise InvalidRecord("solved={} total={}".format(solved, total))
     if solved * 10 >= total * 7:
@@ -112,10 +130,8 @@ def select_random(candidates: list[Iri], seed: int) -> SelectionOutcome:
 CSV_HEADER = ["planner", "domain", "solved", "total"]
 
 
-def read_ipc_csv(text: str) -> list:
+def read_ipc_csv(text: str) -> list[PlannerRecord]:
     """Parse `planner,domain,solved,total` rows into PlannerRecords."""
-    from .mapper import InvalidRecord, PlannerRecord
-
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != CSV_HEADER:
         raise InvalidRecord(

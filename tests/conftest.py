@@ -3,23 +3,16 @@
 import pytest
 
 from plankb import bundles
-from plankb.mapper import PlanEntry, build_graph, map_ipc_results
+from plankb.mapper import build_graph, load_plans, map_ipc_results
 from plankb.select import read_ipc_csv
-from plankb.semantics import ground, parse_plan_text
 
 
 def load_bundle(name):
     """Domain, problems, and plan entries parsed from the bundled corpus."""
     d = bundles.load_domain(name)
     problems = bundles.load_problems(name)
-    by_name = {p.name: p for p in problems}
-    entries = []
-    for path in bundles.plan_paths(name):
-        problem_name, planner = path.stem.rsplit(".", 1)
-        plan = parse_plan_text(
-            path.read_text(), ground(d, by_name[problem_name])
-        )
-        entries.append(PlanEntry(problem_name, planner, plan))
+    entries, skipped = load_plans(d, problems, bundles.plan_paths(name))
+    assert skipped == []
     return d, problems, entries
 
 

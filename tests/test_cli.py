@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -212,6 +213,12 @@ UNKNOWN_ACTION = json.dumps([{
     (["solve", BW_DOMAIN, BW_PROBLEM, "--max-seconds", "-1"], {}, 2),
     (["solve", BW_DOMAIN, BW_PROBLEM, "--max-seconds", "nan"], {}, 2),
     (["solve", BW_DOMAIN, "p.pddl"], {"p.pddl": GRIPPER_PROBLEM}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-k", "-1",
+      "-o", "out.pddl"], {"m.json": "[]"}, 2),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-k", "0",
+      "-o", "out.pddl"], {"m.json": "[]"}, 2),
+    (["bench", "--domain", BW_DOMAIN, "--problems", data("problems"),
+      "-k", "-1"], {}, 2),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):
@@ -224,6 +231,26 @@ def test_malformed_input_exits_with_error_not_traceback(
         rc = exc.code
     assert rc == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_build_kg_skips_misnamed_and_foreign_plans(workspace, capsys):
+    plans = workspace / "plans"
+    plans.mkdir()
+    for path in bundles.plan_paths("blocksworld"):
+        shutil.copy(path, plans / path.name)
+    (plans / "noplanner.plan").write_text("(pick-up a)\n")
+    (plans / "zz-unknown.x.plan").write_text("(pick-up a)\n")
+    problems = [str(p) for p in bundles.problem_paths("blocksworld")]
+    rc = main(["build-kg", BW_DOMAIN] + problems + ["--plans", "plans", "-o", "bw.ttl"])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err.splitlines() == [
+        "skipping {}: expected <problem>.<planner>.plan".format(plans / "noplanner.plan"),
+        "skipping {}: problem 'zz-unknown' not in this bundle".format(
+            plans / "zz-unknown.x.plan"),
+    ]
+    assert out == "wrote 772 triples to bw.ttl\n"
+    assert len(import_turtle((workspace / "bw.ttl").read_text())) == 772
 
 
 def test_cli_imports_only_the_standard_library():

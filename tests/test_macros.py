@@ -15,7 +15,9 @@ from plankb.macros import (
     augment_domain,
     chain_filter,
     compose,
+    dump_report,
     lift_pair,
+    load_report,
     mine_macros,
     mine_pairs,
     report_lines,
@@ -351,3 +353,12 @@ def test_report_lines_format(bw_graph):
     mined = mine_pairs(bw_graph, domain_iri("blocksworld"))
     lines = report_lines(mined)
     assert lines[0] == "pick-up * stack -- {}".format(mined[0].frequency)
+
+
+@pytest.mark.parametrize("graph,name", [("bw_graph", "blocksworld"),
+                                        ("gripper_graph", "gripper"),
+                                        ("driverlog_graph", "driverlog")])
+def test_report_json_round_trip(graph, name, request):
+    pairs = mine_pairs(request.getfixturevalue(graph), domain_iri(name))
+    assert pairs
+    assert load_report(dump_report(pairs), "report.json") == pairs

@@ -7,9 +7,7 @@ from plankb.kg.schema import RDF_TYPE, SCHEMA, string_literal
 from plankb.kg.store import Graph, Iri, Variable
 from plankb.mapper import (
     COMPETENCY_QUERIES,
-    InvalidRecord,
     MappingError,
-    PlannerRecord,
     UnknownDomain,
     UnknownQueryId,
     action_iri,
@@ -25,6 +23,7 @@ from plankb.mapper import (
     run_competency,
 )
 from plankb.pddl.ast import DomainDef, PredicateSchema
+from plankb.select import InvalidRecord, PlannerRecord
 from test_kg_store import oracle_query
 
 

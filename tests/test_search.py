@@ -16,10 +16,11 @@ from plankb.bench import (
     search,
     solve,
 )
-from plankb.mapper import domain_iri, map_ipc_results, PlannerRecord
+from plankb.mapper import domain_iri, map_ipc_results
 from plankb.kg.store import Graph
 from plankb.pddl import parse_domain, parse_problem
 from plankb.pddl.ast import Atom, Literal, ProblemDef
+from plankb.select import PlannerRecord
 from plankb.semantics import (
     Plan,
     applicable,
@@ -202,8 +203,8 @@ def test_policy_experiment_runs():
     report = policy_experiment(
         g, [(d, domain_iri("blocksworld"), p) for p in problems], seed=1
     )
-    ontology_rows = [r for r in report.rows if r.policy == "ontology"]
-    random_rows = [r for r in report.rows if r.policy == "random"]
+    ontology_rows = [r for r in report.rows if r.variant == "ontology"]
+    random_rows = [r for r in report.rows if r.variant == "random"]
     assert len(ontology_rows) == len(random_rows) == 3
     # The ontology policy always picks the top-rated configuration.
     best = sorted(PLANNER_CONFIGS)[-1]
@@ -217,7 +218,7 @@ def test_policy_experiment_reports_missing_data():
     p = bundles.load_problems("blocksworld")[0]
     report = policy_experiment(Graph(), [(d, domain_iri("blocksworld"), p)])
     assert len(report.failures) == 1
-    assert [r.policy for r in report.rows] == ["random"]
+    assert [r.variant for r in report.rows] == ["random"]
 
 
 # --- compiled core against the frozenset reference -------------------------

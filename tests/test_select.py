@@ -10,12 +10,12 @@ import pytest
 from plankb import bundles
 from plankb.kg.store import Graph
 from plankb.mapper import (
-    InvalidRecord,
     domain_iri,
     map_ipc_results,
     planner_iri,
 )
 from plankb.select import (
+    InvalidRecord,
     NoCandidates,
     NoDataForDomain,
     read_ipc_csv,
