@@ -114,7 +114,36 @@ def _build_schema() -> OntologySchema:
 SCHEMA = _build_schema()
 
 
+# RFC 3987 iunreserved is ALPHA / DIGIT / "-" / "." / "_" / "~" / ucschar.
+_UNRESERVED_ASCII = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~"
+)
+_UCSCHAR = (
+    [(0xA0, 0xD7FF), (0xF900, 0xFDCF), (0xFDF0, 0xFFEF)]
+    + [(plane << 16, (plane << 16) + 0xFFFD) for plane in range(1, 14)]
+    + [(0xE1000, 0xEFFFD)]
+)
+
+
+def _iri_char(c: str) -> str:
+    # White space is escaped too: a Turtle IRIREF may not hold it.
+    if c in _UNRESERVED_ASCII or (
+        not c.isspace() and any(a <= ord(c) <= b for a, b in _UCSCHAR)
+    ):
+        return c
+    # surrogatepass: a command-line argument may hold a lone surrogate.
+    return "".join("%{:02X}".format(b) for b in c.encode("utf-8", "surrogatepass"))
+
+
 def plan_iri(local: str) -> Iri:
+    """The IRI of a name in the planning namespace.
+
+    Every character outside RFC 3987's iunreserved set, and every white
+    space character, becomes %XX of its UTF-8 bytes, so any name gives an
+    IRI that Turtle can hold, and distinct names give distinct IRIs.
+    """
+    if not _UNRESERVED_ASCII.issuperset(local):
+        local = "".join(map(_iri_char, local))
     return Iri(PLAN_NS + local)
 
 

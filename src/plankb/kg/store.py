@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 
@@ -102,6 +103,8 @@ class Triple:
 
 Pattern = tuple  # (Term, Term, Term) with Variables allowed anywhere
 
+_EMPTY: frozenset = frozenset()
+
 
 class Graph:
     """Set of triples with subject/predicate/object indexes.
@@ -163,28 +166,41 @@ class Graph:
         p: Optional[Iri] = None,
         o: Optional[Node] = None,
     ) -> set[Triple]:
-        """All triples matching the given constants (None = wildcard)."""
-        buckets = []
+        """All triples matching the given constants (None = wildcard), as a
+        fresh set the caller may keep or change."""
+        return set(self._lookup(s, p, o))
+
+    def _lookup(self, s, p, o):
+        """The triples matching the given constants (None = wildcard).
+
+        One constant gives its index bucket itself and none gives the triple
+        set itself, so the result is read-only and valid until the next
+        write.  Two or three constants intersect their buckets, which walks
+        the smaller set in C.
+        """
+        found = None
         if s is not None:
-            buckets.append(self._by_s.get(s, set()))
+            found = self._by_s.get(s)
+            if found is None:
+                return _EMPTY
         if p is not None:
-            buckets.append(self._by_p.get(p, set()))
+            bucket = self._by_p.get(p)
+            if bucket is None:
+                return _EMPTY
+            found = bucket if found is None else found & bucket
         if o is not None:
-            buckets.append(self._by_o.get(o, set()))
-        if not buckets:
-            return set(self._triples)
-        result = min(buckets, key=len)
-        for b in buckets:
-            if b is not result:
-                result = result & b
-        return set(result)
+            bucket = self._by_o.get(o)
+            if bucket is None:
+                return _EMPTY
+            found = bucket if found is None else found & bucket
+        return self._triples if found is None else found
 
     def subjects_of_type(self, rdf_type: Iri, type_pred: Iri) -> list[Iri]:
-        found = {t.subject for t in self.match(p=type_pred, o=rdf_type)}
+        found = {t.subject for t in self._lookup(None, type_pred, rdf_type)}
         return sorted(found, key=term_key)
 
     def objects(self, s: Iri, p: Iri) -> list[Node]:
-        return sorted((t.object for t in self.match(s=s, p=p)), key=term_key)
+        return sorted((t.object for t in self._lookup(s, p, None)), key=term_key)
 
     # --- BGP query -------------------------------------------------------
 
@@ -198,43 +214,67 @@ class Graph:
 
         Returns one binding map per solution, in deterministic order
         (lexicographic over the selected bindings).  `select` restricts the
-        reported variables; `distinct` deduplicates the projected rows.
+        reported variables (default: all, in order of first appearance);
+        `distinct` deduplicates the projected rows.
+
+        The patterns are joined in a greedy selectivity order (Stocker et
+        al., WWW 2008), not as written: first a pattern whose variables are
+        all bound (at most one match per row), then one that shares a bound
+        variable, then any other; within a rank, the smallest index bucket
+        over the pattern's constants, then the written order.  Each row
+        looks its candidates up in the indexes with its bound values filled
+        in.  The solutions of a BGP do not depend on the join order, and the
+        final sort fixes the row order, so the result is that of a nested
+        loop in the written order.
         """
         if not patterns:
             raise ValueError("query needs at least one pattern")
-        solutions: list[dict[str, Node]] = [{}]
         for pattern in patterns:
             if len(pattern) != 3:
                 raise ValueError("pattern must be a (s, p, o) triple")
+        variables = list(dict.fromkeys(
+            t.name for pattern in patterns for t in pattern if isinstance(t, Variable)
+        ))
+        solutions: list[dict[str, Node]] = [{}]
+        bound: set[str] = set()
+        for pattern in patterns if len(patterns) == 1 else self._join_order(patterns):
+            key = [None if isinstance(t, Variable) else t for t in pattern]
+            lookups = []  # (position, name) of variables bound by earlier patterns
+            fresh: dict[str, int] = {}  # name -> position of variables bound here
+            repeats = []  # (position, first position) of a repeat within the pattern
+            for i, t in enumerate(pattern):
+                if isinstance(t, Variable):
+                    if t.name in bound:
+                        lookups.append((i, t.name))
+                    elif t.name in fresh:
+                        repeats.append((i, fresh[t.name]))
+                    else:
+                        fresh[t.name] = i
+            bound.update(fresh)
             new: list[dict[str, Node]] = []
             for binding in solutions:
-                s, p, o = (self._resolve(t, binding) for t in pattern)
-                matched = self.match(
-                    s if isinstance(s, Iri) else None,
-                    p if isinstance(p, Iri) else None,
-                    o if not isinstance(o, Variable) else None,
-                )
-                for triple in matched:
-                    extended = self._extend(binding, pattern, triple)
+                for i, name in lookups:
+                    key[i] = binding[name]
+                for triple in self._lookup(*key):
+                    extended = self._extend(binding, triple, fresh, repeats)
                     if extended is not None:
                         new.append(extended)
             solutions = new
             if not solutions:
                 break
+        # Every solution binds every variable, so the rows share one key set
+        # and compare by their values in variable-name order.
         if select is not None:
-            solutions = [
-                {v: b[v] for v in select if v in b} for b in solutions
-            ]
+            variables = [v for v in dict.fromkeys(select) if v in variables]
+        names = sorted(variables)
+        keyed = [
+            (tuple([term_key(b[v]) for v in names]), {v: b[v] for v in variables})
+            for b in solutions
+        ]
         if distinct:
-            unique = {}
-            for b in solutions:
-                key = tuple(sorted((k, term_key(v)) for k, v in b.items()))
-                unique.setdefault(key, b)
-            solutions = list(unique.values())
-        solutions.sort(
-            key=lambda b: tuple(sorted((k, term_key(v)) for k, v in b.items()))
-        )
-        return solutions
+            keyed = list(dict(keyed).items())
+        keyed.sort(key=itemgetter(0))
+        return [row for _, row in keyed]
 
     def count(self, patterns: list[Pattern], var: Optional[str] = None,
               distinct: bool = True) -> int:
@@ -244,24 +284,62 @@ class Graph:
         )
         return len(rows)
 
-    @staticmethod
-    def _resolve(term: Term, binding: dict[str, Node]) -> Term:
-        if isinstance(term, Variable):
-            return binding.get(term.name, term)
-        return term
+    def _join_order(self, patterns: list[Pattern]) -> list[Pattern]:
+        """The greedy join order described in `query`."""
+        pending = []
+        for pattern in patterns:
+            s, p, o = pattern
+            size = len(self._triples)
+            names = set()
+            if isinstance(s, Variable):
+                names.add(s.name)
+            else:
+                size = len(self._by_s.get(s, ()))
+            if isinstance(p, Variable):
+                names.add(p.name)
+            else:
+                size = min(size, len(self._by_p.get(p, ())))
+            if isinstance(o, Variable):
+                names.add(o.name)
+            else:
+                size = min(size, len(self._by_o.get(o, ())))
+            pending.append((size, names, pattern))
+        order = []
+        bound: set[str] = set()
+        while pending:
+            # The first of equal keys wins, so ties keep the written order.
+            best = best_key = None
+            for entry in pending:
+                size, names = entry[0], entry[1]
+                rank = 0 if names <= bound else 2 if names.isdisjoint(bound) else 1
+                if best is None or (rank, size) < best_key:
+                    best, best_key = entry, (rank, size)
+            pending.remove(best)
+            bound |= best[1]
+            order.append(best[2])
+        return order
 
     @staticmethod
     def _extend(
-        binding: dict[str, Node], pattern: Pattern, triple: Triple
+        binding: dict[str, Node],
+        triple: Triple,
+        fresh: dict[str, int],
+        repeats: list[tuple[int, int]],
     ) -> Optional[dict[str, Node]]:
-        out = dict(binding)
-        for term, value in zip(pattern, (triple.subject, triple.predicate, triple.object)):
-            if isinstance(term, Variable):
-                bound = out.get(term.name)
-                if bound is None:
-                    out[term.name] = value
-                elif bound != value:
-                    return None
-            elif term != value:
+        """`binding` extended by a candidate triple, or None if it fails.
+
+        The candidate came from `_lookup` with the pattern's constants and
+        bound variables filled in, so only a variable repeated within the
+        pattern is left to check; the binding is copied only after that
+        check passes, and not at all when the pattern binds nothing new.
+        """
+        if not fresh:
+            return binding
+        values = (triple.subject, triple.predicate, triple.object)
+        for i, j in repeats:
+            if values[i] != values[j]:
                 return None
+        out = dict(binding)
+        for name, i in fresh.items():
+            out[name] = values[i]
         return out

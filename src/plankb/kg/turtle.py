@@ -1,9 +1,14 @@
 """Turtle subset: @prefix declarations, prefixed names, plain and typed
-literals, one triple per statement.  No blank nodes or collections."""
+literals, one triple per statement.  No blank nodes or collections.
+
+`import_turtle` reads the exporter's layout, one statement per line, with
+one regex match per line; any other text goes through the tokenizer, which
+also gives every syntax error its line and column."""
 
 from __future__ import annotations
 
 import re
+from typing import Optional
 
 from .schema import PLAN_NS, RDF_NS, XSD_NS, XSD_STRING
 from .store import Graph, Iri, Node, Triple, TypedLiteral
@@ -14,7 +19,12 @@ PREFIXES = {
     "xsd": XSD_NS,
 }
 
-_SAFE_LOCAL = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+# A local name that ends in '.' is not a Turtle PN_LOCAL; such IRIs are
+# written in full.
+_SAFE_LOCAL = re.compile(r"^[A-Za-z_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
+# What the tokenizer reads between '<' and '>', less the control characters
+# Turtle's IRIREF excludes.
+_IRIREF_BODY = re.compile(r'[^\x00-\x20<>"{}|^`\\\s]+')
 
 
 class TurtleSyntaxError(Exception):
@@ -35,6 +45,8 @@ def _escape(text: str) -> str:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -55,6 +67,8 @@ def _format_iri(iri: Iri) -> str:
             local = iri.value[len(ns):]
             if _SAFE_LOCAL.match(local):
                 return "{}:{}".format(prefix, local)
+    if not _IRIREF_BODY.fullmatch(iri.value):
+        raise ValueError("cannot write {!r} as a Turtle IRI".format(iri.value))
     return "<{}>".format(iri.value)
 
 
@@ -67,6 +81,9 @@ def _format_term(term: Node) -> str:
 
 
 def export_turtle(g: Graph) -> str:
+    """One `@prefix` line per namespace, a blank line, then one `S P O .`
+    line per triple in `Triple.key` order.  Raises ValueError on an IRI that
+    Turtle cannot hold (see `plan_iri` for names that always fit)."""
     lines = [
         "@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())
     ]
@@ -130,7 +147,87 @@ def _resolve_pname(pname: str, prefixes: dict[str, str], line: int, col: int) ->
     return Iri(prefixes[prefix] + local)
 
 
+# One line of the exporter's layout: a blank line, an @prefix declaration,
+# or a triple whose terms are separated by blanks.  Each name must be
+# followed by a blank, so the regex cannot end a name earlier than the
+# tokenizer does.
+_IRI = r'<[^<>"{}|^`\\\s]+>|[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z_][A-Za-z0-9_.-]*'
+_STATEMENT = (
+    r'(?:@prefix[ \t]+([A-Za-z_][A-Za-z0-9_.-]*):[ \t]+<([^<>"{}|^`\\\s]*)>'
+    r'|(' + _IRI + r')[ \t]+(' + _IRI + r')[ \t]+'
+    r'(?:(' + _IRI + r')|("(?:[^"\\\n]|\\.)*")(?:\^\^(' + _IRI + r'))?))'
+    r'[ \t]+\.[ \t]*(?:\n|\Z)'
+    r'|[ \t]*(?:\n|\Z)'
+)
+
+
 def import_turtle(text: str) -> Graph:
+    """Parse the Turtle subset into a new graph.
+
+    Raises TurtleSyntaxError, with the line and column, on text outside the
+    subset or a prefixed name whose prefix is not declared before it.
+    """
+    g = _import_lines(text)
+    return _import_tokens(text) if g is None else g
+
+
+def _import_lines(text: str) -> Optional[Graph]:
+    """The graph of text in the exporter's layout, or None for any other
+    text, which `_import_tokens` then parses.  Accepts only text that
+    `_import_tokens` reads to the same graph."""
+    g = Graph()
+    prefixes: dict[str, str] = {}
+    # Terms by their text; a prefix declared again clears both tables.
+    iris: dict[str, Iri] = {}
+    literals: dict[tuple, TypedLiteral] = {}
+
+    def iri(name: str) -> Optional[Iri]:
+        if name[0] == "<":
+            found = Iri(name[1:-1])
+        else:
+            prefix, _, local = name.partition(":")
+            ns = prefixes.get(prefix)
+            if ns is None:
+                return None
+            found = Iri(ns + local)
+        iris[name] = found
+        return found
+
+    # Compiled on first use and then taken from re's cache, so that a CLI
+    # command that reads no Turtle does not pay for it.
+    match = re.compile(_STATEMENT).match
+    pos, end = 0, len(text)
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        prefix, ns, s, p, o, lexical, dt = m.groups()
+        if s is None:
+            if prefix is not None:
+                if prefix in prefixes:
+                    iris.clear()
+                    literals.clear()
+                prefixes[prefix] = ns
+            continue
+        subject = iris.get(s) or iri(s)
+        predicate = iris.get(p) or iri(p)
+        if o is not None:
+            obj = iris.get(o) or iri(o)
+        else:
+            obj = literals.get((lexical, dt))
+            if obj is None:
+                datatype = XSD_STRING if dt is None else iris.get(dt) or iri(dt)
+                if datatype is None:
+                    return None
+                obj = literals[lexical, dt] = TypedLiteral(_unescape(lexical[1:-1]), datatype)
+        if subject is None or predicate is None or obj is None:
+            return None
+        g.add(Triple(subject, predicate, obj))
+    return g
+
+
+def _import_tokens(text: str) -> Graph:
     g = Graph()
     prefixes: dict[str, str] = {}
     # Each IRI or prefixed-name token is resolved once per call; a prefix

@@ -6,8 +6,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
+from urllib.parse import unquote
 
-from .kg.schema import RDF_TYPE, SCHEMA, integer_literal, string_literal
+from .kg.schema import RDF_TYPE, SCHEMA, integer_literal, plan_iri, string_literal
 from .kg.store import Graph, Iri, Triple, Variable
 from .mapper import UnknownDomain, action_iri
 from .pddl.ast import ActionSchema, Atom, DomainDef, Literal, EQUALITY_PREDICATE
@@ -311,13 +312,14 @@ def store_macros(g: Graph, domain: Iri, macros: Iterable[MacroSchema]) -> Graph:
     c = SCHEMA.cls
     if not g.match(s=domain, p=RDF_TYPE, o=c("PlanningDomain")):
         raise UnknownDomain("domain {} is not mapped".format(domain.value))
-    domain_local = domain.value.rsplit("#", 1)[-1].removeprefix("domain-")
+    # The IRI holds the domain name percent-encoded; plan_iri encodes it again.
+    domain_name = unquote(domain.value.rsplit("#", 1)[-1].removeprefix("domain-"))
     for m in macros:
-        M = Iri(domain.value.rsplit("#", 1)[0] + "#macro-{}-{}".format(domain_local, m.name))
+        M = plan_iri("macro-{}-{}".format(domain_name, m.name))
         g.add(Triple(M, RDF_TYPE, c("MacroAction")))
         g.add(Triple(domain, t("hasMacro"), M))
-        g.add(Triple(M, t("hasFirstAction"), action_iri(domain_local, m.first)))
-        g.add(Triple(M, t("hasSecondAction"), action_iri(domain_local, m.second)))
+        g.add(Triple(M, t("hasFirstAction"), action_iri(domain_name, m.first)))
+        g.add(Triple(M, t("hasSecondAction"), action_iri(domain_name, m.second)))
         g.add(Triple(M, t("hasFrequency"), integer_literal(m.frequency)))
         g.add(Triple(M, t("hasActionName"), string_literal(m.name)))
     return g
@@ -361,10 +363,20 @@ def load_report(text: str, source: str) -> list[LiftedPair]:
     pairs = []
     for obj in report:
         try:
-            pairs.append(LiftedPair(
+            pair = LiftedPair(
                 obj["first"], obj["second"], tuple(obj["pattern"]),
                 obj["first_arity"], obj["frequency"],
-            ))
+            )
         except (KeyError, TypeError) as exc:
             raise MacroReportError("bad macro report entry: {}".format(obj)) from exc
+        if not (isinstance(pair.first, str) and isinstance(pair.second, str)
+                and all(_is_int(x) for x in pair.pattern)
+                and _is_int(pair.first_arity) and _is_int(pair.frequency)):
+            raise MacroReportError("bad macro report entry: {}".format(obj))
+        pairs.append(pair)
     return pairs
+
+
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .kg.schema import (
+    PLAN_NS,
     RDF_TYPE,
     SCHEMA,
     decimal_literal,
@@ -202,7 +203,8 @@ def map_plan(plan: Plan, problem: Iri, planner: Iri) -> set[Triple]:
     digest = hashlib.sha1(
         "".join(s.name for s in plan.steps).encode()
     ).hexdigest()[:8]
-    PL = plan_iri("plan-{}-{}-{}".format(_local(problem), _local(planner), digest))
+    # The locals of `problem` and `planner` are escaped already.
+    PL = Iri(PLAN_NS + "plan-{}-{}-{}".format(_local(problem), _local(planner), digest))
     out: set[Triple] = {
         Triple(PL, RDF_TYPE, c("Plan")),
         Triple(problem, t("hasPlan"), PL),
@@ -211,7 +213,7 @@ def map_plan(plan: Plan, problem: Iri, planner: Iri) -> set[Triple]:
         Triple(planner, RDF_TYPE, c("Planner")),
     }
     for i, step in enumerate(plan.steps):
-        ST = plan_iri("{}-step-{}".format(_local(PL), i))
+        ST = Iri("{}-step-{}".format(PL.value, i))
         out.add(Triple(PL, t("hasActionStep"), ST))
         out.add(Triple(ST, t("hasStepIndex"), integer_literal(i)))
         out.add(Triple(ST, t("hasActionName"), string_literal(step.name)))

@@ -12,6 +12,7 @@ from .pddl.ast import (
     Atom,
     DomainDef,
     EQUALITY_PREDICATE,
+    PddlError,
     ProblemDef,
 )
 
@@ -23,6 +24,10 @@ State = frozenset
 
 class DomainProblemMismatch(Exception):
     pass
+
+
+class RepeatedParameter(PddlError):
+    """An action schema lists one parameter name twice, as in `(?p ?p)`."""
 
 
 class NotApplicable(Exception):
@@ -106,9 +111,12 @@ class _Template:
 
 
 def _compile(schema: ActionSchema) -> _Template:
-    # As dict(zip(variables, combo)) does, a repeated variable takes the
-    # value at its last position.
     position = {v: i for i, v in enumerate(schema.variables)}
+    if len(position) != len(schema.variables):
+        repeated = next(v for i, v in enumerate(schema.variables) if position[v] != i)
+        raise RepeatedParameter(
+            "action '{}' declares parameter '{}' twice".format(schema.name, repeated)
+        )
 
     def spec(atom: Atom) -> tuple:
         return tuple(position.get(a, a) for a in atom.args)
@@ -197,7 +205,10 @@ def _check_match(d: DomainDef, p: ProblemDef) -> None:
 
 def ground(d: DomainDef, p: ProblemDef) -> list[GroundAction]:
     """Every type-consistent instantiation of every schema, in deterministic
-    order: schema declaration order, then lexicographic bindings."""
+    order: schema declaration order, then lexicographic bindings.
+
+    Raises RepeatedParameter for a schema that declares a parameter twice.
+    """
     _check_match(d, p)
     pool = list(d.constants) + list(p.objects)
     table: dict = {}
@@ -341,9 +352,7 @@ def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
             ):
                 continue
             action = _instantiate(t, objects, caches, table)
-            # A repeated parameter binds its last object, so the step's own
-            # objects must come back for the ground action to be the one named.
-            if action is not None and action.objects == objects:
+            if action is not None:
                 return action
         return None
 

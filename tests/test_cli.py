@@ -100,6 +100,19 @@ def test_ingest_and_select(bw_ttl, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_planner_names_that_need_escaping(workspace, capsys):
+    (workspace / "ipc.csv").write_text(
+        "planner,domain,solved,total\n"
+        "fast downward,elevators,18,20\n"
+        "lama>x,elevators,12,20\n"
+    )
+    assert main(["ingest-ipc", "ipc.csv", "-o", "g.ttl"]) == 0
+    capsys.readouterr()
+    assert main(["select-planner", "g.ttl", "--domain", "elevators",
+                 "--policy", "ontology"]) == 0
+    assert "#planner-fast%20downward\tontology\t" in capsys.readouterr().out
+
+
 def test_select_no_data_fails(bw_ttl, capsys):
     assert main(["select-planner", "bw.ttl", "--domain", "nowhere",
                  "--policy", "ontology"]) == 1
@@ -174,6 +187,17 @@ UNKNOWN_ACTION = json.dumps([{
     "first": "fly", "second": "stack", "pattern": [[0, 0]],
     "first_arity": 1, "frequency": 3,
 }])
+NESTED_PATTERN = json.dumps([{
+    "first": "pick-up", "second": "stack", "pattern": [[0], [0], [1]],
+    "first_arity": 1, "frequency": 3,
+}])
+STRING_FREQUENCY = json.dumps([{
+    "first": "pick-up", "second": "stack", "pattern": [0, 0, 1],
+    "first_arity": 1, "frequency": "3",
+}])
+BW_TEXT = (bundles.data_dir() / "domains" / "blocksworld.pddl").read_text()
+STACK = BW_TEXT[BW_TEXT.index("(:action stack"):BW_TEXT.index("(:action unstack")]
+REPEATED_PARAMETER = BW_TEXT.replace(STACK, STACK.replace("?y", "?x"))  # (?x ?x)
 
 
 @pytest.mark.parametrize("argv,files,code", [
@@ -219,6 +243,11 @@ UNKNOWN_ACTION = json.dumps([{
       "-o", "out.pddl"], {"m.json": "[]"}, 2),
     (["bench", "--domain", BW_DOMAIN, "--problems", data("problems"),
       "-k", "-1"], {}, 2),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "out.pddl"],
+     {"m.json": NESTED_PATTERN}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "out.pddl"],
+     {"m.json": STRING_FREQUENCY}, 1),
+    (["solve", "d.pddl", BW_PROBLEM], {"d.pddl": REPEATED_PARAMETER}, 1),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):

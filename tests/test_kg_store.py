@@ -179,3 +179,46 @@ def test_indexes_survive_discards(triples, removals):
     for s, p in itertools.product(["a", "b", "c", "d"], ["p", "q"]):
         expect = {x for x in remaining if x.subject == iri(s) and x.predicate == iri(p)}
         assert g.match(s=iri(s), p=iri(p)) == expect
+
+
+def test_malformed_pattern_rejected_before_any_join():
+    # The first pattern matches nothing; the second is still checked.
+    with pytest.raises(ValueError, match="pattern must be a"):
+        Graph(FAMILY).query([(iri("nobody"), iri("parent"), Variable("c")),
+                             (Variable("c"), iri("age"))])
+
+
+# Terms for random BGPs: a position takes a variable, a term that can occur
+# there, or now and then one that cannot (a literal subject or predicate).
+_variables = [Variable(v) for v in "xyzw"]
+_subjects_or_vars = st.sampled_from([iri(x) for x in "abcd"] + _variables * 2 + [lit(1)])
+_predicates_or_vars = st.sampled_from([iri("p"), iri("q")] + _variables + [iri("a")])
+_objects_or_vars = st.sampled_from(
+    [iri(x) for x in "abcd"] + [lit(1), lit(2)] + _variables * 2
+)
+_bgp_triples = st.builds(
+    Triple,
+    st.sampled_from([iri(x) for x in "abcd"]),
+    st.sampled_from([iri("p"), iri("q")]),
+    st.sampled_from([iri(x) for x in "abcd"] + [lit(1), lit(2)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_bgp_triples, min_size=10, max_size=30),
+    st.lists(st.tuples(_subjects_or_vars, _predicates_or_vars, _objects_or_vars),
+             min_size=1, max_size=4),
+    st.one_of(st.none(), st.lists(st.sampled_from("xyzwv"), max_size=4)),
+    st.booleans(),
+)
+def test_query_matches_nested_loop_oracle(triples, patterns, select, distinct):
+    """Whatever order the engine joins in, the rows are those of a nested
+    loop in the written order: shared variables, a variable repeated in one
+    pattern, constant-only patterns, projection onto bound and unbound
+    names, and DISTINCT."""
+    g = Graph(triples)
+    data = sorted(g.triples(), key=Triple.key)
+    assert g.query(patterns, select=select, distinct=distinct) == oracle_query(
+        data, patterns, select=select, distinct=distinct
+    )

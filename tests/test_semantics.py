@@ -1,5 +1,6 @@
 """Grounding, state transition, and plan validation semantics."""
 
+import dataclasses
 import itertools
 import random
 
@@ -24,6 +25,7 @@ from plankb.semantics import (
     NotApplicable,
     Plan,
     PlanParseError,
+    RepeatedParameter,
     applicable,
     apply_action,
     format_plan,
@@ -320,9 +322,9 @@ HAND_DOMAIN = """
     :precondition (painted red)
     :effect (painted ?c))
   (:action twice
-    :parameters (?p ?p - place)
-    :precondition (link ?p ?p)
-    :effect (same ?p ?p)))
+    :parameters (?p ?q - place)
+    :precondition (and (= ?p ?q) (link ?p ?q))
+    :effect (same ?p ?q)))
 """
 
 HAND_PROBLEM = """
@@ -340,9 +342,9 @@ def hand_task():
 
 
 def test_ground_equals_reference_on_hand_built_domain(hand_task):
-    """Constants in schemas, = and not =, a repeated variable (in an atom and
-    as a parameter), zero-arity predicates, a subtype chain, and an add that
-    shadows a delete only after substitution (go-home with ?p = home)."""
+    """Constants in schemas, = and not =, a repeated variable in an atom,
+    zero-arity predicates, a subtype chain, and an add that shadows a delete
+    only after substitution (go-home with ?p = home)."""
     d, p = hand_task
     actions = ground(d, p)
     assert_same_grounding(actions, reference_ground(d, p))
@@ -353,6 +355,19 @@ def test_ground_equals_reference_on_hand_built_domain(hand_task):
     assert Atom("at", ("red", "home")) in shadowed.add and not shadowed.delete
     assert {a.objects for a in actions if a.schema == "paint"} == {("red",), ("s1",)}
     assert by_name["(reset)"].pre_neg == {Atom("ready", ())}
+
+
+def test_repeated_parameter_is_a_domain_error(hand_task):
+    """A schema that declares ?p twice grounded to duplicate actions."""
+    d, p = hand_task
+    loop = ActionSchema.make("loop", (("?p", "place"), ("?p", "place")), (),
+                             (Atom("same", ("?p", "?p")),), ())
+    d = dataclasses.replace(d, actions=d.actions + (loop,))
+    message = r"action 'loop' declares parameter '\?p' twice"
+    with pytest.raises(RepeatedParameter, match=message):
+        ground(d, p)
+    with pytest.raises(RepeatedParameter, match=message):
+        resolve_plan(d, p, "(reset)")
 
 
 def test_ground_shares_one_atom_per_value(hand_task):
@@ -446,7 +461,7 @@ def test_resolve_plan_matches_parse_plan_text_on_bundled_plans():
     "(drive v9 a b)",           # unknown object
     "(drive v1 a a)",           # (not (= ?from ?to)) fails
     "(stay a b)",               # (= ?a ?b) fails
-    "(twice a b)",              # a repeated parameter binds its last object
+    "(twice a b)",              # (= ?p ?q) fails
     "(twice b b)",
     "(reset x)",
     "drive v1 a b",

@@ -1,10 +1,26 @@
 """Turtle subset serialization and parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plankb.kg.schema import XSD_NS, XSD_STRING, integer_literal, string_literal
+from plankb.kg.schema import (
+    PLAN_NS,
+    RDF_TYPE,
+    XSD_NS,
+    XSD_STRING,
+    integer_literal,
+    plan_iri,
+    string_literal,
+)
 from plankb.kg.store import Graph, Iri, Triple, TypedLiteral
-from plankb.kg.turtle import TurtleSyntaxError, export_turtle, import_turtle
+from plankb.kg.turtle import (
+    TurtleSyntaxError,
+    _import_lines,
+    _import_tokens,
+    export_turtle,
+    import_turtle,
+)
 
 EX = "http://example.org/"
 
@@ -124,3 +140,120 @@ def test_prefix_declared_again_rebinds_later_names():
 def test_repeated_names_share_one_iri():
     g = import_turtle("@prefix ex: <{0}> .\nex:s ex:p ex:o .\nex:s ex:q ex:o .\n".format(EX))
     assert len({id(t.subject) for t in g}) == len({id(t.object) for t in g}) == 1
+
+
+# --- the line-per-statement reader against the tokenizer --------------------
+
+
+def _parsed(parse, text):
+    try:
+        return "graph", parse(text).triples()
+    except (TurtleSyntaxError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_LINE_EDITS = [
+    lambda line: line[:-2] if line.endswith(" .") else line,      # dropped dot
+    lambda line: line.replace(" ", "  ", 1),                      # extra space
+    lambda line: line.replace(" ", "\t"),
+    lambda line: "  " + line,
+    lambda line: line + "  ",
+    lambda line: line.replace(" .", "."),
+    lambda line: line + " # comment",
+    lambda line: "# " + line,
+    lambda line: line.replace("plan:", "ex:", 1),                 # undeclared prefix
+    lambda line: line.replace("plan:", "", 1),
+    lambda line: line.replace("xsd:", "plan:", 1),
+    lambda line: line.replace('"', '"\\"', 1),                    # escaped literals
+    lambda line: line.replace('" .', '\\t\\\\" .'),
+    lambda line: line.replace('"', "'"),
+    lambda line: line.replace("> ", ">", 1),
+    lambda line: line.replace("<", "<>", 1),
+    lambda line: line.replace(" ", " a ", 1),
+    lambda line: line + "\r",
+    lambda line: line + "\n",
+    lambda line: "",
+]
+_EXTRA_LINES = [
+    "@prefix plan: <http://example.com/other#> .",                 # redeclared prefix
+    "@prefix ex: <{}> .".format(EX),
+    "@prefix plan:<{}> .".format(EX),
+    "ex:s ex:p ex:o .",
+    '<{0}s> <{0}p> "x"^^<{0}dt> .'.format(EX),
+    '<{0}s> <{0}p> "x" ^^ <{0}dt> .'.format(EX),
+    "plan:s. plan:p plan:o. .",
+    "plan:s plan:p plan:o.",
+]
+
+
+@pytest.fixture(scope="module")
+def small_export():
+    g = Graph([
+        Triple(plan_iri("s"), plan_iri("p"), plan_iri("o")),
+        Triple(plan_iri("s"), plan_iri("n"), integer_literal(3)),
+        Triple(plan_iri("s"), plan_iri("label"), string_literal('say "hi"\n')),
+        Triple(plan_iri("t"), RDF_TYPE, plan_iri("Plan")),
+        Triple(Iri(EX + "x"), plan_iri("p"), TypedLiteral("1", Iri(EX + "dt"))),
+    ])
+    return export_turtle(g).split("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_line_reader_agrees_with_tokenizer(small_export, data):
+    lines = list(small_export)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if data.draw(st.booleans()):
+            lines[i] = data.draw(st.sampled_from(_LINE_EDITS))(lines[i])
+        else:
+            lines.insert(i, data.draw(st.sampled_from(_EXTRA_LINES)))
+    text = "\n".join(lines)
+    expected = _parsed(_import_tokens, text)
+    fast = _import_lines(text)
+    if fast is not None:
+        assert expected == ("graph", fast.triples())
+    assert _parsed(import_turtle, text) == expected
+
+
+def test_line_reader_takes_exporter_output(bw_graph):
+    g = _import_lines(export_turtle(bw_graph))
+    assert g is not None and g.triples() == bw_graph.triples()
+
+
+# --- names that need escaping ------------------------------------------------
+
+
+def test_plan_iri_escapes_outside_iunreserved():
+    assert plan_iri("fast downward").value == PLAN_NS + "fast%20downward"
+    assert plan_iri("lama>x").value == PLAN_NS + "lama%3Ex"
+    assert plan_iri("a-b_c.d~é").value == PLAN_NS + "a-b_c.d~é"
+    assert plan_iri("100% #").value == PLAN_NS + "100%25%C2%A0%23"
+
+
+def test_export_refuses_an_iri_turtle_cannot_hold():
+    g = Graph([Triple(Iri(EX + "a b"), Iri(EX + "p"), Iri(EX + "o"))])
+    with pytest.raises(ValueError, match="cannot write"):
+        export_turtle(g)
+
+
+_UNSAFE_NAMES = st.text(
+    st.sampled_from(list(' <>"{|^`\\%#.:é 　\U0001f600-_~aZ0\t\n')) | st.characters(),
+    min_size=1, max_size=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_UNSAFE_NAMES, _UNSAFE_NAMES, _UNSAFE_NAMES), min_size=1, max_size=5))
+def test_roundtrip_any_names(names):
+    """Spaces, <, >, ", {, |, ^, a backtick, non-ASCII text and a trailing
+    '.' in names and literals survive export and import, through the
+    line-per-statement reader."""
+    g = Graph()
+    for s, p, o in names:
+        g.add(Triple(plan_iri(s), plan_iri(p), plan_iri(o)))
+        g.add(Triple(plan_iri(s), plan_iri(p), string_literal(o)))
+    text = export_turtle(g)
+    fast = _import_lines(text)
+    assert fast is not None and fast.triples() == g.triples()
+    assert import_turtle(text).triples() == g.triples()
