@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain, count, filterfalse, repeat
+from operator import and_, invert, or_
 from typing import Iterable, Optional
 
 from .kg.store import Graph, Iri
@@ -17,7 +20,7 @@ from .select import (
     select_ontology,
     select_random,
 )
-from .semantics import GroundAction, Plan, ground
+from .semantics import GroundAction, Plan, Template, groundings
 
 ALGORITHMS = ("breadth-first", "greedy-best-first", "a-star")
 HEURISTICS = ("goal-count", "zero")
@@ -56,16 +59,20 @@ Op = tuple[int, int, int, int, int]
 
 @dataclass(frozen=True)
 class CompiledTask:
-    """A grounded task over bitmask states, built once by `compile_task`.
+    """A task over bitmask states, built once by `compile_task`.
 
     Every ground atom that occurs in the initial state, the goal, or an
-    action's preconditions or effects owns one bit, and a state is the int
-    whose set bits are the atoms true in it (closed world).  Action i
-    applies in state s when ``s & pre == pre and not s & neg`` and leads to
-    ``(s & keep) | add``, where ``keep`` is the complement of its delete
-    mask.  The goal holds when ``s & goal_pos == goal_pos and not s &
-    goal_neg``, and goal-count is ``(goal_pos & ~s).bit_count() + (goal_neg
-    & s).bit_count()``.
+    action's preconditions or effects owns one bit, `atoms[b]` being the
+    (predicate, args) of bit b, and a state is the int whose set bits are
+    the atoms true in it (closed world).  Action i applies in state s when
+    ``s & pre == pre and not s & neg`` and leads to ``(s & keep) | add``,
+    where ``keep`` is the complement of its delete mask.  The goal holds
+    when ``s & goal_pos == goal_pos and not s & goal_neg``, and goal-count
+    is ``(goal_pos & ~s).bit_count() + (goal_neg & s).bit_count()``.
+
+    Action i is `groundings[i]`, a (template, combo) pair from
+    `semantics.groundings` in `ground`'s order; `action(i)` instantiates
+    it, equal by value to ``ground(d, p)[i]``, for plan steps and tests.
 
     Successor generator: each action with a positive precondition sits in the
     bucket of exactly one of its precondition bits, so a state's candidates
@@ -77,7 +84,8 @@ class CompiledTask:
     (predicate, args).
     """
 
-    actions: tuple[GroundAction, ...]  # in grounding order
+    groundings: tuple[tuple[Template, tuple[str, ...]], ...]
+    atoms: tuple[tuple[str, tuple[str, ...]], ...]  # (predicate, args) per bit
     init: int
     goal_pos: int
     goal_neg: int
@@ -85,40 +93,87 @@ class CompiledTask:
     keys: int  # the bits whose bucket is not empty
     unkeyed: tuple[Op, ...]
 
+    def action(self, i: int) -> GroundAction:
+        t, combo = self.groundings[i]
+        return t.action(combo)
+
+
+def _or_columns(columns: list[list[int]], n: int) -> list[int]:
+    """The elementwise OR of equal-length columns; n zeros if there is none."""
+    if not columns:
+        return [0] * n
+    out = columns[0]
+    for column in columns[1:]:
+        out = list(map(or_, out, column))
+    return out
+
 
 def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
-    """Ground d and p once and compile the result into bitmasks."""
-    actions = tuple(ground(d, p))
+    """Compile d and p into bitmasks straight from the schema templates.
+
+    The bindings come from `semantics.groundings`, so the actions are
+    `ground`'s, in its order, but no Atom or GroundAction is built for
+    them.  A schema is compiled a column at a time: per template atom, the
+    ground atom of every binding and its bit (each distinct atom numbered
+    once), then per role the OR of those bits across the role's atoms.
+    """
     # Atoms are numbered through plain (predicate, args) tuples, whose
     # hashing and comparison run in C; the Atom dataclass's run in Python.
     index: dict[tuple[str, tuple[str, ...]], int] = {}
 
-    def bits(atoms: Iterable[Atom]) -> list[int]:
-        return [index.setdefault((x.predicate, x.args), len(index)) for x in atoms]
-
-    def mask_of(bs: Iterable[int]) -> int:
-        m = 0
-        for b in bs:
-            m |= 1 << b
-        return m
-
     def mask(atoms: Iterable[Atom]) -> int:
-        return mask_of(bits(atoms))
+        m = 0
+        for x in atoms:
+            m |= 1 << index.setdefault((x.predicate, x.args), len(index))
+        return m
 
     init = mask(p.init)
     goal_pos = mask(lit.atom for lit in p.goal if not lit.negated)
     goal_neg = mask(lit.atom for lit in p.goal if lit.negated)
-    pre_bits = [bits(a.pre_pos) for a in actions]
-    ops = [
-        (i, mask_of(pre_bits[i]), mask(a.pre_neg), ~mask(a.delete), mask(a.add))
-        for i, a in enumerate(actions)
-    ]
-    added = deleted = 0
-    for _, _, _, keep, add in ops:
-        added |= add
-        deleted |= ~keep
-    never, always = ~(init | added), init & ~deleted
-    needed_by = Counter(b for bs in pre_bits for b in bs)
+    refs: list[tuple[Template, tuple[str, ...]]] = []
+    ops: list[Op] = []
+    pre_bits: list[tuple[int, ...]] = []  # the distinct positive-precondition bits
+    added, kept = 0, -1
+    for t, combos in groundings(d, p):
+        combos = list(combos)
+        n = len(combos)
+        if not n:
+            continue
+        params = list(zip(*combos))  # the objects bound to each parameter
+        bit_columns, mask_columns = [], []
+        for predicate, spec, key in t.atoms:
+            if spec is None:
+                args = map(key, combos)
+            elif spec:
+                args = zip(*[params[x] if type(x) is int else repeat(x, n) for x in spec])
+            else:
+                args = repeat((), n)
+            atoms = list(zip(repeat(predicate, n), args))
+            new = filterfalse(index.__contains__, dict.fromkeys(atoms))
+            index.update(zip(new, count(len(index))))
+            bits = list(map(index.__getitem__, atoms))
+            bit_columns.append(bits)
+            mask_columns.append(list(map((1).__lshift__, bits)))
+        i, j, m = t.ends
+        add = _or_columns(mask_columns[j:m], n)
+        # keep = ~(delete & ~add): an atom both added and deleted stays.
+        keep = list(map(or_, map(invert, _or_columns(mask_columns[m:], n)), add))
+        added, kept = reduce(or_, add, added), reduce(and_, keep, kept)
+        ops.extend(zip(
+            range(len(refs), len(refs) + n),
+            _or_columns(mask_columns[:i], n),
+            _or_columns(mask_columns[i:j], n),
+            keep,
+            add,
+        ))
+        refs.extend(zip(repeat(t, n), combos))
+        rows = list(zip(*bit_columns[:i])) if i else [()] * n
+        if len({predicate for predicate, _, _ in t.atoms[:i]}) < i:
+            # Two precondition literals of one predicate can ground alike.
+            rows = [tuple(set(r)) for r in rows]
+        pre_bits.extend(rows)
+    never, always = ~(init | added), init & kept
+    needed_by = Counter(chain.from_iterable(pre_bits))
     rank = [
         (0 if never >> b & 1 else 2 if always >> b & 1 else 1, needed_by[b], atom)
         for b, atom in enumerate(index)
@@ -134,7 +189,7 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
         else:
             unkeyed.append(op)
     return CompiledTask(
-        actions, init, goal_pos, goal_neg,
+        tuple(refs), tuple(index), init, goal_pos, goal_neg,
         tuple(map(tuple, buckets)), keys, tuple(unkeyed),
     )
 
@@ -156,7 +211,6 @@ def search(
     if start is None:
         start = time.monotonic()
     clock = time.monotonic
-    heappush, heappop = heapq.heappush, heapq.heappop
     breadth_first = cfg.algorithm == "breadth-first"
     greedy = cfg.algorithm == "greedy-best-first"
     count_goals = cfg.heuristic == "goal-count"
@@ -169,10 +223,19 @@ def search(
 
     s = task.init
     h = (goal_pos & ~s).bit_count() + (goal_neg & s).bit_count() if count_goals else 0
-    key = 0 if breadth_first else h if greedy else h * hbound + h
     # state -> (predecessor, action index); also the set of seen states.
     parent: dict[int, Optional[tuple[int, int]]] = {s: None}
-    frontier = [(key, 0, s, 0)]  # (priority, generation index, state, depth)
+    depth = 0
+    # The heap holds (priority, generation index, state, depth) entries.
+    # Breadth-first would push them in (depth, generation index) order, as
+    # depth never decreases, so a FIFO queue of bare states pops what the
+    # heap would; it keeps no depth.
+    if breadth_first:
+        frontier = deque([s])
+        popleft, append = frontier.popleft, frontier.append
+    else:
+        frontier = [(h if greedy else h * hbound + h, 0, s, depth)]
+        heappush, heappop = heapq.heappush, heapq.heappop
     # evaluated, the root aside, doubles as the generation index.
     expanded = generated = evaluated = 0
     status = "exhausted"
@@ -180,7 +243,10 @@ def search(
         if clock() > deadline:
             status = "limit"
             break
-        _, _, s, depth = heappop(frontier)
+        if breadth_first:
+            s = popleft()
+        else:
+            _, _, s, depth = heappop(frontier)
         if s & goal_pos == goal_pos and not s & goal_neg:
             status = "solved"
             break
@@ -188,12 +254,14 @@ def search(
             status = "limit"
             break
         expanded += 1
-        applicable = [op for op in unkeyed if not s & op[2]]
+        # Most tasks have no unkeyed action: skip the comprehension's call.
+        applicable = [op for op in unkeyed if not s & op[2]] if unkeyed else []
         rest = s & keys
         while rest:
             low = rest & -rest
             for op in buckets[low.bit_length() - 1]:
-                if s & op[1] == op[1] and not s & op[2]:
+                pre = op[1]
+                if s & pre == pre and not s & op[2]:
                     applicable.append(op)
             rest ^= low
         applicable.sort()
@@ -206,14 +274,14 @@ def search(
             parent[succ] = (s, i)
             evaluated += 1
             if breadth_first:
-                key = depth
+                append(succ)
             else:
                 h = (
                     (goal_pos & ~succ).bit_count() + (goal_neg & succ).bit_count()
                     if count_goals else 0
                 )
                 key = h if greedy else (depth + h) * hbound + h
-            heappush(frontier, (key, evaluated, succ, depth))
+                heappush(frontier, (key, evaluated, succ, depth))
 
     stats = SearchStats(expanded, evaluated + 1, generated + 1, status=status)
     plan = None
@@ -222,7 +290,7 @@ def search(
         link = parent[s]
         while link is not None:
             s, i = link
-            steps.append(task.actions[i])
+            steps.append(task.action(i))
             link = parent[s]
         steps.reverse()
         plan = Plan(tuple(steps))

@@ -11,7 +11,7 @@ import re
 from typing import Optional
 
 from .schema import PLAN_NS, RDF_NS, XSD_NS, XSD_STRING
-from .store import Graph, Iri, Node, Triple, TypedLiteral
+from .store import Graph, Iri, Node, Triple, TypedLiteral, term_key
 
 PREFIXES = {
     "plan": PLAN_NS,
@@ -88,14 +88,16 @@ def export_turtle(g: Graph) -> str:
         "@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())
     ]
     lines.append("")
-    for t in sorted(g.triples(), key=Triple.key):
-        lines.append(
-            "{} {} {} .".format(
-                _format_iri(t.subject),
-                _format_iri(t.predicate),
-                _format_term(t.object),
-            )
-        )
+    triples = g.triples()
+    # Each distinct term is formatted once.  `term_key` is one total order
+    # over all terms, so sorting by term ranks is sorting by `Triple.key`.
+    terms = sorted({x for t in triples for x in (t.subject, t.predicate, t.object)},
+                   key=term_key)
+    rank = {x: i for i, x in enumerate(terms)}
+    text = [_format_term(x) for x in terms]
+    for s, p, o in sorted([(rank[t.subject], rank[t.predicate], rank[t.object])
+                           for t in triples]):
+        lines.append("{} {} {} .".format(text[s], text[p], text[o]))
     return "\n".join(lines) + "\n"
 
 

@@ -373,6 +373,9 @@ def load_report(text: str, source: str) -> list[LiftedPair]:
                 and all(_is_int(x) for x in pair.pattern)
                 and _is_int(pair.first_arity) and _is_int(pair.frequency)):
             raise MacroReportError("bad macro report entry: {}".format(obj))
+        problem = _pair_problem(pair)
+        if problem:
+            raise MacroReportError("bad macro report entry: {}: {}".format(obj, problem))
         pairs.append(pair)
     return pairs
 
@@ -380,3 +383,17 @@ def load_report(text: str, source: str) -> list[LiftedPair]:
 def _is_int(value) -> bool:
     # JSON true and false load as bool, a subclass of int.
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _pair_problem(pair: LiftedPair) -> str:
+    """Why a well-typed pair is not one `lift_pair` can give, or ""."""
+    top = -1
+    for x in pair.pattern:
+        if not 0 <= x <= top + 1:
+            return "pattern ids must count up from 0 in order of first appearance"
+        top = max(top, x)
+    if not 0 <= pair.first_arity <= len(pair.pattern):
+        return "first_arity must be between 0 and the pattern length"
+    if pair.frequency < 0:
+        return "frequency must not be negative"
+    return ""

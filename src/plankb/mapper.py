@@ -21,7 +21,7 @@ from .kg.store import Graph, Iri, Triple, Variable
 from .pddl.ast import DomainDef, ProblemDef
 from .pddl.validate import validate_domain
 from .select import PlannerRecord, relevance
-from .semantics import Plan, resolve_plan
+from .semantics import Plan, resolve_plan, validate_plan
 
 
 class MappingError(Exception):
@@ -408,6 +408,8 @@ def load_plans(
 
     Returns the plan entries and one message per file that is skipped because
     its name has no planner part or names a problem outside the bundle.
+    Raises MappingError, naming the file, for a plan that does not solve its
+    problem.
     """
     by_name = {p.name: p for p in problems}
     entries: list[PlanEntry] = []
@@ -425,6 +427,9 @@ def load_plans(
             )
             continue
         plan = resolve_plan(d, problem, path.read_text())
+        report = validate_plan(d, problem, plan)
+        if not report:
+            raise MappingError("{}: invalid plan: {}".format(path, report.reason))
         entries.append(PlanEntry(problem_name, planner, plan))
     return entries, skipped
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .pddl.ast import (
     ActionSchema,
@@ -84,14 +84,17 @@ class ValidationReport:
 
 # --- grounding through compiled schema templates ---------------------------
 #
-# A schema is compiled once into templates: each literal argument becomes the
+# A schema is compiled once into a Template: each literal argument becomes the
 # position of its parameter in a binding combo (an int) or stays a constant
 # (a str).  A template atom is (predicate, spec, key), where key maps a combo
 # to the values of the parameters the atom uses; spec is None when that key is
-# already the args tuple (two or more parameters, no constant).  Grounding a
-# combo looks each atom up in a per-template cache under key(combo), and on a
-# miss in a table keyed by (predicate, args) shared by the whole call, so every
-# distinct ground atom is built and hashed once per call.
+# already the args tuple (two or more parameters, no constant).  `groundings`
+# enumerates each template's combos, equality already filtered; `ground`
+# instantiates every one of them, and `bench.compile_task` reads the
+# templates straight into bitmasks.  Instantiating looks each atom up in a
+# per-template cache under key(combo), and on a miss in a table keyed by
+# (predicate, args) shared by the whole call, so every distinct ground atom is
+# built and hashed once per call.
 
 _TemplateAtom = tuple  # (predicate, spec, key)
 
@@ -101,7 +104,7 @@ def _no_parameters(combo: tuple) -> tuple:
 
 
 @dataclass(frozen=True)
-class _Template:
+class Template:
     name: str
     variables: tuple[str, ...]
     positions: tuple[int, ...]  # combo position bound to each variable
@@ -109,8 +112,22 @@ class _Template:
     atoms: tuple[_TemplateAtom, ...]  # pre_pos, then pre_neg, then add, then delete
     ends: tuple[int, int, int]  # where pre_pos, pre_neg and add end in atoms
 
+    def admits(self, combo: tuple) -> bool:
+        """Whether a combo satisfies the schema's equality literals."""
+        for a, b, negated in self.equalities:
+            x = combo[a] if type(a) is int else a
+            y = combo[b] if type(b) is int else b
+            if (x == y) == negated:
+                return False
+        return True
 
-def _compile(schema: ActionSchema) -> _Template:
+    def action(self, combo: tuple) -> GroundAction:
+        """The ground action of one admitted combo, equal to the one `ground`
+        builds for it."""
+        return _instantiate(self, combo, [{} for _ in self.atoms], {})
+
+
+def _compile(schema: ActionSchema) -> Template:
     position = {v: i for i, v in enumerate(schema.variables)}
     if len(position) != len(schema.variables):
         repeated = next(v for i, v in enumerate(schema.variables) if position[v] != i)
@@ -137,7 +154,7 @@ def _compile(schema: ActionSchema) -> _Template:
             (neg if lit.negated else pos).append(template(lit.atom))
     add = [template(a) for a in schema.add]
     delete = [template(a) for a in schema.delete]
-    return _Template(
+    return Template(
         schema.name,
         schema.variables,
         tuple(position[v] for v in schema.variables),
@@ -147,14 +164,7 @@ def _compile(schema: ActionSchema) -> _Template:
     )
 
 
-def _instantiate(
-    t: _Template, combo: tuple, caches: list[dict], table: dict
-) -> Optional[GroundAction]:
-    for a, b, negated in t.equalities:
-        x = combo[a] if type(a) is int else a
-        y = combo[b] if type(b) is int else b
-        if (x == y) == negated:
-            return None
+def _instantiate(t: Template, combo: tuple, caches: list[dict], table: dict) -> GroundAction:
     atoms = []
     for (predicate, spec, key), cache in zip(t.atoms, caches):
         k = key(combo)
@@ -191,7 +201,7 @@ def instantiate(schema: ActionSchema, binding: dict[str, str]) -> Optional[Groun
     """
     t = _compile(schema)
     combo = tuple(binding[v] for v in schema.variables)
-    return _instantiate(t, combo, [{} for _ in t.atoms], {})
+    return t.action(combo) if t.admits(combo) else None
 
 
 def _check_match(d: DomainDef, p: ProblemDef) -> None:
@@ -203,27 +213,38 @@ def _check_match(d: DomainDef, p: ProblemDef) -> None:
         )
 
 
+def groundings(d: DomainDef, p: ProblemDef) -> list[tuple[Template, Iterator[tuple]]]:
+    """Every type-consistent binding of every schema that its equality
+    literals admit, without instantiating any: one (template, combos) pair
+    per schema in declaration order, the combos (one object per parameter)
+    a lazy iterator in lexicographic order.
+
+    Raises RepeatedParameter for a schema that declares a parameter twice.
+    """
+    _check_match(d, p)
+    pool = list(d.constants) + list(p.objects)
+    out = []
+    for schema in d.actions:
+        t = _compile(schema)
+        combos = itertools.product(*(
+            sorted(o for o, otype in pool if d.is_subtype(otype, ptype))
+            for _, ptype in schema.params
+        ))
+        out.append((t, filter(t.admits, combos) if t.equalities else combos))
+    return out
+
+
 def ground(d: DomainDef, p: ProblemDef) -> list[GroundAction]:
     """Every type-consistent instantiation of every schema, in deterministic
     order: schema declaration order, then lexicographic bindings.
 
     Raises RepeatedParameter for a schema that declares a parameter twice.
     """
-    _check_match(d, p)
-    pool = list(d.constants) + list(p.objects)
     table: dict = {}
     actions: list[GroundAction] = []
-    for schema in d.actions:
-        candidates = []
-        for _, ptype in schema.params:
-            names = sorted(o for o, otype in pool if d.is_subtype(otype, ptype))
-            candidates.append(names)
-        t = _compile(schema)
+    for t, combos in groundings(d, p):
         caches = [{} for _ in t.atoms]
-        for combo in itertools.product(*candidates):
-            ga = _instantiate(t, combo, caches, table)
-            if ga is not None:
-                actions.append(ga)
+        actions.extend([_instantiate(t, combo, caches, table) for combo in combos])
     return actions
 
 
@@ -351,9 +372,8 @@ def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
                 for o, (_, ptype) in zip(objects, schema.params)
             ):
                 continue
-            action = _instantiate(t, objects, caches, table)
-            if action is not None:
-                return action
+            if t.admits(objects):
+                return _instantiate(t, objects, caches, table)
         return None
 
     steps: list[GroundAction] = []

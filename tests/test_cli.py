@@ -195,9 +195,20 @@ STRING_FREQUENCY = json.dumps([{
     "first": "pick-up", "second": "stack", "pattern": [0, 0, 1],
     "first_arity": 1, "frequency": "3",
 }])
+
+
+def macro_report(pattern, first_arity=1, frequency=3):
+    return json.dumps([{
+        "first": "pick-up", "second": "stack", "pattern": pattern,
+        "first_arity": first_arity, "frequency": frequency,
+    }])
+
+
 BW_TEXT = (bundles.data_dir() / "domains" / "blocksworld.pddl").read_text()
 STACK = BW_TEXT[BW_TEXT.index("(:action stack"):BW_TEXT.index("(:action unstack")]
 REPEATED_PARAMETER = BW_TEXT.replace(STACK, STACK.replace("?y", "?x"))  # (?x ?x)
+BW_PLAN = (bundles.data_dir() / "plans" / "blocksworld" / "bw-p01.bfs.plan").read_text()
+REVERSED_PLAN = "\n".join(reversed(BW_PLAN.splitlines())) + "\n"
 
 
 @pytest.mark.parametrize("argv,files,code", [
@@ -248,6 +259,16 @@ REPEATED_PARAMETER = BW_TEXT.replace(STACK, STACK.replace("?y", "?x"))  # (?x ?x
     (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "out.pddl"],
      {"m.json": STRING_FREQUENCY}, 1),
     (["solve", "d.pddl", BW_PROBLEM], {"d.pddl": REPEATED_PARAMETER}, 1),
+    (["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "plans", "-o", "out.ttl"],
+     {"plans/bw-p01.bfs.plan": REVERSED_PLAN}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-k", "2",
+      "-o", "out.pddl"], {"m.json": macro_report([0, 5, 9])}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-k", "2",
+      "-o", "out.pddl"], {"m.json": macro_report([-1, 0, 1])}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-k", "2",
+      "-o", "out.pddl"], {"m.json": macro_report([0, 0, 1], first_arity=4)}, 1),
+    (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-k", "2",
+      "-o", "out.pddl"], {"m.json": macro_report([0, 0, 1], frequency=-2)}, 1),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):

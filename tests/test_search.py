@@ -4,6 +4,8 @@ import collections
 import heapq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plankb import bundles
 from plankb.bench import (
@@ -19,7 +21,15 @@ from plankb.bench import (
 from plankb.mapper import domain_iri, map_ipc_results
 from plankb.kg.store import Graph
 from plankb.pddl import parse_domain, parse_problem
-from plankb.pddl.ast import Atom, Literal, ProblemDef
+from plankb.pddl.ast import (
+    ActionSchema,
+    Atom,
+    DomainDef,
+    Literal,
+    PredicateSchema,
+    ProblemDef,
+    TypeName,
+)
 from plankb.select import PlannerRecord
 from plankb.semantics import (
     Plan,
@@ -356,13 +366,125 @@ def test_compiled_task_masks():
     d = parse_domain(LIGHTS_DOMAIN)
     p = parse_problem(LIGHTS_PROBLEM.format(name="off", goal="(not (lit b))"), d)
     task = compile_task(d, p)
-    assert [a.name for a in task.actions] == [a.name for a in ground(d, p)]
+    actions = [task.action(i) for i in range(len(task.groundings))]
+    assert [a.name for a in actions] == [a.name for a in ground(d, p)]
     assert task.init.bit_count() == len(p.init)
     assert task.goal_pos == 0 and task.goal_neg.bit_count() == 1
     # restore-power is the only action with no positive precondition.
-    assert [task.actions[op[0]].name for op in task.unkeyed] == ["(restore-power)"]
+    assert [task.action(op[0]).name for op in task.unkeyed] == ["(restore-power)"]
     keyed = sorted(op[0] for bucket in task.buckets for op in bucket)
-    assert keyed == sorted(set(range(len(task.actions))) - {op[0] for op in task.unkeyed})
+    assert keyed == sorted(set(range(len(actions))) - {op[0] for op in task.unkeyed})
+
+
+# --- compiled tasks on random STRIPS tasks ----------------------------------
+
+_TYPES = ("object", "t1", "t2", "t3")  # t1 - object, t2 - t1, t3 - object
+_PREDICATES = (
+    PredicateSchema("p0", ()),
+    PredicateSchema("p1", (("?a", "object"),)),
+    PredicateSchema("p2", (("?a", "object"), ("?b", "object"))),
+)
+
+
+@st.composite
+def strips_tasks(draw):
+    """A small typed STRIPS task with constants, `=` and `not =`, negative
+    preconditions, an initial state and a goal that it does not satisfy.
+    The last action adds (p1 ?x0) and deletes (p1 ?x1): one atom wherever
+    ?x0 and ?x1 are bound alike."""
+
+    def atom(terms):
+        pred = draw(st.sampled_from(_PREDICATES))
+        return Atom(pred.name, tuple(draw(st.sampled_from(terms)) for _ in pred.params))
+
+    def action(name, params, add=(), delete=()):
+        terms = [v for v, _ in params] + ["c1"]
+        n = draw(st.integers(0, 2))
+        pre = [Literal(atom(terms), draw(st.booleans())) for _ in range(n)]
+        if draw(st.booleans()):
+            equal = Atom("=", (draw(st.sampled_from(terms)), draw(st.sampled_from(terms))))
+            pre.append(Literal(equal, draw(st.booleans())))
+        add = list(add) + [atom(terms) for _ in range(draw(st.integers(1, 2)))]
+        delete = list(delete) + [atom(terms) for _ in range(draw(st.integers(0, 2)))]
+        return ActionSchema.make(name, params, pre, add, delete)
+
+    actions = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 2))
+        params = tuple(("?x{}".format(i), draw(st.sampled_from(_TYPES))) for i in range(n))
+        actions.append(action("a{}".format(k), params))
+    actions.append(action("swap", (("?x0", "object"), ("?x1", "t1")),
+                          [Atom("p1", ("?x0",))], [Atom("p1", ("?x1",))]))
+    d = DomainDef(
+        "rand",
+        frozenset({":strips", ":typing", ":negative-preconditions", ":equality"}),
+        (TypeName("t1"), TypeName("t2", "t1"), TypeName("t3")),
+        (("c1", draw(st.sampled_from(_TYPES))),),
+        _PREDICATES,
+        tuple(actions),
+    )
+    objects = tuple(
+        (name, draw(st.sampled_from(_TYPES)))
+        for name in ("o1", "o2", "o3")[:draw(st.integers(1, 3))]
+    )
+    names = ["c1"] + [o for o, _ in objects]
+    universe = [Atom("p0", ())] + [Atom("p1", (x,)) for x in names] + [
+        Atom("p2", (x, y)) for x in names for y in names]
+    init = frozenset(a for a in universe if draw(st.booleans()))
+    # The first goal literal is false initially, so the root is no goal.
+    goal = frozenset(
+        Literal(a, a in init if k == 0 else draw(st.booleans()))
+        for k, a in enumerate(draw(st.lists(st.sampled_from(universe), min_size=1, max_size=3)))
+    )
+    return d, ProblemDef("rand-1", "rand", objects, init, goal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strips_tasks())
+def test_compiled_masks_equal_the_ground_actions(task):
+    d, p = task
+    actions = ground(d, p)
+    compiled = compile_task(d, p)
+    assert len(set(compiled.atoms)) == len(compiled.atoms)
+    bit = {Atom(pred, args): 1 << b for b, (pred, args) in enumerate(compiled.atoms)}
+
+    def mask(atoms):
+        return sum(bit[a] for a in set(atoms))
+
+    assert compiled.init == mask(p.init)
+    assert compiled.goal_pos == mask(lit.atom for lit in p.goal if not lit.negated)
+    assert compiled.goal_neg == mask(lit.atom for lit in p.goal if lit.negated)
+    ops = sorted([op for bucket in compiled.buckets for op in bucket] + list(compiled.unkeyed))
+    assert [op[0] for op in ops] == list(range(len(actions)))
+    for (i, pre, neg, keep, add), a in zip(ops, actions):
+        assert compiled.action(i) == a
+        assert (pre, neg, keep, add) == (
+            mask(a.pre_pos), mask(a.pre_neg), ~mask(a.delete), mask(a.add))
+    # The key of each action: its precondition atom that is never true, else
+    # one that changes, else one that stays true; then the one the fewest
+    # actions need, then the least (predicate, args).
+    added = mask(x for a in actions for x in a.add)
+    deleted = mask(x for a in actions for x in a.delete)
+    needed = collections.Counter(x for a in actions for x in a.pre_pos)
+
+    def rank(x):
+        b = bit[x]
+        kind = 0 if not b & (compiled.init | added) else 2 if b & compiled.init & ~deleted else 1
+        return kind, needed[x], (x.predicate, x.args)
+
+    for b, bucket in enumerate(compiled.buckets):
+        assert bool(bucket) == bool(compiled.keys >> b & 1)
+        assert all(bit[min(actions[op[0]].pre_pos, key=rank)] == 1 << b for op in bucket)
+    assert all(not actions[op[0]].pre_pos for op in compiled.unkeyed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strips_tasks())
+def test_compiled_search_matches_reference_on_random_tasks(task):
+    d, p = task
+    for cfg in ALL_CONFIGS:
+        assert_matches_reference(d, p, SearchConfig(
+            algorithm=cfg.algorithm, heuristic=cfg.heuristic, max_expansions=300))
 
 
 def test_search_reuses_a_compiled_task():
