@@ -58,7 +58,7 @@ from .select import (
     select_ontology,
     select_random,
 )
-from .semantics import DomainProblemMismatch, PlanParseError
+from .semantics import DomainProblemMismatch
 
 DOMAIN_ERRORS = (
     PddlError,
@@ -72,7 +72,6 @@ DOMAIN_ERRORS = (
     NoDataForDomain,
     NoPlansForDomain,
     DomainProblemMismatch,
-    PlanParseError,
     UnknownSchema,
     TypeConflict,
     FileNotFoundError,

@@ -21,7 +21,7 @@ from .kg.store import Graph, Iri, Triple, Variable
 from .pddl.ast import DomainDef, ProblemDef
 from .pddl.validate import validate_domain
 from .select import PlannerRecord, relevance
-from .semantics import Plan, resolve_plan, validate_plan
+from .semantics import Plan, PlanParseError, resolve_plan, validate_plan
 
 
 class MappingError(Exception):
@@ -408,8 +408,8 @@ def load_plans(
 
     Returns the plan entries and one message per file that is skipped because
     its name has no planner part or names a problem outside the bundle.
-    Raises MappingError, naming the file, for a plan that does not solve its
-    problem.
+    Raises MappingError, naming the file, for a step that no ground action
+    matches and for a plan that does not solve its problem.
     """
     by_name = {p.name: p for p in problems}
     entries: list[PlanEntry] = []
@@ -426,7 +426,10 @@ def load_plans(
                 "skipping {}: problem '{}' not in this bundle".format(path, problem_name)
             )
             continue
-        plan = resolve_plan(d, problem, path.read_text())
+        try:
+            plan = resolve_plan(d, problem, path.read_text())
+        except PlanParseError as exc:
+            raise MappingError("{}: {}".format(path, exc)) from exc
         report = validate_plan(d, problem, plan)
         if not report:
             raise MappingError("{}: invalid plan: {}".format(path, report.reason))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -37,9 +37,20 @@ class NotApplicable(Exception):
         self.literal = literal
 
 
-@dataclass(frozen=True)
+_ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
+
+
+@dataclass(frozen=True, slots=True)
 class GroundAction:
-    """A fully instantiated action; delete effects never overlap adds."""
+    """A fully instantiated action; delete effects never overlap adds.
+
+    Equality, hash and repr cover the seven constructor fields.  An action
+    that `ground`, `resolve_plan` or `Template.action` makes is lazy: it
+    holds its objects, its compiled template and the atom table of the call
+    that made it, and builds `binding` on its first read and the four atom
+    sets on the first read of any of them.  Reading `schema`, `binding`,
+    `objects`, `name` or `cost` builds no atom.
+    """
 
     schema: str
     binding: tuple[tuple[str, str], ...]  # (variable, object) in parameter order
@@ -48,10 +59,37 @@ class GroundAction:
     add: frozenset[GroundAtom]
     delete: frozenset[GroundAtom]
     cost: int = 1
+    _objects: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # A lazy action's (template, atom caches, atom table); None otherwise.
+    _source: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_objects", tuple([o for _, o in self.binding]))
+
+    def __getattr__(self, name: str):
+        # Python calls this only for an unset attribute: on a lazy action,
+        # `binding` and the four atom sets until their first read.
+        source = self._source
+        if source is None or (name != "binding" and name not in _ATOM_SETS):
+            raise AttributeError(
+                "'GroundAction' object has no attribute '{}'".format(name))
+        if name == "binding":
+            object.__setattr__(self, name, tuple(zip(source[0].variables, self._objects)))
+        else:
+            for field_name, atoms in zip(_ATOM_SETS, _atom_sets(*source, self._objects)):
+                object.__setattr__(self, field_name, atoms)
+        return object.__getattribute__(self, name)
+
+    def __reduce__(self):
+        # Rebuild from the seven fields, so a copy holds no atom table.
+        return GroundAction, (
+            self.schema, self.binding, self.pre_pos, self.pre_neg,
+            self.add, self.delete, self.cost,
+        )
 
     @property
     def objects(self) -> tuple[str, ...]:
-        return tuple(o for _, o in self.binding)
+        return self._objects
 
     @property
     def name(self) -> str:
@@ -84,17 +122,22 @@ class ValidationReport:
 
 # --- grounding through compiled schema templates ---------------------------
 #
-# A schema is compiled once into a Template: each literal argument becomes the
-# position of its parameter in a binding combo (an int) or stays a constant
-# (a str).  A template atom is (predicate, spec, key), where key maps a combo
-# to the values of the parameters the atom uses; spec is None when that key is
-# already the args tuple (two or more parameters, no constant).  `groundings`
-# enumerates each template's combos, equality already filtered; `ground`
-# instantiates every one of them, and `bench.compile_task` reads the
-# templates straight into bitmasks.  Instantiating looks each atom up in a
-# per-template cache under key(combo), and on a miss in a table keyed by
-# (predicate, args) shared by the whole call, so every distinct ground atom is
-# built and hashed once per call.
+# A schema is compiled into a Template once per schema object: each literal
+# argument becomes the position of its parameter in a binding combo (an int)
+# or stays a constant (a str).  A template atom is (predicate, spec, key),
+# where key maps a combo to the values of the parameters the atom uses; spec
+# is None when that key is already the args tuple (two or more parameters,
+# no constant).  `groundings` enumerates each template's combos, equality
+# already filtered; `bench.compile_task` reads the templates straight into
+# bitmasks, and `ground`, `resolve_plan` and `Template.action` make lazy
+# GroundActions (`_lazy_action`).  A lazy action holds its combo and a source
+# shared by every action of its template in one call: the template, one atom
+# cache per template atom, and an atom table keyed by (predicate, args)
+# shared by the whole call.  Its four sets are built together on the first
+# read of any (`_atom_sets`), each atom looked up in its cache under
+# key(combo) and on a miss in the table, so every distinct ground atom is
+# built and hashed once per call whichever actions are read, in whatever
+# order, and the sets iterate as an eager construction's do.
 
 _TemplateAtom = tuple  # (predicate, spec, key)
 
@@ -107,7 +150,6 @@ def _no_parameters(combo: tuple) -> tuple:
 class Template:
     name: str
     variables: tuple[str, ...]
-    positions: tuple[int, ...]  # combo position bound to each variable
     equalities: tuple[tuple[object, object, bool], ...]  # (spec, spec, negated)
     atoms: tuple[_TemplateAtom, ...]  # pre_pos, then pre_neg, then add, then delete
     ends: tuple[int, int, int]  # where pre_pos, pre_neg and add end in atoms
@@ -124,7 +166,7 @@ class Template:
     def action(self, combo: tuple) -> GroundAction:
         """The ground action of one admitted combo, equal to the one `ground`
         builds for it."""
-        return _instantiate(self, combo, [{} for _ in self.atoms], {})
+        return _lazy_action((self, [{} for _ in self.atoms], {}), combo)
 
 
 def _compile(schema: ActionSchema) -> Template:
@@ -157,14 +199,36 @@ def _compile(schema: ActionSchema) -> Template:
     return Template(
         schema.name,
         schema.variables,
-        tuple(position[v] for v in schema.variables),
         tuple(equalities),
         tuple(pos + neg + add + delete),
         (len(pos), len(pos) + len(neg), len(pos) + len(neg) + len(add)),
     )
 
 
-def _instantiate(t: Template, combo: tuple, caches: list[dict], table: dict) -> GroundAction:
+# schema -> (schema, template): one entry per distinct schema value, holding
+# the object last compiled.  Equal schemas can iterate their literal sets in
+# different orders and a template keeps that order (it decides how the atom
+# sets iterate), so a template is reused only for the object it was compiled
+# from.
+_TEMPLATES: dict[ActionSchema, tuple[ActionSchema, Template]] = {}
+
+
+def _template(schema: ActionSchema) -> Template:
+    """The compiled template of a schema, compiled once per schema object.
+
+    Raises RepeatedParameter, on every call, for a schema that declares a
+    parameter twice.
+    """
+    hit = _TEMPLATES.get(schema)
+    if hit is not None and hit[0] is schema:
+        return hit[1]
+    t = _compile(schema)
+    _TEMPLATES[schema] = schema, t
+    return t
+
+
+def _atom_sets(t: Template, caches: list[dict], table: dict, combo: tuple) -> tuple:
+    """The (pre_pos, pre_neg, add, delete) sets of one combo of a template."""
     atoms = []
     for (predicate, spec, key), cache in zip(t.atoms, caches):
         k = key(combo)
@@ -184,24 +248,24 @@ def _instantiate(t: Template, combo: tuple, caches: list[dict], table: dict) -> 
     # frozenset(set(x)) can lay out its table unlike frozenset(x); the
     # preconditions take the first form so they iterate like sets built
     # literal by literal (validate_plan names the first failing one).
-    return GroundAction(
-        t.name,
-        tuple(zip(t.variables, [combo[x] for x in t.positions])),
-        frozenset(set(atoms[:i])),
-        frozenset(set(atoms[i:j])),
-        add,
-        frozenset(atoms[n:]) - add,
-    )
+    return frozenset(set(atoms[:i])), frozenset(set(atoms[i:j])), add, frozenset(atoms[n:]) - add
 
 
-def instantiate(schema: ActionSchema, binding: dict[str, str]) -> Optional[GroundAction]:
-    """Ground a schema under a complete binding.
+_new = object.__new__
+_set = object.__setattr__
 
-    Equality literals are resolved statically; returns None when one fails.
-    """
-    t = _compile(schema)
-    combo = tuple(binding[v] for v in schema.variables)
-    return t.action(combo) if t.admits(combo) else None
+
+def _lazy_action(source: tuple, combo: tuple) -> GroundAction:
+    """The ground action of an admitted combo of source's template, its
+    binding and atom sets left unbuilt; source is (template, one atom cache
+    per template atom, atom table), shared by every action of that template
+    in one call."""
+    a = _new(GroundAction)
+    _set(a, "schema", source[0].name)
+    _set(a, "_objects", combo)
+    _set(a, "cost", 1)
+    _set(a, "_source", source)
+    return a
 
 
 def _check_match(d: DomainDef, p: ProblemDef) -> None:
@@ -223,28 +287,30 @@ def groundings(d: DomainDef, p: ProblemDef) -> list[tuple[Template, Iterator[tup
     """
     _check_match(d, p)
     pool = list(d.constants) + list(p.objects)
+    candidates: dict[str, list[str]] = {}  # parameter type -> sorted objects
     out = []
     for schema in d.actions:
-        t = _compile(schema)
-        combos = itertools.product(*(
-            sorted(o for o, otype in pool if d.is_subtype(otype, ptype))
-            for _, ptype in schema.params
-        ))
+        t = _template(schema)
+        for _, ptype in schema.params:
+            if ptype not in candidates:
+                candidates[ptype] = sorted(o for o, otype in pool if d.is_subtype(otype, ptype))
+        combos = itertools.product(*(candidates[ptype] for _, ptype in schema.params))
         out.append((t, filter(t.admits, combos) if t.equalities else combos))
     return out
 
 
 def ground(d: DomainDef, p: ProblemDef) -> list[GroundAction]:
     """Every type-consistent instantiation of every schema, in deterministic
-    order: schema declaration order, then lexicographic bindings.
+    order: schema declaration order, then lexicographic bindings.  The
+    actions are lazy (see GroundAction).
 
     Raises RepeatedParameter for a schema that declares a parameter twice.
     """
     table: dict = {}
     actions: list[GroundAction] = []
     for t, combos in groundings(d, p):
-        caches = [{} for _ in t.atoms]
-        actions.extend([_instantiate(t, combo, caches, table) for combo in combos])
+        source = (t, [{} for _ in t.atoms], table)
+        actions.extend([_lazy_action(source, combo) for combo in combos])
     return actions
 
 
@@ -260,13 +326,6 @@ def apply_action(s: State, a: GroundAction) -> State:
         if atom in s:
             raise NotApplicable(a, "(not {})".format(atom))
     return (s - a.delete) | a.add
-
-
-def goal_satisfied(s: State, p: ProblemDef) -> bool:
-    for lit in p.goal:
-        if lit.negated == (lit.atom in s):
-            return False
-    return True
 
 
 def validate_plan(d: DomainDef, p: ProblemDef, plan: Plan) -> ValidationReport:
@@ -287,26 +346,6 @@ def validate_plan(d: DomainDef, p: ProblemDef, plan: Plan) -> ValidationReport:
                 False, None, "goal literal {} does not hold in final state".format(lit)
             )
     return ValidationReport(True)
-
-
-def reachable_states(init: State, actions: Iterable[GroundAction], limit: int = 10**6):
-    """Breadth-first enumeration of all states reachable from init."""
-    actions = list(actions)
-    seen = {init}
-    frontier = [init]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for a in actions:
-                if applicable(s, a):
-                    t = apply_action(s, a)
-                    if t not in seen:
-                        if len(seen) >= limit:
-                            raise RuntimeError("reachable state limit exceeded")
-                        seen.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    return seen
 
 
 # --- plan text format: one "(name obj...)" step per line -------------------
@@ -359,21 +398,22 @@ def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
     types: dict[str, list[str]] = {}
     for o, otype in list(d.constants) + list(p.objects):
         types.setdefault(o, []).append(otype)
+    table: dict = {}
     by_name: dict[str, list] = {}
     for schema in d.actions:
-        t = _compile(schema)
-        by_name.setdefault(schema.name, []).insert(0, (schema, t, [{} for _ in t.atoms]))
-    table: dict = {}
+        t = _template(schema)
+        source = (t, [{} for _ in t.atoms], table)
+        by_name.setdefault(schema.name, []).insert(0, (schema, source))
 
     def step(name: str, objects: tuple[str, ...]) -> Optional[GroundAction]:
-        for schema, t, caches in by_name.get(name, ()):
+        for schema, source in by_name.get(name, ()):
             if len(objects) != len(schema.params) or not all(
                 any(d.is_subtype(otype, ptype) for otype in types.get(o, ()))
                 for o, (_, ptype) in zip(objects, schema.params)
             ):
                 continue
-            if t.admits(objects):
-                return _instantiate(t, objects, caches, table)
+            if source[0].admits(objects):
+                return _lazy_action(source, objects)
         return None
 
     steps: list[GroundAction] = []
@@ -384,6 +424,3 @@ def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
         steps.append(action)
     return Plan(tuple(steps))
 
-
-def format_plan(plan: Plan) -> str:
-    return "".join(step.name + "\n" for step in plan.steps)

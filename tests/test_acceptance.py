@@ -28,8 +28,9 @@ from plankb.mapper import (
 )
 from plankb.pddl import parse_domain, parse_problem, print_domain, print_problem, validate_domain
 from plankb.select import relevance, select_ontology, select_random
-from plankb.semantics import ground, reachable_states
+from plankb.semantics import ground
 
+from oracles import reachable_states
 from test_kg_store import oracle_query
 from test_macros import (
     BW_CHAINING,

@@ -269,6 +269,8 @@ REVERSED_PLAN = "\n".join(reversed(BW_PLAN.splitlines())) + "\n"
       "-o", "out.pddl"], {"m.json": macro_report([0, 0, 1], first_arity=4)}, 1),
     (["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-k", "2",
       "-o", "out.pddl"], {"m.json": macro_report([0, 0, 1], frequency=-2)}, 1),
+    (["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "plans", "-o", "out.ttl"],
+     {"plans/bw-p01.bfs.plan": "(fly a)\n"}, 1),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):
@@ -281,6 +283,19 @@ def test_malformed_input_exits_with_error_not_traceback(
         rc = exc.code
     assert rc == code
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("(fly a)\n", "line 1: no ground action matches (fly a)"),
+    (REVERSED_PLAN, "invalid plan: step 0 (stack a b): precondition (holding a) fails"),
+])
+def test_build_kg_names_the_broken_plan_file(workspace, capsys, text, reason):
+    (workspace / "plans").mkdir()
+    (workspace / "plans" / "bw-p01.bfs.plan").write_text(text)
+    rc = main(["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "plans", "-o", "out.ttl"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: {}: {}\n".format(
+        workspace / "plans" / "bw-p01.bfs.plan", reason)
 
 
 def test_build_kg_skips_misnamed_and_foreign_plans(workspace, capsys):

@@ -25,13 +25,9 @@ from plankb.macros import (
 )
 from plankb.mapper import action_iri, domain_iri
 from plankb.pddl.ast import Atom, Literal
-from plankb.semantics import (
-    applicable,
-    apply_action,
-    ground,
-    instantiate,
-    reachable_states,
-)
+from plankb.semantics import applicable, apply_action, ground
+
+from oracles import instantiate, reachable_states
 
 
 # --- lifting ----------------------------------------------------------------

@@ -35,10 +35,11 @@ from plankb.semantics import (
     Plan,
     applicable,
     apply_action,
-    goal_satisfied,
     ground,
     validate_plan,
 )
+
+from oracles import ATOM_SETS, goal_satisfied, reference_ground
 
 
 def oracle_optimal_cost(d, p):
@@ -476,6 +477,26 @@ def test_compiled_masks_equal_the_ground_actions(task):
         assert bool(bucket) == bool(compiled.keys >> b & 1)
         assert all(bit[min(actions[op[0]].pre_pos, key=rank)] == 1 << b for op in bucket)
     assert all(not actions[op[0]].pre_pos for op in compiled.unkeyed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strips_tasks(), st.randoms(use_true_random=False))
+def test_lazy_atom_sets_iterate_as_the_eager_ones(task, rng):
+    """Whatever order the actions of one call are first read in (which
+    decides the order their atoms are built and cached), each lazy action's
+    sets list in the order of the eager construction from seven fields."""
+    d, p = task
+    eager = reference_ground(d, p)
+    compiled = compile_task(d, p)
+    for actions in (ground(d, p), [compiled.action(i) for i in range(len(eager))]):
+        assert len(actions) == len(eager)
+        order = list(range(len(eager)))
+        rng.shuffle(order)
+        for i in order:
+            field = rng.choice(ATOM_SETS)  # the set read first builds all four
+            getattr(actions[i], field)
+            assert [list(getattr(actions[i], f)) for f in ATOM_SETS] == [
+                list(getattr(eager[i], f)) for f in ATOM_SETS]
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plankb import bundles
+from plankb import bundles, semantics
+from plankb.bench import compile_task
 from plankb.pddl.ast import (
     ActionSchema,
     Atom,
@@ -21,20 +22,24 @@ from plankb.pddl.ast import (
 from plankb.pddl.parser import parse_domain, parse_problem
 from plankb.semantics import (
     DomainProblemMismatch,
-    GroundAction,
     NotApplicable,
     Plan,
     PlanParseError,
     RepeatedParameter,
     applicable,
     apply_action,
-    format_plan,
-    goal_satisfied,
     ground,
     parse_plan_text,
-    reachable_states,
     resolve_plan,
     validate_plan,
+)
+
+from oracles import (
+    assert_same_grounding,
+    format_plan,
+    goal_satisfied,
+    reachable_states,
+    reference_ground,
 )
 
 
@@ -232,54 +237,6 @@ def test_reachable_states_three_blocks():
 # --- the template grounder against the substitution grounder ---------------
 
 
-def reference_instantiate(schema, binding):
-    """Ground one schema by substituting the binding into every literal."""
-    pre_pos, pre_neg = set(), set()
-    for lit in schema.precondition:
-        atom = lit.atom.substitute(binding)
-        if atom.predicate == "=":
-            if (atom.args[0] == atom.args[1]) == lit.negated:
-                return None
-            continue
-        (pre_neg if lit.negated else pre_pos).add(atom)
-    add = frozenset(a.substitute(binding) for a in schema.add)
-    delete = frozenset(a.substitute(binding) for a in schema.delete) - add
-    return GroundAction(
-        schema.name,
-        tuple((v, binding[v]) for v in schema.variables),
-        frozenset(pre_pos),
-        frozenset(pre_neg),
-        add,
-        delete,
-    )
-
-
-def reference_ground(d, p):
-    """Instantiate every type-consistent binding, schema by schema, in
-    lexicographic binding order."""
-    pool = list(d.constants) + list(p.objects)
-    actions = []
-    for schema in d.actions:
-        candidates = [
-            sorted(o for o, otype in pool if d.is_subtype(otype, ptype))
-            for _, ptype in schema.params
-        ]
-        for combo in itertools.product(*candidates):
-            ga = reference_instantiate(schema, dict(zip(schema.variables, combo)))
-            if ga is not None:
-                actions.append(ga)
-    return actions
-
-
-def assert_same_grounding(actual, expected):
-    assert actual == expected
-    # The sets are built in the same insertion order, so they iterate alike
-    # (validate_plan reports the first failing precondition in that order).
-    for a, b in zip(actual, expected):
-        for field in ("pre_pos", "pre_neg", "add", "delete"):
-            assert list(getattr(a, field)) == list(getattr(b, field))
-
-
 BUNDLED_PROBLEMS = [
     (name, i)
     for name in bundles.DOMAIN_NAMES
@@ -364,10 +321,54 @@ def test_repeated_parameter_is_a_domain_error(hand_task):
                              (Atom("same", ("?p", "?p")),), ())
     d = dataclasses.replace(d, actions=d.actions + (loop,))
     message = r"action 'loop' declares parameter '\?p' twice"
-    with pytest.raises(RepeatedParameter, match=message):
+    for _ in range(2):  # every call, not only the first
+        with pytest.raises(RepeatedParameter, match=message):
+            ground(d, p)
+        with pytest.raises(RepeatedParameter, match=message):
+            resolve_plan(d, p, "(reset)")
+
+
+def test_ground_builds_no_atom_until_a_set_is_read(monkeypatch):
+    d = bundles.load_domain("blocksworld")
+    p = bundles.load_problems("blocksworld")[0]
+    built = []
+
+    def counting_atom(predicate, args):
+        built.append((predicate, args))
+        return Atom(predicate, args)
+
+    monkeypatch.setattr(semantics, "Atom", counting_atom)
+    actions = ground(d, p)
+    text = bundles.plan_paths("blocksworld")[0].read_text()
+    plan = parse_plan_text(text, actions)
+    assert [(a.name, a.binding, a.cost) for a in plan.steps] and len(actions) == 24
+    assert built == []
+    stack = next(a for a in actions if a.name == "(stack c b)")
+    stack.pre_pos
+    # Only this action's atoms, each once: holding c, clear b, on c b,
+    # clear c and handempty.
+    assert len(built) == 5
+    assert sorted(built) == sorted(
+        {(x.predicate, x.args) for x in stack.pre_pos | stack.pre_neg | stack.add | stack.delete})
+
+
+def test_each_schema_object_compiles_once(monkeypatch):
+    compiled = []
+    compile_schema = semantics._compile
+    monkeypatch.setattr(semantics, "_compile",
+                        lambda schema: compiled.append(schema) or compile_schema(schema))
+    d = bundles.load_domain("blocksworld")
+    text = bundles.plan_paths("blocksworld")[0].read_text()
+    for p in bundles.load_problems("blocksworld"):
         ground(d, p)
-    with pytest.raises(RepeatedParameter, match=message):
-        resolve_plan(d, p, "(reset)")
+        resolve_plan(d, p, text if p.name == "bw-p01" else "")
+        compile_task(d, p)
+    assert [id(s) for s in compiled] == [id(s) for s in d.actions]
+    # An equal schema object gets its own template: its literal sets may
+    # iterate in another order, and the template keeps that order.
+    twin = dataclasses.replace(d, actions=tuple(dataclasses.replace(a) for a in d.actions))
+    ground(twin, bundles.load_problems("blocksworld")[0])
+    assert [id(s) for s in compiled[len(d.actions):]] == [id(s) for s in twin.actions]
 
 
 def test_ground_shares_one_atom_per_value(hand_task):

@@ -1,6 +1,7 @@
 """Slotted value types with a hash computed once: Atom, Iri, TypedLiteral
 and Triple must hash, compare and print exactly like plain frozen
-dataclasses."""
+dataclasses, and a lazily grounded GroundAction exactly like one built
+from its seven fields."""
 
 import copy
 import dataclasses
@@ -8,8 +9,12 @@ import pickle
 
 import pytest
 
+from plankb import bundles
 from plankb.kg.store import Iri, Triple, TypedLiteral
 from plankb.pddl.ast import Atom
+from plankb.semantics import GroundAction, ground
+
+from oracles import ATOM_SETS, reference_ground
 
 EX = "http://example.org/"
 
@@ -96,3 +101,62 @@ def test_sets_iterate_as_the_tuples_do():
     # same order as a set of their field tuples built the same way.
     atoms = [Atom("p{}".format(i % 7), ("a{}".format(i), "b")) for i in range(50)]
     assert [compared(a) for a in set(atoms)] == list({compared(a) for a in atoms})
+
+
+# --- lazy ground actions ----------------------------------------------------
+#
+# `ground` makes each GroundAction from its template and objects and builds
+# its binding and atom sets on first read.  Every check below starts from
+# actions fresh from `ground`, none of them read yet, and compares each with
+# the action grounded by substitution and built from its seven fields.
+
+
+def lazy_and_eager():
+    d = bundles.load_domain("blocksworld")
+    p = bundles.load_problems("blocksworld")[0]
+    return list(zip(ground(d, p), reference_ground(d, p)))
+
+
+def sets_of(action):
+    return [list(getattr(action, name)) for name in ATOM_SETS]
+
+
+LAZY_CHECKS = {
+    "equal": lambda lazy, eager: lazy == eager and eager == lazy,
+    "hash": lambda lazy, eager: hash(lazy) == hash(eager) == hash(compared(eager)),
+    "repr": lambda lazy, eager: repr(lazy) == repr(eager),
+    "sets": lambda lazy, eager: sets_of(lazy) == sets_of(eager),
+    "reduce": lambda lazy, eager: lazy.__reduce__() == (GroundAction, compared(eager)),
+    "pickle": lambda lazy, eager: pickle.loads(pickle.dumps(lazy)) == eager,
+    "copy": lambda lazy, eager: copy.copy(lazy) == eager,
+    "deepcopy": lambda lazy, eager: copy.deepcopy(lazy) == eager,
+    "atom-free fields": lambda lazy, eager: (
+        (lazy.schema, lazy.binding, lazy.objects, lazy.name, lazy.cost)
+        == (eager.schema, eager.binding, eager.objects, eager.name, eager.cost)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(LAZY_CHECKS))
+def test_lazy_action_reads_as_its_seven_fields(check):
+    pairs = lazy_and_eager()
+    assert len(pairs) == 24
+    for lazy, eager in pairs:
+        assert LAZY_CHECKS[check](lazy, eager), lazy.name
+
+
+def test_lazy_action_is_frozen_and_slotted():
+    for lazy, eager in lazy_and_eager():
+        assert not hasattr(lazy, "__dict__")
+        for f in dataclasses.fields(lazy):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(lazy, f.name, None)
+        assert lazy == eager and sets_of(lazy) == sets_of(eager)
+        with pytest.raises(AttributeError, match="no attribute 'pre'"):
+            lazy.pre
+
+
+def test_ground_action_fields_are_the_seven_constructor_arguments():
+    _, eager = lazy_and_eager()[0]
+    assert [f.name for f in dataclasses.fields(eager) if f.compare or f.repr] == [
+        f.name for f in dataclasses.fields(eager) if f.init
+    ] == ["schema", "binding", *ATOM_SETS, "cost"]
