@@ -146,8 +146,15 @@ def cmd_build_kg(args) -> int:
 
 
 def cmd_query(args) -> int:
+    takes = COMPETENCY_QUERIES[args.id].parameters
+    params: dict[str, str] = {}
+    for key, value in args.arg:
+        if key not in takes:
+            raise UsageError("query {} takes no argument '{}'".format(args.id, key))
+        if key in params:
+            raise UsageError("query argument '{}' given twice".format(key))
+        params[key] = value
     g = _load_graph(args.graph)
-    params = dict(args.arg)
     result = run_competency(g, args.id, params)
     if isinstance(result, int):
         if args.format == "json":

@@ -28,7 +28,7 @@ def _instances(g: Graph, class_name: str) -> list[Iri]:
 
 
 def _count(g: Graph, s: Iri, prop: str) -> int:
-    return len(g.match(s=s, p=SCHEMA.prop(prop)))
+    return len(g._lookup(s, SCHEMA.prop(prop)))
 
 
 def validate_axioms(g: Graph, post_solve: bool = False) -> list[AxiomViolation]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 
@@ -102,63 +101,111 @@ class Triple:
 
 
 Pattern = tuple  # (Term, Term, Term) with Variables allowed anywhere
+Key = tuple  # (subject id, predicate id, object id)
 
 _EMPTY: frozenset = frozenset()
+# The id of a term the graph lacks: no index has a bucket for it.
+_ABSENT = -1
 
 
 class Graph:
-    """Set of triples with subject/predicate/object indexes.
+    """Set of triples with subject/predicate/object indexes, stored
+    dictionary-encoded.
+
+    Each distinct term gets an int id the first time a triple holding it is
+    stored, and keeps that id for the life of the graph: `_terms[id]` is the
+    term and `_ids[term]` its id.  The triple set holds `(s, p, o)` id
+    tuples, and so do the index buckets, which are keyed by id; storing,
+    matching and joining hash and compare ints, and terms and `Triple`s are
+    built only when they leave the graph.  `kg.turtle` reads and writes the
+    encoding directly.
 
     Mutations keep all three indexes consistent; reads may be shared across
     threads, writes need external single-writer discipline.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples: set[Triple] = set()
-        self._by_s: dict[Iri, set[Triple]] = {}
-        self._by_p: dict[Iri, set[Triple]] = {}
-        self._by_o: dict[Node, set[Triple]] = {}
-        for t in triples:
-            self.add(t)
+        self._terms: list[Node] = []
+        self._ids: dict[Node, int] = {}
+        self._triples: set[Key] = set()
+        self._by_s: dict[int, set[Key]] = {}
+        self._by_p: dict[int, set[Key]] = {}
+        self._by_o: dict[int, set[Key]] = {}
+        self._add_all(triples)
 
     def __len__(self) -> int:
         return len(self._triples)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._triples
+        if not isinstance(t, Triple):
+            return False
+        ids = self._ids
+        return (ids.get(t.subject), ids.get(t.predicate), ids.get(t.object)) in self._triples
 
     def __iter__(self):
-        return iter(self._triples)
+        return self._decode(self._triples)
 
     def triples(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
+        return frozenset(self._decode(self._triples))
 
     def add(self, t: Triple) -> "Graph":
-        if not isinstance(t, Triple):
-            raise TypeError("expected a Triple")
-        n = len(self._triples)
-        self._triples.add(t)
-        if len(self._triples) != n:
-            self._by_s.setdefault(t.subject, set()).add(t)
-            self._by_p.setdefault(t.predicate, set()).add(t)
-            self._by_o.setdefault(t.object, set()).add(t)
+        self._add_all((t,))
         return self
 
     def update(self, triples: Iterable[Triple]) -> "Graph":
-        for t in triples:
-            self.add(t)
+        self._add_all(triples)
         return self
 
-    def discard(self, t: Triple) -> "Graph":
-        if t in self._triples:
-            self._triples.discard(t)
-            for index, key in ((self._by_s, t.subject), (self._by_p, t.predicate),
-                               (self._by_o, t.object)):
-                bucket = index[key]
-                bucket.discard(t)
-                if not bucket:
-                    del index[key]
-        return self
+    # --- the encoding ------------------------------------------------------
+
+    def _intern(self, term: Node) -> int:
+        """The id of a term, given it now if it has none."""
+        terms = self._terms
+        i = self._ids.setdefault(term, len(terms))
+        if i == len(terms):
+            terms.append(term)
+        return i
+
+    def _add_all(self, triples: Iterable[Triple]) -> None:
+        """Encode and store triples.  The ids are collected first and stored
+        in one pass; on an error, those collected so far are stored, so every
+        interned term is in a stored triple, as if each were added alone."""
+        ids, intern = self._ids, self._intern
+        keys = []
+        try:
+            for t in triples:
+                if not isinstance(t, Triple):
+                    raise TypeError("expected a Triple")
+                s = ids.get(t.subject)
+                if s is None:
+                    s = intern(t.subject)
+                p = ids.get(t.predicate)
+                if p is None:
+                    p = intern(t.predicate)
+                o = ids.get(t.object)
+                if o is None:
+                    o = intern(t.object)
+                keys.append((s, p, o))
+        finally:
+            self._add_keys(keys)
+
+    def _add_keys(self, keys: Iterable[Key]) -> None:
+        """Store id tuples whose ids are already interned."""
+        triples, by_s, by_p, by_o = self._triples, self._by_s, self._by_p, self._by_o
+        for key in keys:
+            if key in triples:
+                continue
+            triples.add(key)
+            s, p, o = key
+            by_s.setdefault(s, set()).add(key)
+            by_p.setdefault(p, set()).add(key)
+            by_o.setdefault(o, set()).add(key)
+
+    def _decode(self, keys: Iterable[Key]):
+        terms = self._terms
+        return (Triple(terms[s], terms[p], terms[o]) for s, p, o in keys)
+
+    # --- lookups -----------------------------------------------------------
 
     def match(
         self,
@@ -168,10 +215,19 @@ class Graph:
     ) -> set[Triple]:
         """All triples matching the given constants (None = wildcard), as a
         fresh set the caller may keep or change."""
-        return set(self._lookup(s, p, o))
+        return set(self._decode(self._lookup(s, p, o)))
 
-    def _lookup(self, s, p, o):
-        """The triples matching the given constants (None = wildcard).
+    def _lookup(self, s=None, p=None, o=None):
+        """The id tuples matching the given terms (None = wildcard), as
+        `_find` gives them."""
+        ids = self._ids
+        return self._find(None if s is None else ids.get(s, _ABSENT),
+                          None if p is None else ids.get(p, _ABSENT),
+                          None if o is None else ids.get(o, _ABSENT))
+
+    def _find(self, s, p, o):
+        """The id tuples matching the given ids (None = wildcard); `_ABSENT`
+        matches nothing.
 
         One constant gives its index bucket itself and none gives the triple
         set itself, so the result is read-only and valid until the next
@@ -196,11 +252,13 @@ class Graph:
         return self._triples if found is None else found
 
     def subjects_of_type(self, rdf_type: Iri, type_pred: Iri) -> list[Iri]:
-        found = {t.subject for t in self._lookup(None, type_pred, rdf_type)}
-        return sorted(found, key=term_key)
+        terms = self._terms
+        found = {k[0] for k in self._lookup(None, type_pred, rdf_type)}
+        return sorted((terms[i] for i in found), key=term_key)
 
     def objects(self, s: Iri, p: Iri) -> list[Node]:
-        return sorted((t.object for t in self._lookup(s, p, None)), key=term_key)
+        terms = self._terms
+        return sorted((terms[k[2]] for k in self._lookup(s, p, None)), key=term_key)
 
     # --- BGP query -------------------------------------------------------
 
@@ -221,11 +279,13 @@ class Graph:
         al., WWW 2008), not as written: first a pattern whose variables are
         all bound (at most one match per row), then one that shares a bound
         variable, then any other; within a rank, the smallest index bucket
-        over the pattern's constants, then the written order.  Each row
-        looks its candidates up in the indexes with its bound values filled
-        in.  The solutions of a BGP do not depend on the join order, and the
-        final sort fixes the row order, so the result is that of a nested
-        loop in the written order.
+        over the pattern's constants, then the written order.  The join runs
+        on ids: each constant is mapped to its id once (one the graph lacks
+        gives no rows), each pattern's constants are looked up once, and each
+        row intersects that with the index buckets of its bound values.  The
+        solutions of a BGP do not depend on the join order, and the final
+        sort fixes the row order, so the result is that of a nested loop in
+        the written order.  Only the result rows are decoded.
         """
         if not patterns:
             raise ValueError("query needs at least one pattern")
@@ -235,46 +295,25 @@ class Graph:
         variables = list(dict.fromkeys(
             t.name for pattern in patterns for t in pattern if isinstance(t, Variable)
         ))
-        solutions: list[dict[str, Node]] = [{}]
-        bound: set[str] = set()
-        for pattern in patterns if len(patterns) == 1 else self._join_order(patterns):
-            key = [None if isinstance(t, Variable) else t for t in pattern]
-            lookups = []  # (position, name) of variables bound by earlier patterns
-            fresh: dict[str, int] = {}  # name -> position of variables bound here
-            repeats = []  # (position, first position) of a repeat within the pattern
-            for i, t in enumerate(pattern):
-                if isinstance(t, Variable):
-                    if t.name in bound:
-                        lookups.append((i, t.name))
-                    elif t.name in fresh:
-                        repeats.append((i, fresh[t.name]))
-                    else:
-                        fresh[t.name] = i
-            bound.update(fresh)
-            new: list[dict[str, Node]] = []
-            for binding in solutions:
-                for i, name in lookups:
-                    key[i] = binding[name]
-                for triple in self._lookup(*key):
-                    extended = self._extend(binding, triple, fresh, repeats)
-                    if extended is not None:
-                        new.append(extended)
-            solutions = new
-            if not solutions:
-                break
-        # Every solution binds every variable, so the rows share one key set
-        # and compare by their values in variable-name order.
+        ids = self._ids
+        solutions = self._join([
+            tuple([t if isinstance(t, Variable) else ids.get(t, _ABSENT) for t in pattern])
+            for pattern in patterns
+        ])
         if select is not None:
             variables = [v for v in dict.fromkeys(select) if v in variables]
-        names = sorted(variables)
-        keyed = [
-            (tuple([term_key(b[v]) for v in names]), {v: b[v] for v in variables})
-            for b in solutions
-        ]
+        rows = [tuple([b[v] for v in variables]) for b in solutions]
         if distinct:
-            keyed = list(dict(keyed).items())
-        keyed.sort(key=itemgetter(0))
-        return [row for _, row in keyed]
+            rows = list(dict.fromkeys(rows))
+        # Every row binds every variable, so rows compare by their values in
+        # variable-name order; `term_key` is one total order over all terms,
+        # so comparing ranks of ids is comparing terms.
+        terms = self._terms
+        used = sorted({i for row in rows for i in row}, key=lambda i: term_key(terms[i]))
+        rank = {i: r for r, i in enumerate(used)}
+        columns = sorted(range(len(variables)), key=variables.__getitem__)
+        rows.sort(key=lambda row: [rank[row[j]] for j in columns])
+        return [dict(zip(variables, [terms[i] for i in row])) for row in rows]
 
     def count(self, patterns: list[Pattern], var: Optional[str] = None,
               distinct: bool = True) -> int:
@@ -284,8 +323,55 @@ class Graph:
         )
         return len(rows)
 
-    def _join_order(self, patterns: list[Pattern]) -> list[Pattern]:
-        """The greedy join order described in `query`."""
+    def _join(self, patterns: list[tuple]) -> list[dict[str, int]]:
+        """The solutions of patterns whose constants are ids, as maps from
+        names to ids."""
+        indexes = (self._by_s, self._by_p, self._by_o)
+        solutions: list[dict[str, int]] = [{}]
+        bound: set[str] = set()
+        for pattern in patterns if len(patterns) == 1 else self._join_order(patterns):
+            lookups = []  # (index, name) of variables bound by earlier patterns
+            fresh: dict[str, int] = {}  # name -> position of variables bound here
+            repeats = []  # (position, first position) of a repeat within the pattern
+            for i, t in enumerate(pattern):
+                if isinstance(t, Variable):
+                    if t.name in bound:
+                        lookups.append((indexes[i], t.name))
+                    elif t.name in fresh:
+                        repeats.append((i, fresh[t.name]))
+                    else:
+                        fresh[t.name] = i
+            bound.update(fresh)
+            constants = [None if isinstance(t, Variable) else t for t in pattern]
+            # None when no constant narrows the candidates.
+            base = None if constants == [None] * 3 else self._find(*constants)
+            new: list[dict[str, int]] = []
+            for binding in solutions:
+                found = base
+                for index, name in lookups:
+                    bucket = index.get(binding[name], _EMPTY)
+                    found = bucket if found is None else bucket & found
+                if found is None:
+                    found = self._triples
+                if not fresh:
+                    # Every position is fixed: at most one candidate.
+                    if found:
+                        new.append(binding)
+                    continue
+                for triple in found:
+                    if repeats and any(triple[i] != triple[j] for i, j in repeats):
+                        continue
+                    extended = binding.copy()
+                    for name, i in fresh.items():
+                        extended[name] = triple[i]
+                    new.append(extended)
+            solutions = new
+            if not solutions:
+                break
+        return solutions
+
+    def _join_order(self, patterns: list[tuple]) -> list[tuple]:
+        """The greedy join order described in `query`, of encoded patterns."""
         pending = []
         for pattern in patterns:
             s, p, o = pattern
@@ -318,28 +404,3 @@ class Graph:
             bound |= best[1]
             order.append(best[2])
         return order
-
-    @staticmethod
-    def _extend(
-        binding: dict[str, Node],
-        triple: Triple,
-        fresh: dict[str, int],
-        repeats: list[tuple[int, int]],
-    ) -> Optional[dict[str, Node]]:
-        """`binding` extended by a candidate triple, or None if it fails.
-
-        The candidate came from `_lookup` with the pattern's constants and
-        bound variables filled in, so only a variable repeated within the
-        pattern is left to check; the binding is copied only after that
-        check passes, and not at all when the pattern binds nothing new.
-        """
-        if not fresh:
-            return binding
-        values = (triple.subject, triple.predicate, triple.object)
-        for i, j in repeats:
-            if values[i] != values[j]:
-                return None
-        out = dict(binding)
-        for name, i in fresh.items():
-            out[name] = values[i]
-        return out

@@ -88,15 +88,16 @@ def export_turtle(g: Graph) -> str:
         "@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())
     ]
     lines.append("")
-    triples = g.triples()
-    # Each distinct term is formatted once.  `term_key` is one total order
-    # over all terms, so sorting by term ranks is sorting by `Triple.key`.
-    terms = sorted({x for t in triples for x in (t.subject, t.predicate, t.object)},
-                   key=term_key)
-    rank = {x: i for i, x in enumerate(terms)}
-    text = [_format_term(x) for x in terms]
-    for s, p, o in sorted([(rank[t.subject], rank[t.predicate], rank[t.object])
-                           for t in triples]):
+    # The graph's term ids are ranked through a list indexed by id, and each
+    # term is formatted once.  `term_key` is one total order over all terms,
+    # so sorting by term ranks is sorting by `Triple.key`.
+    terms = g._terms
+    order = sorted(range(len(terms)), key=lambda i: term_key(terms[i]))
+    rank = [0] * len(terms)
+    for r, i in enumerate(order):
+        rank[i] = r
+    text = [_format_term(terms[i]) for i in order]
+    for s, p, o in sorted([(rank[s], rank[p], rank[o]) for s, p, o in g._triples]):
         lines.append("{} {} {} .".format(text[s], text[p], text[o]))
     return "\n".join(lines) + "\n"
 
@@ -178,21 +179,25 @@ def _import_lines(text: str) -> Optional[Graph]:
     text, which `_import_tokens` then parses.  Accepts only text that
     `_import_tokens` reads to the same graph."""
     g = Graph()
+    intern = g._intern
     prefixes: dict[str, str] = {}
-    # Terms by their text; a prefix declared again clears both tables.
-    iris: dict[str, Iri] = {}
-    literals: dict[tuple, TypedLiteral] = {}
+    # Term ids by the term's text; a prefix declared again clears both
+    # tables, since its names now mean other IRIs.
+    iris: dict[str, int] = {}
+    literals: dict[tuple, int] = {}
+    keys = []
 
-    def iri(name: str) -> Optional[Iri]:
+    def resolve(name: str) -> Optional[Iri]:
         if name[0] == "<":
-            found = Iri(name[1:-1])
-        else:
-            prefix, _, local = name.partition(":")
-            ns = prefixes.get(prefix)
-            if ns is None:
-                return None
-            found = Iri(ns + local)
-        iris[name] = found
+            return Iri(name[1:-1])
+        prefix, _, local = name.partition(":")
+        ns = prefixes.get(prefix)
+        return None if ns is None else Iri(ns + local)
+
+    def iri(name: str) -> Optional[int]:
+        found = resolve(name)
+        if found is not None:
+            found = iris[name] = intern(found)
         return found
 
     # Compiled on first use and then taken from re's cache, so that a CLI
@@ -212,20 +217,28 @@ def _import_lines(text: str) -> Optional[Graph]:
                     literals.clear()
                 prefixes[prefix] = ns
             continue
-        subject = iris.get(s) or iri(s)
-        predicate = iris.get(p) or iri(p)
+        subject = iris.get(s)
+        if subject is None:
+            subject = iri(s)
+        predicate = iris.get(p)
+        if predicate is None:
+            predicate = iri(p)
         if o is not None:
-            obj = iris.get(o) or iri(o)
+            obj = iris.get(o)
+            if obj is None:
+                obj = iri(o)
         else:
             obj = literals.get((lexical, dt))
             if obj is None:
-                datatype = XSD_STRING if dt is None else iris.get(dt) or iri(dt)
+                datatype = XSD_STRING if dt is None else resolve(dt)
                 if datatype is None:
                     return None
-                obj = literals[lexical, dt] = TypedLiteral(_unescape(lexical[1:-1]), datatype)
+                obj = literals[lexical, dt] = intern(
+                    TypedLiteral(_unescape(lexical[1:-1]), datatype))
         if subject is None or predicate is None or obj is None:
             return None
-        g.add(Triple(subject, predicate, obj))
+        keys.append((subject, predicate, obj))
+    g._add_keys(keys)
     return g
 
 

@@ -1,10 +1,14 @@
 """Reference semantics that only the tests use: state-space enumeration, goal
-checks, the plan text writer and grounding by substitution.  They share no
-code with `plankb.semantics` beyond `applicable` and `apply_action`, so the
-grounder and the search are checked against an independent construction."""
+checks, the plan text writer, grounding by substitution and a triple-by-triple
+Turtle writer.  They share no code with `plankb.semantics` beyond `applicable`
+and `apply_action`, so the grounder and the search are checked against an
+independent construction.  The Turtle writer shares only the term formatting
+of `plankb.kg.turtle`, so it checks the exporter's order, not its escaping."""
 
 import itertools
 
+from plankb.kg.store import Triple
+from plankb.kg.turtle import PREFIXES, _format_term
 from plankb.semantics import GroundAction, applicable, apply_action
 
 ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
@@ -91,3 +95,15 @@ def assert_same_grounding(actual, expected):
     for a, b in zip(actual, expected):
         for field in ATOM_SETS:
             assert list(getattr(a, field)) == list(getattr(b, field))
+
+
+def reference_export(g):
+    """The Turtle text `export_turtle` must write: the prefix lines, a blank
+    line, then the graph's triples sorted by `Triple.key`, each term
+    formatted where it occurs."""
+    lines = ["@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())]
+    lines.append("")
+    for t in sorted(g.triples(), key=Triple.key):
+        lines.append("{} {} {} .".format(
+            _format_term(t.subject), _format_term(t.predicate), _format_term(t.object)))
+    return "\n".join(lines) + "\n"

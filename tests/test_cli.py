@@ -271,6 +271,11 @@ REVERSED_PLAN = "\n".join(reversed(BW_PLAN.splitlines())) + "\n"
       "-o", "out.pddl"], {"m.json": macro_report([0, 0, 1], frequency=-2)}, 1),
     (["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "plans", "-o", "out.ttl"],
      {"plans/bw-p01.bfs.plan": "(fly a)\n"}, 1),
+    (["query", "bw.ttl", "--id", "C1", "--arg", "domain=nosuch"], {}, 2),
+    (["query", "bw.ttl", "--id", "C2", "--arg", "planner=x", "--arg", "domain=y",
+      "--arg", "extra=z"], {}, 2),
+    (["query", "bw.ttl", "--id", "C3", "--arg", "domain=blocksworld",
+      "--arg", "domain=gripper"], {}, 2),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):

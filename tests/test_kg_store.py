@@ -1,7 +1,5 @@
 """Triple store indexes and the basic-graph-pattern query engine."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,14 +78,11 @@ FAMILY = [
 ]
 
 
-def test_add_discard_len():
+def test_add_len():
     g = Graph(FAMILY)
     assert len(g) == 6
     g.add(FAMILY[0])
     assert len(g) == 6
-    g.discard(FAMILY[0])
-    assert len(g) == 5
-    assert FAMILY[0] not in g
 
 
 def test_match_by_each_position():
@@ -168,19 +163,6 @@ def test_two_pattern_join_matches_oracle(triples):
     assert g.query(patterns) == oracle_query(data, patterns)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_triples, max_size=25), st.lists(_triples, max_size=5))
-def test_indexes_survive_discards(triples, removals):
-    g = Graph(triples)
-    for r in removals:
-        g.discard(r)
-    remaining = set(triples) - set(removals)
-    assert g.triples() == frozenset(remaining)
-    for s, p in itertools.product(["a", "b", "c", "d"], ["p", "q"]):
-        expect = {x for x in remaining if x.subject == iri(s) and x.predicate == iri(p)}
-        assert g.match(s=iri(s), p=iri(p)) == expect
-
-
 def test_malformed_pattern_rejected_before_any_join():
     # The first pattern matches nothing; the second is still checked.
     with pytest.raises(ValueError, match="pattern must be a"):
@@ -222,3 +204,80 @@ def test_query_matches_nested_loop_oracle(triples, patterns, select, distinct):
     assert g.query(patterns, select=select, distinct=distinct) == oracle_query(
         data, patterns, select=select, distinct=distinct
     )
+
+
+# --- the encoded store against a plain set of triples ------------------------
+
+# Each draw builds new term objects, so equal terms reach the store as
+# distinct objects.  A name gives an IRI and a literal with the same text,
+# and one IRI can be subject, predicate and object; "z" is never stored, so
+# every probe position can hold a term the graph lacks.
+
+
+def _node(kind, name):
+    if kind == "iri":
+        return iri(name)
+    return TypedLiteral(EX + name, Iri(XSD_NS + "string"))
+
+
+_model_iris = st.builds(iri, st.sampled_from("abcd"))
+_model_nodes = st.builds(_node, st.sampled_from(["iri", "literal"]), st.sampled_from("abcde"))
+_model_triples = st.builds(Triple, _model_iris, _model_iris, _model_nodes)
+_model_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _model_triples),
+        st.tuples(st.just("update"), st.lists(_model_triples, max_size=6)),
+    ),
+    max_size=12,
+)
+_ABSENT_IRI = iri("z")
+_ABSENT_LITERAL = _node("literal", "z")
+
+
+def _probes(model):
+    """Each stored triple, and each with one position replaced by a term the
+    graph lacks, all rebuilt from new term objects."""
+    out = [Triple(_ABSENT_IRI, _ABSENT_IRI, _ABSENT_LITERAL)]
+    for t in model:
+        s, p, o = (Iri(t.subject.value), Iri(t.predicate.value),
+                   Iri(t.object.value) if isinstance(t.object, Iri)
+                   else TypedLiteral(t.object.lexical, t.object.datatype))
+        out += [Triple(s, p, o), Triple(_ABSENT_IRI, p, o), Triple(s, _ABSENT_IRI, o),
+                Triple(s, p, _ABSENT_IRI), Triple(s, p, _ABSENT_LITERAL)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_model_ops)
+def test_encoded_graph_matches_a_set_of_triples(ops):
+    g = Graph()
+    model: set[Triple] = set()
+    for op, arg in ops:
+        if op == "add":
+            assert g.add(arg) is g
+            model.add(arg)
+        else:
+            assert g.update(iter(arg)) is g
+            model.update(arg)
+        assert len(g) == len(model)
+    assert g.triples() == frozenset(model)
+    assert set(iter(g)) == model
+    for probe in _probes(model):
+        assert (probe in g) == (probe in model)
+        values = (probe.subject, probe.predicate, probe.object)
+        for mask in range(8):
+            given_ = [v if mask >> i & 1 else None for i, v in enumerate(values)]
+            expect = {t for t in model
+                      if all(v is None or v == w for v, w in
+                             zip(given_, (t.subject, t.predicate, t.object)))}
+            assert g.match(*given_) == expect
+        s, p, o = values
+        assert g.subjects_of_type(o, p) == sorted(
+            {t.subject for t in model if t.predicate == p and t.object == o}, key=term_key)
+        assert g.objects(s, p) == sorted(
+            [t.object for t in model if t.subject == s and t.predicate == p], key=term_key)
+    # A non-Triple is never in the graph, even a tuple of stored terms or
+    # of ids, or a term's text.
+    t = next(iter(model), FAMILY[0])
+    for other in [(0, 0, 0), (0, 1, 2), (t.subject, t.predicate, t.object), None, EX + "a"]:
+        assert other not in g
