@@ -38,12 +38,14 @@ from .macros import (
 from .mapper import (
     COMPETENCY_QUERIES,
     MappingError,
+    NotUtf8,
     UnknownDomain,
     UnknownQueryId,
     build_graph,
     domain_iri,
     load_plans,
     map_ipc_results,
+    read_input,
     run_competency,
 )
 from .pddl.ast import PddlError
@@ -64,6 +66,7 @@ DOMAIN_ERRORS = (
     PddlError,
     TurtleSyntaxError,
     MappingError,
+    NotUtf8,
     UnknownDomain,
     UnknownQueryId,
     MacroReportError,
@@ -99,7 +102,7 @@ def _input_dir(path: str) -> Path:
 
 
 def _load_graph(path: str) -> Graph:
-    return import_turtle(_resolve(path).read_text())
+    return import_turtle(read_input(_resolve(path)))
 
 
 def _save_graph(g: Graph, path: str) -> None:
@@ -118,20 +121,20 @@ def _term_str(term) -> str:
 
 
 def cmd_parse(args) -> int:
-    domain = parse_domain(_resolve(args.domain).read_text())
+    domain = parse_domain(read_input(_resolve(args.domain)))
     issues = validate_domain(domain)
     for issue in issues:
         print("issue: {}".format(issue), file=sys.stderr)
     sys.stdout.write(print_domain(domain))
     if args.problem:
-        problem = parse_problem(_resolve(args.problem).read_text(), domain)
+        problem = parse_problem(read_input(_resolve(args.problem)), domain)
         sys.stdout.write(print_problem(problem))
     return 1 if issues else 0
 
 
 def cmd_build_kg(args) -> int:
-    domain = parse_domain(_resolve(args.domain).read_text())
-    problems = [parse_problem(_resolve(p).read_text(), domain) for p in args.problems]
+    domain = parse_domain(read_input(_resolve(args.domain)))
+    problems = [parse_problem(read_input(_resolve(p)), domain) for p in args.problems]
     plan_paths = sorted(_input_dir(args.plans).glob("*.plan")) if args.plans else []
     entries, skipped = load_plans(domain, problems, plan_paths)
     for message in skipped:
@@ -172,9 +175,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_ingest_ipc(args) -> int:
-    rows = read_ipc_csv(_resolve(args.csv).read_text())
+    rows = read_ipc_csv(read_input(_resolve(args.csv)))
     out = _resolve(args.output)
-    g = import_turtle(out.read_text()) if out.exists() else Graph()
+    g = import_turtle(read_input(out)) if out.exists() else Graph()
     g.update(map_ipc_results(rows, planner_type=args.planner_type))
     _save_graph(g, args.output)
     print("ingested {} records; {} triples in {}".format(len(rows), len(g), args.output))
@@ -194,7 +197,7 @@ def cmd_select_planner(args) -> int:
 
 def _load_macros(domain, path: str) -> list[MacroSchema]:
     """The chainable pairs of a mine-macros JSON report, composed."""
-    pairs = load_report(_resolve(path).read_text(), path)
+    pairs = load_report(read_input(_resolve(path)), path)
     return [compose(domain, p) for p in pairs if chain_filter(domain, p)]
 
 
@@ -204,7 +207,7 @@ def cmd_mine_macros(args) -> int:
     g = _load_graph(args.graph)
     pairs = mine_pairs(g, domain_iri(args.domain))
     if args.domain_file:
-        domain = parse_domain(_resolve(args.domain_file).read_text())
+        domain = parse_domain(read_input(_resolve(args.domain_file)))
         pairs = [p for p in pairs if chain_filter(domain, p)]
         if args.store:
             store_macros(
@@ -220,7 +223,7 @@ def cmd_mine_macros(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    domain = parse_domain(_resolve(args.domain).read_text())
+    domain = parse_domain(read_input(_resolve(args.domain)))
     macros = _load_macros(domain, args.macros)
     augmented = augment_domain(domain, macros, args.k)
     out = _resolve(args.output)
@@ -230,11 +233,11 @@ def cmd_augment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    domain = parse_domain(_resolve(args.domain).read_text())
+    domain = parse_domain(read_input(_resolve(args.domain)))
     problem_dir = _input_dir(args.problems)
     problems = []
     for path in sorted(problem_dir.glob("*.pddl")):
-        text = path.read_text()
+        text = read_input(path)
         # Problem directories may mix domains; keep only files whose
         # :domain declaration matches.
         m = re.search(r"\(\s*:domain\s+([^\s()]+)\s*\)", text, re.IGNORECASE)
@@ -261,8 +264,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    domain = parse_domain(_resolve(args.domain).read_text())
-    problem = parse_problem(_resolve(args.problem).read_text(), domain)
+    domain = parse_domain(read_input(_resolve(args.domain)))
+    problem = parse_problem(read_input(_resolve(args.problem)), domain)
     cfg = SearchConfig(
         algorithm=args.algo,
         heuristic=args.heuristic,

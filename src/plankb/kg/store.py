@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 
@@ -10,25 +10,18 @@ class VariableInData(Exception):
     pass
 
 
-# Iri, TypedLiteral and Triple are slotted and hash once: the hash is cached
-# in __post_init__ and equals the generated hash((field, ...)), so set and
-# dict iteration order (and every output) is the same as without the cache.
-# __reduce__ rebuilds through __init__, since a pickled hash is stale in
-# another process.
+# Iri, TypedLiteral and Triple are frozen and slotted.  Their __reduce__
+# makes copy and pickle rebuild through __init__: on Python 3.10 the default
+# state restore sets each slot and a frozen dataclass refuses that.
 
 
 @dataclass(frozen=True, slots=True)
 class Iri:
     value: str
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        object.__setattr__(self, "_hash", hash((self.value,)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return Iri, (self.value,)
@@ -41,13 +34,6 @@ class Iri:
 class TypedLiteral:
     lexical: str
     datatype: Iri
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.lexical, self.datatype)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return TypedLiteral, (self.lexical, self.datatype)
@@ -80,18 +66,11 @@ class Triple:
     subject: Iri
     predicate: Iri
     object: Node
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.subject, Variable) or isinstance(self.predicate, Variable) \
                 or isinstance(self.object, Variable):
             raise VariableInData("stored triples must not contain variables")
-        object.__setattr__(
-            self, "_hash", hash((self.subject, self.predicate, self.object))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         return Triple, (self.subject, self.predicate, self.object)
@@ -314,14 +293,6 @@ class Graph:
         columns = sorted(range(len(variables)), key=variables.__getitem__)
         rows.sort(key=lambda row: [rank[row[j]] for j in columns])
         return [dict(zip(variables, [terms[i] for i in row])) for row in rows]
-
-    def count(self, patterns: list[Pattern], var: Optional[str] = None,
-              distinct: bool = True) -> int:
-        """COUNT aggregation over a BGP, optionally of one variable."""
-        rows = self.query(
-            patterns, select=[var] if var else None, distinct=distinct and var is not None
-        )
-        return len(rows)
 
     def _join(self, patterns: list[tuple]) -> list[dict[str, int]]:
         """The solutions of patterns whose constants are ids, as maps from

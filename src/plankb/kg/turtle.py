@@ -22,9 +22,12 @@ PREFIXES = {
 # A local name that ends in '.' is not a Turtle PN_LOCAL; such IRIs are
 # written in full.
 _SAFE_LOCAL = re.compile(r"^[A-Za-z_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
-# What the tokenizer reads between '<' and '>', less the control characters
-# Turtle's IRIREF excludes.
-_IRIREF_BODY = re.compile(r'[^\x00-\x20<>"{}|^`\\\s]+')
+# One character of an IRI between '<' and '>': what Turtle's IRIREF allows
+# there (no control character or space), less any other white space.  The
+# tokenizer, the line reader and the writer all use it, so every IRI the
+# reader takes, the writer can write.
+_IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\\s]'
+_IRIREF_BODY = re.compile(_IRI_CHAR + "+")
 
 
 class TurtleSyntaxError(Exception):
@@ -109,7 +112,7 @@ _TOKEN = re.compile(
     (?P<ws>[ \t]+)
   | (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
-  | (?P<iriref><[^<>"{}|^`\\\s]*>)
+  | (?P<iriref><""" + _IRI_CHAR + r"""*>)
   | (?P<literal>"(?:[^"\\\n]|\\.)*")
   | (?P<dcaret>\^\^)
   | (?P<dot>\.(?=\s|$))
@@ -143,20 +146,13 @@ def _tokenize(text: str):
     yield "eof", "", line, col
 
 
-def _resolve_pname(pname: str, prefixes: dict[str, str], line: int, col: int) -> Iri:
-    prefix, _, local = pname.partition(":")
-    if prefix not in prefixes:
-        raise TurtleSyntaxError("undeclared prefix '{}'".format(prefix), line, col)
-    return Iri(prefixes[prefix] + local)
-
-
 # One line of the exporter's layout: a blank line, an @prefix declaration,
 # or a triple whose terms are separated by blanks.  Each name must be
 # followed by a blank, so the regex cannot end a name earlier than the
 # tokenizer does.
-_IRI = r'<[^<>"{}|^`\\\s]+>|[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z_][A-Za-z0-9_.-]*'
+_IRI = '<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z_][A-Za-z0-9_.-]*'
 _STATEMENT = (
-    r'(?:@prefix[ \t]+([A-Za-z_][A-Za-z0-9_.-]*):[ \t]+<([^<>"{}|^`\\\s]*)>'
+    r'(?:@prefix[ \t]+([A-Za-z_][A-Za-z0-9_.-]*):[ \t]+<(' + _IRI_CHAR + r'*)>'
     r'|(' + _IRI + r')[ \t]+(' + _IRI + r')[ \t]+'
     r'(?:(' + _IRI + r')|("(?:[^"\\\n]|\\.)*")(?:\^\^(' + _IRI + r'))?))'
     r'[ \t]+\.[ \t]*(?:\n|\Z)'
@@ -245,22 +241,21 @@ def _import_lines(text: str) -> Optional[Graph]:
 def _import_tokens(text: str) -> Graph:
     g = Graph()
     prefixes: dict[str, str] = {}
-    # Each IRI or prefixed-name token is resolved once per call; a prefix
-    # declared again clears the table, since its names now mean other IRIs.
-    iris: dict[str, Iri] = {}
     rdf_type = Iri(RDF_NS + "type")
     tokens = list(_tokenize(text))
     i = 0
 
     def iri(kind: str, value: str, line: int, col: int) -> Iri:
-        found = iris.get(value)
-        if found is None:
-            if kind == "iriref":
-                found = Iri(value[1:-1])
-            else:
-                found = _resolve_pname(value, prefixes, line, col)
-            iris[value] = found
-        return found
+        if kind == "iriref":
+            full = value[1:-1]
+        else:
+            prefix, _, local = value.partition(":")
+            if prefix not in prefixes:
+                raise TurtleSyntaxError("undeclared prefix '{}'".format(prefix), line, col)
+            full = prefixes[prefix] + local
+        if not full:
+            raise TurtleSyntaxError("empty IRI", line, col)
+        return Iri(full)
 
     def term_at(j: int) -> tuple[Node, int]:
         kind, value, line, col = tokens[j]
@@ -284,8 +279,6 @@ def _import_tokens(text: str) -> Graph:
             if tokens[i + 1][0] != "pname" or tokens[i + 2][0] != "iriref":
                 raise TurtleSyntaxError("malformed @prefix declaration", line, col)
             prefix = tokens[i + 1][1].rstrip(":")
-            if prefix in prefixes:
-                iris.clear()
             prefixes[prefix] = tokens[i + 2][1][1:-1]
             if tokens[i + 3][0] != "dot":
                 raise TurtleSyntaxError("expected '.' after @prefix", line, col)

@@ -50,18 +50,6 @@ class LiftedPair:
     first_arity: int
     frequency: int = 1
 
-    @property
-    def unifier(self) -> dict[int, int]:
-        """Slots of the second action bound to slots of the first."""
-        first_slot_of: dict[int, int] = {}
-        for i, vid in enumerate(self.pattern[: self.first_arity]):
-            first_slot_of.setdefault(vid, i)
-        return {
-            j: first_slot_of[vid]
-            for j, vid in enumerate(self.pattern[self.first_arity:])
-            if vid in first_slot_of
-        }
-
     def with_frequency(self, n: int) -> "LiftedPair":
         return LiftedPair(self.first, self.second, self.pattern, self.first_arity, n)
 

@@ -28,6 +28,10 @@ class MappingError(Exception):
     pass
 
 
+class NotUtf8(Exception):
+    """An input file whose bytes are not UTF-8 text."""
+
+
 class UnknownDomain(Exception):
     pass
 
@@ -394,6 +398,15 @@ def run_competency(g: Graph, qid: str, args: Optional[dict[str, str]] = None):
 # --- bundles ---------------------------------------------------------------
 
 
+def read_input(path: Path) -> str:
+    """The text of an input file, decoded as UTF-8.  Raises NotUtf8, naming
+    the file, on bytes that are not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUtf8("{}: not UTF-8 text ({})".format(path, exc)) from exc
+
+
 @dataclass(frozen=True)
 class PlanEntry:
     problem: str
@@ -427,7 +440,7 @@ def load_plans(
             )
             continue
         try:
-            plan = resolve_plan(d, problem, path.read_text())
+            plan = resolve_plan(d, problem, read_input(path))
         except PlanParseError as exc:
             raise MappingError("{}: {}".format(path, exc)) from exc
         report = validate_plan(d, problem, plan)

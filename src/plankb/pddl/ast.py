@@ -6,7 +6,7 @@ case-insensitive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -41,24 +41,14 @@ class PredicateSchema:
 
 @dataclass(frozen=True, slots=True)
 class Atom:
-    """Predicate applied to terms; variables start with '?'.
-
-    The hash is computed once, equal to the generated ``hash((predicate,
-    args))``, so sets of atoms iterate in the same order as without the cache.
-    """
+    """Predicate applied to terms; variables start with '?'."""
 
     predicate: str
     args: tuple[str, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
-        # Rebuild through __init__: a pickled hash is stale in another process.
+        # Copy and pickle rebuild through __init__: on Python 3.10 the default
+        # state restore sets each slot and a frozen dataclass refuses that.
         return Atom, (self.predicate, self.args)
 
     def substitute(self, binding: dict[str, str]) -> "Atom":

@@ -46,10 +46,9 @@ class GroundAction:
 
     Equality, hash and repr cover the seven constructor fields.  An action
     that `ground`, `resolve_plan` or `Template.action` makes is lazy: it
-    holds its objects, its compiled template and the atom table of the call
-    that made it, and builds `binding` on its first read and the four atom
-    sets on the first read of any of them.  Reading `schema`, `binding`,
-    `objects`, `name` or `cost` builds no atom.
+    holds its objects and its compiled template, and builds `binding` on its
+    first read and the four atom sets on the first read of any of them.
+    Reading `schema`, `binding`, `objects`, `name` or `cost` builds no atom.
     """
 
     schema: str
@@ -60,8 +59,8 @@ class GroundAction:
     delete: frozenset[GroundAtom]
     cost: int = 1
     _objects: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # A lazy action's (template, atom caches, atom table); None otherwise.
-    _source: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # A lazy action's template; None otherwise.
+    _source: Optional[Template] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_objects", tuple([o for _, o in self.binding]))
@@ -74,14 +73,14 @@ class GroundAction:
             raise AttributeError(
                 "'GroundAction' object has no attribute '{}'".format(name))
         if name == "binding":
-            object.__setattr__(self, name, tuple(zip(source[0].variables, self._objects)))
+            object.__setattr__(self, name, tuple(zip(source.variables, self._objects)))
         else:
-            for field_name, atoms in zip(_ATOM_SETS, _atom_sets(*source, self._objects)):
+            for field_name, atoms in zip(_ATOM_SETS, _atom_sets(source, self._objects)):
                 object.__setattr__(self, field_name, atoms)
         return object.__getattribute__(self, name)
 
     def __reduce__(self):
-        # Rebuild from the seven fields, so a copy holds no atom table.
+        # Rebuild from the seven fields, so a copy is an eager action.
         return GroundAction, (
             self.schema, self.binding, self.pre_pos, self.pre_neg,
             self.add, self.delete, self.cost,
@@ -124,26 +123,19 @@ class ValidationReport:
 #
 # A schema is compiled into a Template once per schema object: each literal
 # argument becomes the position of its parameter in a binding combo (an int)
-# or stays a constant (a str).  A template atom is (predicate, spec, key),
-# where key maps a combo to the values of the parameters the atom uses; spec
-# is None when that key is already the args tuple (two or more parameters,
-# no constant).  `groundings` enumerates each template's combos, equality
-# already filtered; `bench.compile_task` reads the templates straight into
-# bitmasks, and `ground`, `resolve_plan` and `Template.action` make lazy
-# GroundActions (`_lazy_action`).  A lazy action holds its combo and a source
-# shared by every action of its template in one call: the template, one atom
-# cache per template atom, and an atom table keyed by (predicate, args)
-# shared by the whole call.  Its four sets are built together on the first
-# read of any (`_atom_sets`), each atom looked up in its cache under
-# key(combo) and on a miss in the table, so every distinct ground atom is
-# built and hashed once per call whichever actions are read, in whatever
-# order, and the sets iterate as an eager construction's do.
+# or stays a constant (a str).  A template atom is (predicate, spec, key):
+# when the atom's arguments are two or more parameters and no constant, spec
+# is None and key maps a combo straight to the args tuple; otherwise spec
+# holds the arguments and key is None.  `groundings` enumerates each
+# template's combos, equality already filtered; `bench.compile_task` reads
+# the templates straight into bitmasks, and `ground`, `resolve_plan` and
+# `Template.action` make lazy GroundActions (`_lazy_action`) that hold their
+# template and combo.  Only the actions whose sets are read, such as plan
+# steps, build atoms: all four sets on the first read of any (`_atom_sets`),
+# one Atom per template atom, so the sets iterate as an eager
+# construction's do.
 
 _TemplateAtom = tuple  # (predicate, spec, key)
-
-
-def _no_parameters(combo: tuple) -> tuple:
-    return ()
 
 
 @dataclass(frozen=True)
@@ -166,7 +158,7 @@ class Template:
     def action(self, combo: tuple) -> GroundAction:
         """The ground action of one admitted combo, equal to the one `ground`
         builds for it."""
-        return _lazy_action((self, [{} for _ in self.atoms], {}), combo)
+        return _lazy_action(self, combo)
 
 
 def _compile(schema: ActionSchema) -> Template:
@@ -182,10 +174,9 @@ def _compile(schema: ActionSchema) -> Template:
 
     def template(atom: Atom) -> _TemplateAtom:
         sp = spec(atom)
-        used = [x for x in sp if type(x) is int]
-        if not used:
-            return atom.predicate, sp, _no_parameters
-        return atom.predicate, None if len(used) == len(sp) > 1 else sp, itemgetter(*used)
+        if len(sp) > 1 and all(type(x) is int for x in sp):
+            return atom.predicate, None, itemgetter(*sp)
+        return atom.predicate, sp, None
 
     equalities, pos, neg = [], [], []
     for lit in schema.precondition:
@@ -227,22 +218,13 @@ def _template(schema: ActionSchema) -> Template:
     return t
 
 
-def _atom_sets(t: Template, caches: list[dict], table: dict, combo: tuple) -> tuple:
+def _atom_sets(t: Template, combo: tuple) -> tuple:
     """The (pre_pos, pre_neg, add, delete) sets of one combo of a template."""
-    atoms = []
-    for (predicate, spec, key), cache in zip(t.atoms, caches):
-        k = key(combo)
-        atom = cache.get(k)
-        if atom is None:
-            if spec is None:
-                args = k
-            else:
-                args = tuple(combo[x] if type(x) is int else x for x in spec)
-            atom = table.get((predicate, args))
-            if atom is None:
-                atom = table[predicate, args] = Atom(predicate, args)
-            cache[k] = atom
-        atoms.append(atom)
+    atoms = [
+        Atom(predicate, key(combo) if spec is None
+             else tuple([combo[x] if type(x) is int else x for x in spec]))
+        for predicate, spec, key in t.atoms
+    ]
     i, j, n = t.ends
     add = frozenset(atoms[j:n])
     # frozenset(set(x)) can lay out its table unlike frozenset(x); the
@@ -255,16 +237,14 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _lazy_action(source: tuple, combo: tuple) -> GroundAction:
-    """The ground action of an admitted combo of source's template, its
-    binding and atom sets left unbuilt; source is (template, one atom cache
-    per template atom, atom table), shared by every action of that template
-    in one call."""
+def _lazy_action(t: Template, combo: tuple) -> GroundAction:
+    """The ground action of an admitted combo of a template, its binding and
+    atom sets left unbuilt."""
     a = _new(GroundAction)
-    _set(a, "schema", source[0].name)
+    _set(a, "schema", t.name)
     _set(a, "_objects", combo)
     _set(a, "cost", 1)
-    _set(a, "_source", source)
+    _set(a, "_source", t)
     return a
 
 
@@ -306,11 +286,9 @@ def ground(d: DomainDef, p: ProblemDef) -> list[GroundAction]:
 
     Raises RepeatedParameter for a schema that declares a parameter twice.
     """
-    table: dict = {}
     actions: list[GroundAction] = []
     for t, combos in groundings(d, p):
-        source = (t, [{} for _ in t.atoms], table)
-        actions.extend([_lazy_action(source, combo) for combo in combos])
+        actions.extend([_lazy_action(t, combo) for combo in combos])
     return actions
 
 
@@ -398,22 +376,19 @@ def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
     types: dict[str, list[str]] = {}
     for o, otype in list(d.constants) + list(p.objects):
         types.setdefault(o, []).append(otype)
-    table: dict = {}
     by_name: dict[str, list] = {}
     for schema in d.actions:
-        t = _template(schema)
-        source = (t, [{} for _ in t.atoms], table)
-        by_name.setdefault(schema.name, []).insert(0, (schema, source))
+        by_name.setdefault(schema.name, []).insert(0, (schema, _template(schema)))
 
     def step(name: str, objects: tuple[str, ...]) -> Optional[GroundAction]:
-        for schema, source in by_name.get(name, ()):
+        for schema, t in by_name.get(name, ()):
             if len(objects) != len(schema.params) or not all(
                 any(d.is_subtype(otype, ptype) for otype in types.get(o, ()))
                 for o, (_, ptype) in zip(objects, schema.params)
             ):
                 continue
-            if source[0].admits(objects):
-                return _lazy_action(source, objects)
+            if t.admits(objects):
+                return _lazy_action(t, objects)
         return None
 
     steps: list[GroundAction] = []

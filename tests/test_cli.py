@@ -209,6 +209,7 @@ STACK = BW_TEXT[BW_TEXT.index("(:action stack"):BW_TEXT.index("(:action unstack"
 REPEATED_PARAMETER = BW_TEXT.replace(STACK, STACK.replace("?y", "?x"))  # (?x ?x)
 BW_PLAN = (bundles.data_dir() / "plans" / "blocksworld" / "bw-p01.bfs.plan").read_text()
 REVERSED_PLAN = "\n".join(reversed(BW_PLAN.splitlines())) + "\n"
+EX = "http://example.org/"
 
 
 @pytest.mark.parametrize("argv,files,code", [
@@ -276,12 +277,24 @@ REVERSED_PLAN = "\n".join(reversed(BW_PLAN.splitlines())) + "\n"
       "--arg", "extra=z"], {}, 2),
     (["query", "bw.ttl", "--id", "C3", "--arg", "domain=blocksworld",
       "--arg", "domain=gripper"], {}, 2),
+    (["query", "g.ttl", "--id", "C1"], {"g.ttl": "<> <{0}p> <{0}o> .\n".format(EX)}, 1),
+    (["query", "g.ttl", "--id", "C1"],
+     {"g.ttl": "@prefix p: <> .\np: <{0}p> <{0}o> .\n".format(EX)}, 1),
+    (["ingest-ipc", data("ipc2011.csv"), "-o", "g.ttl"],
+     {"g.ttl": "<{0}\x01> <{0}p> <{0}o> .\n".format(EX)}, 1),
+    (["parse", "d.pddl"], {"d.pddl": b"(define (domain \xff))"}, 1),
+    (["query", "g.ttl", "--id", "C1"], {"g.ttl": b"<http://example.org/\xff> <a> <b> ."}, 1),
+    (["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "plans", "-o", "out.ttl"],
+     {"plans/bw-p01.bfs.plan": b"(pick-up \xff)\n"}, 1),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):
     for name, text in files.items():
         (workspace / name).parent.mkdir(parents=True, exist_ok=True)
-        (workspace / name).write_text(text)
+        if isinstance(text, bytes):
+            (workspace / name).write_bytes(text)
+        else:
+            (workspace / name).write_text(text)
     try:
         rc = main(argv)
     except SystemExit as exc:

@@ -126,12 +126,6 @@ def test_distinct_deduplicates_projection():
     assert [r["s"] for r in rows] == [iri("alice"), iri("bob"), iri("carol")]
 
 
-def test_count():
-    g = Graph(FAMILY)
-    assert g.count([(Variable("s"), iri("parent"), Variable("o"))], var="s") == 3
-    assert g.count([(Variable("s"), iri("parent"), Variable("o"))]) == 4
-
-
 def test_empty_pattern_list_rejected():
     with pytest.raises(ValueError):
         Graph(FAMILY).query([])

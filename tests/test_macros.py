@@ -41,10 +41,9 @@ def test_lift_pair_canonical_first_occurrence():
     assert lift_pair("unstack", ("x", "y"), "put-down", ("x",)) == p
 
 
-def test_lift_pair_unifier():
+def test_lift_pair_shares_ids_across_the_pair():
     p = lift_pair("pick-up", ("b",), "stack", ("b", "c"))
-    assert p.pattern == (0, 0, 1)
-    assert p.unifier == {0: 0}  # stack's first slot bound to pick-up's slot 0
+    assert p.pattern == (0, 0, 1)  # stack's first slot holds pick-up's object
 
 
 # --- mining against the sliding-window oracle -------------------------------

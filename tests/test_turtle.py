@@ -282,3 +282,47 @@ def test_export_matches_triple_by_triple_writer(triples):
 
 def test_export_matches_triple_by_triple_writer_on_bundled_graph(bw_graph):
     assert export_turtle(bw_graph) == reference_export(bw_graph)
+
+
+# --- whatever the reader takes, the writer can write -------------------------
+
+# IRI bodies, local names and literal text, some with one character from
+# the full range added: a control character, white space, a quote or a
+# backslash is more likely than the rest.  Any of them may be empty.
+_ODD_CHARACTERS = st.sampled_from(list('\x00\x01\x1f\x7f\x85\xa0 \t\r\n"\\<>')) | st.characters()
+
+
+def _with_any_character(plain):
+    """Three plain texts to one with an odd character."""
+    odd = st.builds("{}{}{}".format, plain, _ODD_CHARACTERS, plain)
+    return st.one_of(plain, plain, plain, odd)
+
+
+_ANY_TEXT = _with_any_character(st.text(st.sampled_from(list("abZ09_-.é/:#")), max_size=5))
+_ANY_LOCAL = _with_any_character(st.from_regex(r"([A-Za-z_][A-Za-z0-9_.-]{0,3})?", fullmatch=True))
+_PREFIX_NAMES = st.sampled_from(["p", "plan", "xsd"])
+_NAMES = st.one_of(
+    _ANY_TEXT.map("<{}>".format),
+    st.builds("{}:{}".format, _PREFIX_NAMES, _ANY_LOCAL),
+)
+_OBJECTS = st.one_of(
+    _NAMES,
+    _ANY_TEXT.map('"{}"'.format),
+    st.builds('"{}"^^{}'.format, _ANY_TEXT, _NAMES),
+)
+_PREFIXES = st.builds("@prefix {}: <{}> .".format, _PREFIX_NAMES, _ANY_TEXT)
+_TRIPLES = st.builds("{} {} {} .".format, _NAMES, _NAMES | st.just("a"), _OBJECTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PREFIXES, min_size=1, max_size=3),
+       st.lists(_TRIPLES | _PREFIXES, min_size=1, max_size=3))
+def test_any_graph_the_reader_takes_the_writer_writes_back(prefixes, statements):
+    """Text that `import_turtle` accepts gives a graph that `export_turtle`
+    can write and that reads back the same; any other text is a
+    TurtleSyntaxError."""
+    try:
+        g = import_turtle("\n".join(prefixes + statements) + "\n")
+    except TurtleSyntaxError:
+        return
+    assert import_turtle(export_turtle(g)).triples() == g.triples()

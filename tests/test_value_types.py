@@ -1,7 +1,7 @@
-"""Slotted value types with a hash computed once: Atom, Iri, TypedLiteral
-and Triple must hash, compare and print exactly like plain frozen
-dataclasses, and a lazily grounded GroundAction exactly like one built
-from its seven fields."""
+"""Frozen slotted value types: Atom, Iri, TypedLiteral and Triple must
+hash, compare, print and copy as plain frozen dataclasses of their fields,
+and a lazily grounded GroundAction exactly like one built from its seven
+fields."""
 
 import copy
 import dataclasses
@@ -86,10 +86,10 @@ def test_instances_have_no_dict(name):
 
 
 @CASES
-def test_copies_rebuild_the_hash(name):
+def test_copies_rebuild_through_init(name):
     value, _, _ = VALUES[name]
-    # The cached hash is not part of the pickled state: another process
-    # hashes strings differently.
+    # Copy and pickle go through __init__: on Python 3.10 the default state
+    # restore sets each slot, which a frozen dataclass refuses.
     cls, args = value.__reduce__()
     assert cls is type(value) and args == compared(value)
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
