@@ -37,6 +37,7 @@ from .macros import (
 )
 from .mapper import (
     COMPETENCY_QUERIES,
+    FileAccessError,
     MappingError,
     NotUtf8,
     UnknownDomain,
@@ -47,6 +48,7 @@ from .mapper import (
     map_ipc_results,
     read_input,
     run_competency,
+    write_output,
 )
 from .pddl.ast import PddlError
 from .pddl.parser import parse_domain, parse_problem
@@ -77,7 +79,7 @@ DOMAIN_ERRORS = (
     DomainProblemMismatch,
     UnknownSchema,
     TypeConflict,
-    FileNotFoundError,
+    FileAccessError,
 )
 
 
@@ -97,7 +99,7 @@ def _resolve(path: str) -> Path:
 def _input_dir(path: str) -> Path:
     d = _resolve(path)
     if not d.is_dir():
-        raise FileNotFoundError("{}: no such directory".format(d))
+        raise FileAccessError("{}: no such directory".format(d))
     return d
 
 
@@ -106,9 +108,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _save_graph(g: Graph, path: str) -> None:
-    out = _resolve(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(export_turtle(g))
+    write_output(_resolve(path), export_turtle(g))
 
 
 def _term_str(term) -> str:
@@ -226,8 +226,7 @@ def cmd_augment(args) -> int:
     domain = parse_domain(read_input(_resolve(args.domain)))
     macros = _load_macros(domain, args.macros)
     augmented = augment_domain(domain, macros, args.k)
-    out = _resolve(args.output)
-    out.write_text(print_domain(augmented))
+    write_output(_resolve(args.output), print_domain(augmented))
     print("wrote {} ({} actions)".format(args.output, len(augmented.actions)))
     return 0
 
@@ -245,7 +244,7 @@ def cmd_bench(args) -> int:
             continue
         problems.append(parse_problem(text, domain))
     if not problems:
-        raise FileNotFoundError(
+        raise FileAccessError(
             "{}: no problem of domain '{}'".format(problem_dir, domain.name)
         )
     cfg = SearchConfig(
@@ -324,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("domain")
     p.add_argument("problems", nargs="*")
     p.add_argument("--plans", help="directory of <problem>.<planner>.plan files")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True,
+                   help="Turtle file to write; missing parent directories are created")
     p.set_defaults(func=cmd_build_kg)
 
     p = sub.add_parser("query", help="run a competency query against a graph")
@@ -337,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest-ipc", help="add IPC results to a graph")
     p.add_argument("csv")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True,
+                   help="Turtle graph to add the records to; it is created if missing, "
+                   "and so are missing parent directories")
     p.add_argument("--planner-type", default="optimal")
     p.set_defaults(func=cmd_ingest_ipc)
 
@@ -364,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--macros", required=True, help="JSON report from mine-macros")
     p.add_argument("-k", type=_limit(int), default=2)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True,
+                   help="PDDL file to write; missing parent directories are created")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("bench", help="compare original vs macro-augmented domain")

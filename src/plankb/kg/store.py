@@ -10,18 +10,24 @@ class VariableInData(Exception):
     pass
 
 
-# Iri, TypedLiteral and Triple are frozen and slotted.  Their __reduce__
-# makes copy and pickle rebuild through __init__: on Python 3.10 the default
-# state restore sets each slot and a frozen dataclass refuses that.
+# Iri, TypedLiteral and Triple are frozen and slotted.  Each sets its slots
+# in an __init__ of its own, which a dataclass keeps, through the slots'
+# setters (bound below the classes): the mappers build one per term and
+# triple, and the generated __init__, which goes through
+# object.__setattr__ and then calls __post_init__, costs more.  Their
+# __reduce__ makes copy and pickle rebuild through __init__: on Python 3.10
+# the default state restore sets each slot and a frozen dataclass refuses
+# that.
 
 
 @dataclass(frozen=True, slots=True)
 class Iri:
     value: str
 
-    def __post_init__(self):
-        if not self.value:
+    def __init__(self, value: str):
+        if not value:
             raise ValueError("IRI must be non-empty")
+        _set_value(self, value)
 
     def __reduce__(self):
         return Iri, (self.value,)
@@ -34,6 +40,10 @@ class Iri:
 class TypedLiteral:
     lexical: str
     datatype: Iri
+
+    def __init__(self, lexical: str, datatype: Iri):
+        _set_lexical(self, lexical)
+        _set_datatype(self, datatype)
 
     def __reduce__(self):
         return TypedLiteral, (self.lexical, self.datatype)
@@ -67,16 +77,25 @@ class Triple:
     predicate: Iri
     object: Node
 
-    def __post_init__(self):
-        if isinstance(self.subject, Variable) or isinstance(self.predicate, Variable) \
-                or isinstance(self.object, Variable):
+    def __init__(self, subject: Iri, predicate: Iri, object: Node):
+        if isinstance(subject, Variable) or isinstance(predicate, Variable) \
+                or isinstance(object, Variable):
             raise VariableInData("stored triples must not contain variables")
+        _set_subject(self, subject)
+        _set_predicate(self, predicate)
+        _set_object(self, object)
 
     def __reduce__(self):
         return Triple, (self.subject, self.predicate, self.object)
 
     def key(self) -> tuple:
         return (term_key(self.subject), term_key(self.predicate), term_key(self.object))
+
+
+_set_value = Iri.value.__set__
+_set_lexical, _set_datatype = TypedLiteral.lexical.__set__, TypedLiteral.datatype.__set__
+_set_subject, _set_predicate, _set_object = (
+    Triple.subject.__set__, Triple.predicate.__set__, Triple.object.__set__)
 
 
 Pattern = tuple  # (Term, Term, Term) with Variables allowed anywhere
@@ -128,7 +147,10 @@ class Graph:
         return frozenset(self._decode(self._triples))
 
     def add(self, t: Triple) -> "Graph":
-        self._add_all((t,))
+        if not isinstance(t, Triple):
+            raise TypeError("expected a Triple")
+        intern = self._intern
+        self._add_keys(((intern(t.subject), intern(t.predicate), intern(t.object)),))
         return self
 
     def update(self, triples: Iterable[Triple]) -> "Graph":
@@ -148,23 +170,42 @@ class Graph:
     def _add_all(self, triples: Iterable[Triple]) -> None:
         """Encode and store triples.  The ids are collected first and stored
         in one pass; on an error, those collected so far are stored, so every
-        interned term is in a stored triple, as if each were added alone."""
-        ids, intern = self._ids, self._intern
+        interned term is in a stored triple, as if each were added alone.
+
+        Mappers reuse term objects across the triples they return, so the
+        ids are first looked up by object identity in a table that lives
+        for this call: each term object is hashed once per call, and a new
+        term once in all.  `held` keeps every object whose `id` is a key
+        alive, so no id can be reused by another object while the table
+        lives."""
+        ids, terms = self._ids, self._terms
+        seen: dict[int, int] = {}
+        held: list[Node] = []
         keys = []
         try:
             for t in triples:
                 if not isinstance(t, Triple):
                     raise TypeError("expected a Triple")
-                s = ids.get(t.subject)
-                if s is None:
-                    s = intern(t.subject)
-                p = ids.get(t.predicate)
-                if p is None:
-                    p = intern(t.predicate)
-                o = ids.get(t.object)
-                if o is None:
-                    o = intern(t.object)
-                keys.append((s, p, o))
+                s, p, o = t.subject, t.predicate, t.object
+                si = seen.get(id(s))
+                if si is None:
+                    si = seen[id(s)] = ids.setdefault(s, len(terms))
+                    if si == len(terms):
+                        terms.append(s)
+                    held.append(s)
+                pi = seen.get(id(p))
+                if pi is None:
+                    pi = seen[id(p)] = ids.setdefault(p, len(terms))
+                    if pi == len(terms):
+                        terms.append(p)
+                    held.append(p)
+                oi = seen.get(id(o))
+                if oi is None:
+                    oi = seen[id(o)] = ids.setdefault(o, len(terms))
+                    if oi == len(terms):
+                        terms.append(o)
+                    held.append(o)
+                keys.append((si, pi, oi))
         finally:
             self._add_keys(keys)
 
@@ -176,9 +217,21 @@ class Graph:
                 continue
             triples.add(key)
             s, p, o = key
-            by_s.setdefault(s, set()).add(key)
-            by_p.setdefault(p, set()).add(key)
-            by_o.setdefault(o, set()).add(key)
+            bucket = by_s.get(s)
+            if bucket is None:
+                by_s[s] = {key}
+            else:
+                bucket.add(key)
+            bucket = by_p.get(p)
+            if bucket is None:
+                by_p[p] = {key}
+            else:
+                bucket.add(key)
+            bucket = by_o.get(o)
+            if bucket is None:
+                by_o[o] = {key}
+            else:
+                bucket.add(key)
 
     def _decode(self, keys: Iterable[Key]):
         terms = self._terms

@@ -130,8 +130,18 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
+            if text[pos] == "<":
+                # An IRI with a character it cannot hold: point at that one.
+                body = _IRIREF_BODY.match(text, pos + 1)
+                bad = pos + 1 if body is None else body.end()
+                if bad == len(text):
+                    raise TurtleSyntaxError("unterminated IRI", line, col)
+                raise TurtleSyntaxError(
+                    "character {!r} not allowed in an IRI".format(text[bad]),
+                    line, col + bad - pos,
+                )
             raise TurtleSyntaxError(
-                "unexpected character '{}'".format(text[pos]), line, col
+                "unexpected character {!r}".format(text[pos]), line, col
             )
         kind = m.lastgroup
         value = m.group()

@@ -4,6 +4,7 @@ ten named competency queries."""
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
@@ -30,6 +31,10 @@ class MappingError(Exception):
 
 class NotUtf8(Exception):
     """An input file whose bytes are not UTF-8 text."""
+
+
+class FileAccessError(Exception):
+    """A file that cannot be read or written; the message names it."""
 
 
 class UnknownDomain(Exception):
@@ -84,9 +89,14 @@ def _local(iri: Iri) -> str:
 
 
 # --- PDDL → triples --------------------------------------------------------
+#
+# Each mapper returns a list that may hold a triple more than once; the graph
+# keeps one copy, so no triple is hashed before `Graph.update` sees it.
 
 
-def map_domain(d: DomainDef) -> set[Triple]:
+def map_domain(d: DomainDef) -> list[Triple]:
+    """The triples of a well-formed domain, possibly with repeats.  Raises
+    MappingError on a domain that `validate_domain` finds fault with."""
     issues = validate_domain(d)
     if issues:
         raise MappingError(
@@ -95,12 +105,12 @@ def map_domain(d: DomainDef) -> set[Triple]:
     t = SCHEMA.prop
     c = SCHEMA.cls
     D = domain_iri(d.name)
-    out: set[Triple] = {Triple(D, RDF_TYPE, c("PlanningDomain"))}
+    out: list[Triple] = [Triple(D, RDF_TYPE, c("PlanningDomain"))]
 
     for req in sorted(d.requirements):
         R = requirement_iri(req)
-        out.add(Triple(R, RDF_TYPE, c("DomainRequirement")))
-        out.add(Triple(D, t("hasRequirement"), R))
+        out.append(Triple(R, RDF_TYPE, c("DomainRequirement")))
+        out.append(Triple(D, t("hasRequirement"), R))
 
     used_types = {typ for p in d.predicates for _, typ in p.params}
     used_types |= {typ for a in d.actions for _, typ in a.params}
@@ -108,142 +118,153 @@ def map_domain(d: DomainDef) -> set[Triple]:
     used_types |= {typ for _, typ in d.constants}
     for typ in sorted(used_types):
         T = type_iri(d.name, typ)
-        out.add(Triple(T, RDF_TYPE, c("ParameterType")))
-        out.add(Triple(D, t("hasParameterType"), T))
+        out.append(Triple(T, RDF_TYPE, c("ParameterType")))
+        out.append(Triple(D, t("hasParameterType"), T))
 
     for pred in d.predicates:
         P = predicate_iri(d.name, pred.name)
-        out.add(Triple(P, RDF_TYPE, c("DomainPredicate")))
-        out.add(Triple(D, t("hasPredicate"), P))
+        out.append(Triple(P, RDF_TYPE, c("DomainPredicate")))
+        out.append(Triple(D, t("hasPredicate"), P))
 
     for cname, ctype in d.constants:
         C = constant_iri(d.name, cname)
-        out.add(Triple(C, RDF_TYPE, c("DomainConstant")))
-        out.add(Triple(D, t("hasConstant"), C))
-        out.add(Triple(C, t("hasParameterType"), type_iri(d.name, ctype)))
+        out.append(Triple(C, RDF_TYPE, c("DomainConstant")))
+        out.append(Triple(D, t("hasConstant"), C))
+        out.append(Triple(C, t("hasParameterType"), type_iri(d.name, ctype)))
 
     for a in d.actions:
         A = action_iri(d.name, a.name)
-        out.add(Triple(A, RDF_TYPE, c("Action")))
-        out.add(Triple(D, t("hasAction"), A))
-        out.add(Triple(A, t("hasActionName"), string_literal(a.name)))
+        out.append(Triple(A, RDF_TYPE, c("Action")))
+        out.append(Triple(D, t("hasAction"), A))
+        out.append(Triple(A, t("hasActionName"), string_literal(a.name)))
 
         for i, (var, vtype) in enumerate(a.params):
             PM = plan_iri(
                 "parameter-{}-{}-{}-{}".format(d.name, a.name, i, var.lstrip("?"))
             )
-            out.add(Triple(PM, RDF_TYPE, c("Parameter")))
-            out.add(Triple(A, t("hasParameter"), PM))
-            out.add(Triple(PM, t("hasParameterType"), type_iri(d.name, vtype)))
+            out.append(Triple(PM, RDF_TYPE, c("Parameter")))
+            out.append(Triple(A, t("hasParameter"), PM))
+            out.append(Triple(PM, t("hasParameterType"), type_iri(d.name, vtype)))
 
         if a.precondition:
             PC = plan_iri("precondition-{}-{}".format(d.name, a.name))
-            out.add(Triple(PC, RDF_TYPE, c("ActionPrecondition")))
-            out.add(Triple(A, t("hasPrecondition"), PC))
+            out.append(Triple(PC, RDF_TYPE, c("ActionPrecondition")))
+            out.append(Triple(A, t("hasPrecondition"), PC))
             for lit in a.precondition:
-                out.add(Triple(PC, t("hasStateFact"), string_literal(str(lit))))
+                out.append(Triple(PC, t("hasStateFact"), string_literal(str(lit))))
                 if lit.atom.predicate != "=":
-                    out.add(
+                    out.append(
                         Triple(PC, t("hasPredicate"),
                                predicate_iri(d.name, lit.atom.predicate))
                     )
 
         if a.add:
             E = plan_iri("effect-{}-{}-add".format(d.name, a.name))
-            out.add(Triple(E, RDF_TYPE, c("ActionEffect")))
-            out.add(Triple(A, t("hasEffect"), E))
+            out.append(Triple(E, RDF_TYPE, c("ActionEffect")))
+            out.append(Triple(A, t("hasEffect"), E))
             for atom in a.add:
-                out.add(Triple(E, t("addsPredicate"),
+                out.append(Triple(E, t("addsPredicate"),
                                predicate_iri(d.name, atom.predicate)))
-                out.add(Triple(E, t("hasStateFact"), string_literal(str(atom))))
+                out.append(Triple(E, t("hasStateFact"), string_literal(str(atom))))
         if a.delete:
             E = plan_iri("effect-{}-{}-del".format(d.name, a.name))
-            out.add(Triple(E, RDF_TYPE, c("ActionEffect")))
-            out.add(Triple(A, t("hasEffect"), E))
+            out.append(Triple(E, RDF_TYPE, c("ActionEffect")))
+            out.append(Triple(A, t("hasEffect"), E))
             for atom in a.delete:
-                out.add(Triple(E, t("deletesPredicate"),
+                out.append(Triple(E, t("deletesPredicate"),
                                predicate_iri(d.name, atom.predicate)))
-                out.add(Triple(E, t("hasStateFact"), string_literal(str(atom))))
+                out.append(Triple(E, t("hasStateFact"), string_literal(str(atom))))
     return out
 
 
-def map_problem(p: ProblemDef, g: Optional[Graph] = None) -> set[Triple]:
+def map_problem(p: ProblemDef, g: Optional[Graph] = None) -> list[Triple]:
+    """The triples of a problem, possibly with repeats.  Given a graph,
+    raises UnknownDomain unless the problem's domain is mapped in it."""
     t = SCHEMA.prop
     c = SCHEMA.cls
     D = domain_iri(p.domain_name)
     if g is not None and not g.match(s=D, p=RDF_TYPE, o=c("PlanningDomain")):
         raise UnknownDomain("domain '{}' is not mapped".format(p.domain_name))
     PR = problem_iri(p.domain_name, p.name)
-    out: set[Triple] = {
+    out: list[Triple] = [
         Triple(PR, RDF_TYPE, c("PlanningProblem")),
         Triple(PR, t("hasDomain"), D),
         Triple(D, t("hasProblem"), PR),
-    }
+    ]
+    # The terms that the steps of a loop share are made once.
+    problem_object, has_object = c("ProblemObject"), t("hasObject")
+    has_type, has_fact = t("hasParameterType"), t("hasStateFact")
+    types = {typ: type_iri(p.domain_name, typ) for typ in {typ for _, typ in p.objects}}
     for oname, otype in p.objects:
         O = plan_iri("object-{}-{}-{}".format(p.domain_name, p.name, oname))
-        out.add(Triple(O, RDF_TYPE, c("ProblemObject")))
-        out.add(Triple(PR, t("hasObject"), O))
-        out.add(Triple(O, t("hasParameterType"), type_iri(p.domain_name, otype)))
+        out += (
+            Triple(O, RDF_TYPE, problem_object),
+            Triple(PR, has_object, O),
+            Triple(O, has_type, types[otype]),
+        )
 
     IS = plan_iri("init-{}-{}".format(p.domain_name, p.name))
-    out.add(Triple(IS, RDF_TYPE, c("InitialState")))
-    out.add(Triple(IS, RDF_TYPE, c("State")))
-    out.add(Triple(PR, t("hasInitialState"), IS))
-    for atom in p.init:
-        out.add(Triple(IS, t("hasStateFact"), string_literal(str(atom))))
+    out.append(Triple(IS, RDF_TYPE, c("InitialState")))
+    out.append(Triple(IS, RDF_TYPE, c("State")))
+    out.append(Triple(PR, t("hasInitialState"), IS))
+    out += [Triple(IS, has_fact, string_literal(str(atom))) for atom in p.init]
 
     GS = plan_iri("goal-{}-{}".format(p.domain_name, p.name))
-    out.add(Triple(GS, RDF_TYPE, c("GoalState")))
-    out.add(Triple(GS, RDF_TYPE, c("State")))
-    out.add(Triple(PR, t("hasGoalState"), GS))
-    for lit in p.goal:
-        out.add(Triple(GS, t("hasStateFact"), string_literal(str(lit))))
+    out.append(Triple(GS, RDF_TYPE, c("GoalState")))
+    out.append(Triple(GS, RDF_TYPE, c("State")))
+    out.append(Triple(PR, t("hasGoalState"), GS))
+    out += [Triple(GS, has_fact, string_literal(str(lit))) for lit in p.goal]
     return out
 
 
-def map_plan(plan: Plan, problem: Iri, planner: Iri) -> set[Triple]:
+def map_plan(plan: Plan, problem: Iri, planner: Iri) -> list[Triple]:
+    """The triples of a plan of `problem` made by `planner`, possibly with
+    repeats."""
     t = SCHEMA.prop
     c = SCHEMA.cls
-    digest = hashlib.sha1(
-        "".join(s.name for s in plan.steps).encode()
-    ).hexdigest()[:8]
+    names = [step.name for step in plan.steps]
+    digest = hashlib.sha1("".join(names).encode()).hexdigest()[:8]
     # The locals of `problem` and `planner` are escaped already.
     PL = Iri(PLAN_NS + "plan-{}-{}-{}".format(_local(problem), _local(planner), digest))
-    out: set[Triple] = {
+    out: list[Triple] = [
         Triple(PL, RDF_TYPE, c("Plan")),
         Triple(problem, t("hasPlan"), PL),
         Triple(PL, t("hasPlanCost"), integer_literal(plan.cost)),
         Triple(PL, t("isGeneratedBy"), planner),
         Triple(planner, RDF_TYPE, c("Planner")),
-    }
-    for i, step in enumerate(plan.steps):
+    ]
+    has_step, has_index, has_name = t("hasActionStep"), t("hasStepIndex"), t("hasActionName")
+    for i, name in enumerate(names):
         ST = Iri("{}-step-{}".format(PL.value, i))
-        out.add(Triple(PL, t("hasActionStep"), ST))
-        out.add(Triple(ST, t("hasStepIndex"), integer_literal(i)))
-        out.add(Triple(ST, t("hasActionName"), string_literal(step.name)))
+        out += (
+            Triple(PL, has_step, ST),
+            Triple(ST, has_index, integer_literal(i)),
+            Triple(ST, has_name, string_literal(name)),
+        )
     return out
 
 
-def describe_planner(name: str) -> set[Triple]:
+def describe_planner(name: str) -> list[Triple]:
     """Type a planner node as a satisficing STRIPS planner.
 
     Plans reference planners via isGeneratedBy; a typed planner additionally
     needs at least one ofPlannerType and one solvesRequirement to pass
     validation, so every planner that generates stored plans should be
-    described once with this helper.
+    described once with this helper.  Returns a list of triples that may
+    hold repeats.
     """
     t = SCHEMA.prop
     c = SCHEMA.cls
     PN = planner_iri(name)
     PT = planner_type_iri("satisficing")
-    out: set[Triple] = {
+    out: list[Triple] = [
         Triple(PN, RDF_TYPE, c("Planner")),
         Triple(PT, RDF_TYPE, c("PlannerType")),
         Triple(PN, t("ofPlannerType"), PT),
-    }
+    ]
     R = requirement_iri(":strips")
-    out.add(Triple(R, RDF_TYPE, c("DomainRequirement")))
-    out.add(Triple(PN, t("solvesRequirement"), R))
+    out.append(Triple(R, RDF_TYPE, c("DomainRequirement")))
+    out.append(Triple(PN, t("solvesRequirement"), R))
     return out
 
 
@@ -252,31 +273,34 @@ def describe_planner(name: str) -> set[Triple]:
 
 def map_ipc_results(
     rows: Iterable[PlannerRecord], planner_type: str = "optimal"
-) -> set[Triple]:
+) -> list[Triple]:
+    """The triples of IPC result rows, possibly with repeats: each row
+    types its planner and the requirements again, and the graph keeps one
+    copy."""
     # Domain nodes referenced here are deliberately left untyped: IPC result
     # tables name domains whose PDDL may never be ingested, and typing them
     # as PlanningDomain would trip the domain axioms.
     t = SCHEMA.prop
     c = SCHEMA.cls
-    out: set[Triple] = set()
+    out: list[Triple] = []
     PT = planner_type_iri(planner_type)
-    out.add(Triple(PT, RDF_TYPE, c("PlannerType")))
+    out.append(Triple(PT, RDF_TYPE, c("PlannerType")))
     for row in rows:
         PN = planner_iri(row.planner)
-        out.add(Triple(PN, RDF_TYPE, c("Planner")))
-        out.add(Triple(PN, t("ofPlannerType"), PT))
+        out.append(Triple(PN, RDF_TYPE, c("Planner")))
+        out.append(Triple(PN, t("ofPlannerType"), PT))
         for req in (":strips", ":typing"):
             R = requirement_iri(req)
-            out.add(Triple(R, RDF_TYPE, c("DomainRequirement")))
-            out.add(Triple(PN, t("solvesRequirement"), R))
+            out.append(Triple(R, RDF_TYPE, c("DomainRequirement")))
+            out.append(Triple(PN, t("solvesRequirement"), R))
         REL = plan_iri("relevance-{}-{}".format(row.planner, row.domain))
-        out.add(Triple(PN, t("hasRelevance"), REL))
-        out.add(Triple(REL, t("hasDomain"), domain_iri(row.domain)))
-        out.add(
+        out.append(Triple(PN, t("hasRelevance"), REL))
+        out.append(Triple(REL, t("hasDomain"), domain_iri(row.domain)))
+        out.append(
             Triple(REL, t("hasSolvedPercentage"),
                    decimal_literal(100.0 * row.solved / row.total))
         )
-        out.add(
+        out.append(
             Triple(REL, t("hasRelevanceTier"),
                    string_literal(relevance(row.solved, row.total).tier))
         )
@@ -398,13 +422,36 @@ def run_competency(g: Graph, qid: str, args: Optional[dict[str, str]] = None):
 # --- bundles ---------------------------------------------------------------
 
 
+@contextmanager
+def _file_access(path: Path):
+    """Turn any OSError in the block into a FileAccessError naming `path`,
+    and the file the error is about when that is another one."""
+    try:
+        yield
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        if exc.filename is not None and str(exc.filename) != str(path):
+            reason += ": {}".format(exc.filename)
+        raise FileAccessError("{}: {}".format(path, reason)) from exc
+
+
 def read_input(path: Path) -> str:
     """The text of an input file, decoded as UTF-8.  Raises NotUtf8, naming
-    the file, on bytes that are not UTF-8."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise NotUtf8("{}: not UTF-8 text ({})".format(path, exc)) from exc
+    the file, on bytes that are not UTF-8, and FileAccessError on a file
+    that cannot be read (missing, a directory, unreadable)."""
+    with _file_access(path):
+        try:
+            return path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise NotUtf8("{}: not UTF-8 text ({})".format(path, exc)) from exc
+
+
+def write_output(path: Path, text: str) -> None:
+    """Write text to a file as UTF-8, creating any missing parent
+    directory.  Raises FileAccessError on a path that cannot be written."""
+    with _file_access(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,9 @@ EX = "http://example.org/"
     (["query", "g.ttl", "--id", "C1"], {"g.ttl": b"<http://example.org/\xff> <a> <b> ."}, 1),
     (["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "plans", "-o", "out.ttl"],
      {"plans/bw-p01.bfs.plan": b"(pick-up \xff)\n"}, 1),
+    (["query", "dir", "--id", "C1"], {"dir/x": ""}, 1),
+    (["parse", "dir"], {"dir/x": ""}, 1),
+    (["build-kg", BW_DOMAIN, BW_PROBLEM, "-o", "dir"], {"dir/x": ""}, 1),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):
@@ -314,6 +317,31 @@ def test_build_kg_names_the_broken_plan_file(workspace, capsys, text, reason):
     assert rc == 1
     assert capsys.readouterr().err == "error: {}: {}\n".format(
         workspace / "plans" / "bw-p01.bfs.plan", reason)
+
+
+@pytest.mark.parametrize("argv", [
+    ["query", "dir", "--id", "C1"],
+    ["parse", "dir"],
+    ["build-kg", BW_DOMAIN, BW_PROBLEM, "-o", "dir"],
+    ["augment", "--domain", BW_DOMAIN, "--macros", "dir", "-o", "out.pddl"],
+    ["augment", "--domain", BW_DOMAIN, "--macros", "m.json", "-o", "dir"],
+    ["ingest-ipc", data("ipc2011.csv"), "-o", "dir"],
+])
+def test_directory_path_names_the_path(workspace, capsys, argv):
+    (workspace / "dir").mkdir()
+    (workspace / "m.json").write_text("[]")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: {}: Is a directory\n".format(workspace / "dir")
+
+
+def test_output_parent_directories_are_created(workspace, capsys):
+    assert main(["build-kg", BW_DOMAIN, BW_PROBLEM, "-o", "a/b/out.ttl"]) == 0
+    assert (workspace / "a" / "b" / "out.ttl").is_file()
+    # A parent that is a file is named after the output path.
+    (workspace / "f").write_text("")
+    assert main(["build-kg", BW_DOMAIN, BW_PROBLEM, "-o", "f/out.ttl"]) == 1
+    assert capsys.readouterr().err == "error: {}: File exists: {}\n".format(
+        workspace / "f" / "out.ttl", workspace / "f")
 
 
 def test_build_kg_skips_misnamed_and_foreign_plans(workspace, capsys):

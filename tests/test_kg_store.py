@@ -275,3 +275,31 @@ def test_encoded_graph_matches_a_set_of_triples(ops):
     t = next(iter(model), FAMILY[0])
     for other in [(0, 0, 0), (0, 1, 2), (t.subject, t.predicate, t.object), None, EX + "a"]:
         assert other not in g
+
+
+# Triples from a generator that builds fresh term objects at each step and
+# drops them after it: (subject, predicate, object) numbers, where an object
+# number below 0 is an integer literal.  Equal numbers repeat a value with
+# new objects.
+_fresh_steps = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(-3, 4)), max_size=40)
+
+
+def _fresh_triples(steps):
+    for s, p, o in steps:
+        obj = TypedLiteral(str(-o), Iri(XSD_NS + "integer")) if o < 0 \
+            else Iri(EX + "n" + str(o))
+        yield Triple(Iri(EX + "n" + str(s)), Iri(EX + "p" + str(p)), obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fresh_steps)
+def test_update_from_a_generator_of_fresh_terms(steps):
+    """`update` looks terms up by object identity during the call; a term
+    object freed mid-call must not lend its id to a later object."""
+    one_by_one = Graph()
+    for t in _fresh_triples(steps):
+        one_by_one.add(t)
+    g = Graph().update(_fresh_triples(steps))
+    assert g.triples() == one_by_one.triples()
+    assert len(g) == len(one_by_one)

@@ -15,6 +15,7 @@ from plankb.mapper import (
     competency_patterns,
     domain_iri,
     map_domain,
+    map_ipc_results,
     map_problem,
     planner_iri,
     planner_type_iri,
@@ -92,6 +93,16 @@ def test_map_problem_states(bw_graph):
     [goal] = bw_graph.objects(P, t("hasGoalState"))
     goal_facts = {o.lexical for o in bw_graph.objects(goal, t("hasStateFact"))}
     assert goal_facts == {"(on a b)", "(on b c)"}
+
+
+def test_mapped_repeats_are_stored_once():
+    rows = [PlannerRecord("lama", "d1", 3, 4), PlannerRecord("lama", "d2", 1, 4)]
+    mapped = map_ipc_results(rows)
+    # Each row types the planner again; the graph keeps one copy.
+    assert len(mapped) > len(set(mapped))
+    g = Graph(mapped)
+    assert g.triples() == set(mapped)
+    assert len(g) == len(set(mapped))
 
 
 def test_plan_iris_content_addressed(bw_bundle):

@@ -111,8 +111,19 @@ def test_missing_dot_reports_position():
 
 
 def test_unexpected_character():
-    with pytest.raises(TurtleSyntaxError):
+    with pytest.raises(TurtleSyntaxError, match=r"^1:1: unexpected character '\['$"):
         import_turtle("[] <{0}p> <{0}o> .".format(EX))
+    with pytest.raises(TurtleSyntaxError, match=r"^1:1: unexpected character '\\x07'$"):
+        import_turtle("\x07<{0}s> <{0}p> <{0}o> .".format(EX))
+
+
+@pytest.mark.parametrize("bad", ["\x01", " "])
+def test_refused_iri_character_reported_at_its_column(bad):
+    text = "<{0}s> <{0}a{1}b> <{0}o> .\n".format(EX, bad)
+    column = text.index("a" + bad) + 2
+    with pytest.raises(TurtleSyntaxError) as err:
+        import_turtle(text)
+    assert str(err.value) == "1:{}: character {!r} not allowed in an IRI".format(column, bad)
 
 
 def test_literal_subject_rejected():
