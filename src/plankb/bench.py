@@ -5,11 +5,10 @@ from __future__ import annotations
 import heapq
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, count, filterfalse, repeat
 from operator import and_, invert, or_
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .kg.store import Graph, Iri
 from .macros import MacroSchema, augment_domain
@@ -26,14 +25,19 @@ ALGORITHMS = ("breadth-first", "greedy-best-first", "a-star")
 HEURISTICS = ("goal-count", "zero")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchConfig(NamedTuple):
     algorithm: str = "breadth-first"
     heuristic: str = "goal-count"
     max_expansions: int = 1_000_000
     max_seconds: float = 60.0
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchConfig):
+    # A subclass, as typing.NamedTuple does not allow __new__ in its body.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.algorithm not in ALGORITHMS:
             raise ValueError("unknown algorithm '{}'".format(self.algorithm))
         if self.heuristic not in HEURISTICS:
@@ -41,10 +45,10 @@ class SearchConfig:
         # `not x > 0` also rejects NaN, which would switch a limit off.
         if not (self.max_expansions > 0 and self.max_seconds > 0):
             raise ValueError("limits must be positive")
+        return self
 
 
-@dataclass
-class SearchStats:
+class SearchStats(NamedTuple):
     expanded: int = 0
     evaluated: int = 0
     generated: int = 0
@@ -57,8 +61,7 @@ class SearchStats:
 Op = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class CompiledTask:
+class CompiledTask(NamedTuple):
     """A task over bitmask states, built once by `compile_task`.
 
     Every ground atom that occurs in the initial state, the goal, or an
@@ -283,7 +286,6 @@ def search(
                 key = h if greedy else (depth + h) * hbound + h
                 heappush(frontier, (key, evaluated, succ, depth))
 
-    stats = SearchStats(expanded, evaluated + 1, generated + 1, status=status)
     plan = None
     if status == "solved":
         steps = []
@@ -294,9 +296,10 @@ def search(
             link = parent[s]
         steps.reverse()
         plan = Plan(tuple(steps))
-        stats.plan_cost = plan.cost
-    stats.wall_time = clock() - start
-    return plan, stats
+    return plan, SearchStats(
+        expanded, evaluated + 1, generated + 1, None if plan is None else plan.cost,
+        clock() - start, status,
+    )
 
 
 def solve(
@@ -311,18 +314,21 @@ def solve(
 # --- macro benchmark -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     problem: str
     variant: str  # "original" | "macro", or a selection policy
     stats: SearchStats
     planner: str = ""  # the configuration a selection policy picked
 
 
-@dataclass
 class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    """Rows appended in place, and one message per task that gave none."""
+
+    __slots__ = ("rows", "failures")
+
+    def __init__(self):
+        self.rows: list[BenchRow] = []
+        self.failures: list[str] = []
 
     def solved_rows(self, variant: str) -> list[BenchRow]:
         return [

@@ -7,14 +7,13 @@ has happened, so it is gated behind post-solve mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .schema import RDF_TYPE, SCHEMA, XSD_NON_NEGATIVE_INTEGER
 from .store import Graph, Iri, TypedLiteral
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom_id: int
     subject: Iri
     message: str

@@ -9,7 +9,7 @@ queryable with plain basic graph patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .store import Iri, TypedLiteral
 
@@ -89,10 +89,9 @@ EXTENSION_PROPERTY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class OntologySchema:
-    classes: dict[str, Iri] = field(default_factory=dict)
-    properties: dict[str, Iri] = field(default_factory=dict)
+class OntologySchema(NamedTuple):
+    classes: dict[str, Iri]
+    properties: dict[str, Iri]
 
     def cls(self, name: str) -> Iri:
         return self.classes[name]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 
 class VariableInData(Exception):
@@ -11,16 +11,16 @@ class VariableInData(Exception):
 
 
 # Iri, TypedLiteral and Triple are frozen and slotted.  Each sets its slots
-# in an __init__ of its own, which a dataclass keeps, through the slots'
-# setters (bound below the classes): the mappers build one per term and
-# triple, and the generated __init__, which goes through
+# in an __init__ of its own, through the slots' setters (bound below the
+# classes), and the dataclass generates none: the mappers build one per term
+# and triple, and a generated __init__, which goes through
 # object.__setattr__ and then calls __post_init__, costs more.  Their
 # __reduce__ makes copy and pickle rebuild through __init__: on Python 3.10
 # the default state restore sets each slot and a frozen dataclass refuses
 # that.
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Iri:
     value: str
 
@@ -36,7 +36,7 @@ class Iri:
         return "<{}>".format(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TypedLiteral:
     lexical: str
     datatype: Iri
@@ -52,8 +52,7 @@ class TypedLiteral:
         return '"{}"^^<{}>'.format(self.lexical, self.datatype.value)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
 
     def __str__(self) -> str:
@@ -71,7 +70,7 @@ def term_key(t: Node) -> tuple:
     return (1, t.datatype.value, t.lexical)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Triple:
     subject: Iri
     predicate: Iri

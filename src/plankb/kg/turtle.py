@@ -107,28 +107,29 @@ def export_turtle(g: Graph) -> str:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"""
+# Turtle's line end is one or more CR or LF characters; CRLF, CR and LF
+# each end one line.  A string literal holds neither raw.
+_TOKEN = r"""
     (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
+  | (?P<comment>\#[^\r\n]*)
+  | (?P<newline>\r\n?|\n)
   | (?P<iriref><""" + _IRI_CHAR + r"""*>)
-  | (?P<literal>"(?:[^"\\\n]|\\.)*")
+  | (?P<literal>"(?:[^"\\\r\n]|\\[^\r\n])*")
   | (?P<dcaret>\^\^)
   | (?P<dot>\.(?=\s|$))
   | (?P<prefixdecl>@prefix)
   | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*?:[A-Za-z_][A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_.-]*:)
   | (?P<kw_a>a(?=\s))
-    """,
-    re.VERBOSE,
-)
+    """
 
 
 def _tokenize(text: str):
+    # Compiled on first use, as `_STATEMENT` is: most imports never get here.
+    match = re.compile(_TOKEN, re.VERBOSE).match
     line, col = 1, 1
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = match(text, pos)
         if m is None:
             if text[pos] == "<":
                 # An IRI with a character it cannot hold: point at that one.
@@ -164,9 +165,9 @@ _IRI = '<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z_][A-Za-z0-9_.-]*'
 _STATEMENT = (
     r'(?:@prefix[ \t]+([A-Za-z_][A-Za-z0-9_.-]*):[ \t]+<(' + _IRI_CHAR + r'*)>'
     r'|(' + _IRI + r')[ \t]+(' + _IRI + r')[ \t]+'
-    r'(?:(' + _IRI + r')|("(?:[^"\\\n]|\\.)*")(?:\^\^(' + _IRI + r'))?))'
-    r'[ \t]+\.[ \t]*(?:\n|\Z)'
-    r'|[ \t]*(?:\n|\Z)'
+    r'(?:(' + _IRI + r')|("(?:[^"\\\r\n]|\\[^\r\n])*")(?:\^\^(' + _IRI + r'))?))'
+    r'[ \t]+\.[ \t]*(?:\r\n?|\n|\Z)'
+    r'|[ \t]*(?:\r\n?|\n|\Z)'
 )
 
 

@@ -4,8 +4,7 @@ precondition chaining checks, pairwise composition, and domain injection."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 from urllib.parse import unquote
 
 from .kg.schema import RDF_TYPE, SCHEMA, integer_literal, plan_iri, string_literal
@@ -34,8 +33,7 @@ class MacroReportError(Exception):
     """A mine-macros JSON report that is not a list of lifted pairs."""
 
 
-@dataclass(frozen=True)
-class LiftedPair:
+class LiftedPair(NamedTuple):
     """An adjacent action pair lifted by shared-object argument positions.
 
     `pattern` assigns one variable id per combined argument slot (the first
@@ -72,8 +70,7 @@ def lift_pair(
     return LiftedPair(first, second, tuple(pattern), len(first_args))
 
 
-@dataclass(frozen=True)
-class MacroSchema:
+class MacroSchema(NamedTuple):
     name: str
     params: tuple[tuple[str, str], ...]
     precondition: frozenset[Literal]

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .kg.schema import (
     PLAN_NS,
@@ -310,8 +309,7 @@ def map_ipc_results(
 # --- competency questions --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompetencyQuery:
+class CompetencyQuery(NamedTuple):
     id: str
     parameters: tuple[str, ...]
     description: str
@@ -454,8 +452,7 @@ def write_output(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     problem: str
     planner: str
     plan: Plan

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 OBJECT_TYPE = "object"
 
@@ -21,16 +21,14 @@ SUPPORTED_REQUIREMENTS = frozenset(
 EQUALITY_PREDICATE = "="
 
 
-@dataclass(frozen=True)
-class TypeName:
+class TypeName(NamedTuple):
     """A declared object type; parent defaults to the universal type."""
 
     name: str
     parent: str = OBJECT_TYPE
 
 
-@dataclass(frozen=True)
-class PredicateSchema:
+class PredicateSchema(NamedTuple):
     name: str
     params: tuple[tuple[str, str], ...]  # (variable, type) pairs
 
@@ -63,8 +61,7 @@ class Atom:
         return "({})".format(self.predicate)
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     atom: Atom
     negated: bool = False
 
@@ -158,8 +155,7 @@ class DomainDef:
         return sup in self._ancestors.get(sub, ())
 
 
-@dataclass(frozen=True)
-class ProblemDef:
+class ProblemDef(NamedTuple):
     name: str
     domain_name: str
     objects: tuple[tuple[str, str], ...]
@@ -167,8 +163,7 @@ class ProblemDef:
     goal: frozenset[Literal]
 
 
-@dataclass(frozen=True)
-class WellFormednessIssue:
+class WellFormednessIssue(NamedTuple):
     code: str
     location: str
     message: str

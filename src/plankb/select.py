@@ -5,8 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kg.schema import SCHEMA
 from .kg.store import Graph, Iri, TypedLiteral, Variable
@@ -26,33 +25,43 @@ class InvalidRecord(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PlannerRecord:
+class _PlannerRecord(NamedTuple):
     planner: str
     domain: str
     solved: int
     total: int
 
-    def __post_init__(self):
+
+class PlannerRecord(_PlannerRecord):
+    # A subclass, as typing.NamedTuple does not allow __new__ in its body.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.total <= 0 or not 0 <= self.solved <= self.total:
             raise InvalidRecord(
                 "bad record for ({}, {}): solved={} total={}".format(
                     self.planner, self.domain, self.solved, self.total
                 )
             )
+        return self
 
 
-@dataclass(frozen=True)
-class Relevance:
+class _Relevance(NamedTuple):
     tier: str
 
-    def __post_init__(self):
+
+class Relevance(_Relevance):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.tier not in TIERS:
             raise ValueError("unknown tier '{}'".format(self.tier))
+        return self
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
+class SelectionOutcome(NamedTuple):
     chosen: Iri
     policy: str  # "ontology" or "random"
     rationale: str

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .pddl.ast import (
     ActionSchema,
@@ -97,8 +97,7 @@ class GroundAction:
         return "({})".format(self.schema)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     steps: tuple[GroundAction, ...]
 
     @property
@@ -106,11 +105,12 @@ class Plan:
         return sum(s.cost for s in self.steps)
 
     def __len__(self) -> int:
+        # The step count, while iterating a plan gives its one field: read
+        # `steps`, never unpack the plan.
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     failed_step: Optional[int] = None  # index of first failing step, or None
     reason: str = ""
@@ -138,8 +138,7 @@ class ValidationReport:
 _TemplateAtom = tuple  # (predicate, spec, key)
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     name: str
     variables: tuple[str, ...]
     equalities: tuple[tuple[object, object, bool], ...]  # (spec, spec, negated)

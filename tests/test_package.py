@@ -118,3 +118,35 @@ def test_every_public_definition_has_a_caller_outside_tests():
             if all(id(n) in own for n in readers.get(node.name, ())):
                 unused.add(dotted)
     assert unused == PENDING_UNUSED
+
+
+# The classes that stay dataclasses: the value-type tests read their fields
+# and expect FrozenInstanceError (Atom, Iri, TypedLiteral, Triple,
+# GroundAction), and the semantics tests call dataclasses.replace on them
+# (ActionSchema, DomainDef, which also has a cached_property).
+DATACLASSES = {
+    "pddl.ast.Atom",
+    "pddl.ast.ActionSchema",
+    "pddl.ast.DomainDef",
+    "kg.store.Iri",
+    "kg.store.TypedLiteral",
+    "kg.store.Triple",
+    "semantics.GroundAction",
+}
+
+
+def test_only_the_listed_classes_are_dataclasses():
+    """On Python 3.11 each dataclass costs about 1 ms of every CLI start:
+    the source of its generated methods is compiled by exec at import and
+    never cached in .pyc.  A plain record is a NamedTuple instead; the set
+    must match exactly, so a new dataclass needs a reason here."""
+    found = set()
+    for path in _modules():
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                _read_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list
+            ):
+                found.add("{}.{}".format(module, node.name))
+    assert found == DATACLASSES

@@ -110,6 +110,29 @@ def test_missing_dot_reports_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("eol", ["\r\n", "\r"])
+def test_crlf_and_cr_end_lines_as_lf_does(small_export, eol):
+    # The exporter's layout goes through the line reader; a comment and two
+    # statements on one line go through the tokenizer.
+    laid_out = "\n".join(small_export)
+    assert _import_lines(laid_out.replace("\n", eol)) is not None
+    free = "# comment\n<{0}s> <{0}p> <{0}o> . <{0}s> <{0}p> \"x\" .\n\n".format(EX)
+    for text in (laid_out, free):
+        assert import_turtle(text.replace("\n", eol)).triples() == import_turtle(text).triples()
+
+
+def test_crlf_is_one_line_break_in_error_positions():
+    with pytest.raises(TurtleSyntaxError) as err:
+        import_turtle("<{0}s> <{0}p> <{0}o> .\r\n\r\n[] <{0}p> <{0}o> .".format(EX))
+    assert (err.value.line, err.value.column) == (3, 1)
+
+
+@pytest.mark.parametrize("lexical", ["a\rb", "a\\\rb"])
+def test_raw_cr_in_a_literal_is_refused(lexical):
+    with pytest.raises(TurtleSyntaxError, match="unexpected character '\"'"):
+        import_turtle('<{0}s> <{0}p> "{1}" .\n'.format(EX, lexical))
+
+
 def test_unexpected_character():
     with pytest.raises(TurtleSyntaxError, match=r"^1:1: unexpected character '\['$"):
         import_turtle("[] <{0}p> <{0}o> .".format(EX))
