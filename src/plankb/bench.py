@@ -1,4 +1,4 @@
-"""Instrumented forward state-space search and macro/selection benchmarks."""
+"""Instrumented forward state-space search and the macro benchmark."""
 
 from __future__ import annotations
 
@@ -10,15 +10,8 @@ from itertools import chain, count, filterfalse, repeat
 from operator import and_, invert, or_
 from typing import Iterable, NamedTuple, Optional
 
-from .kg.store import Graph, Iri
 from .macros import MacroSchema, augment_domain
-from .mapper import planner_iri
 from .pddl.ast import Atom, DomainDef, ProblemDef
-from .select import (
-    NoDataForDomain,
-    select_ontology,
-    select_random,
-)
 from .semantics import GroundAction, Plan, Template, groundings
 
 ALGORITHMS = ("breadth-first", "greedy-best-first", "a-star")
@@ -198,7 +191,7 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
 
 
 def search(
-    task: CompiledTask, cfg: SearchConfig = SearchConfig(), start: Optional[float] = None
+    task: CompiledTask, cfg: SearchConfig, start: float
 ) -> tuple[Optional[Plan], SearchStats]:
     """Forward search from the initial state of a compiled task.
 
@@ -209,10 +202,8 @@ def search(
     grounding order, and ties in the frontier are broken FIFO by generation
     index, so runs are deterministic and match the plain scan over every
     ground action in order.  `start` is the `time.monotonic()` reading that
-    `wall_time` and `max_seconds` count from; it defaults to the call.
+    `wall_time` and `max_seconds` count from.
     """
-    if start is None:
-        start = time.monotonic()
     clock = time.monotonic
     breadth_first = cfg.algorithm == "breadth-first"
     greedy = cfg.algorithm == "greedy-best-first"
@@ -316,19 +307,17 @@ def solve(
 
 class BenchRow(NamedTuple):
     problem: str
-    variant: str  # "original" | "macro", or a selection policy
+    variant: str  # "original" | "macro"
     stats: SearchStats
-    planner: str = ""  # the configuration a selection policy picked
 
 
 class BenchReport:
-    """Rows appended in place, and one message per task that gave none."""
+    """Rows appended in place."""
 
-    __slots__ = ("rows", "failures")
+    __slots__ = ("rows",)
 
     def __init__(self):
         self.rows: list[BenchRow] = []
-        self.failures: list[str] = []
 
     def solved_rows(self, variant: str) -> list[BenchRow]:
         return [
@@ -389,8 +378,6 @@ class BenchReport:
         regressed = self.regressions()
         if regressed:
             lines.append("macro regressions: " + ", ".join(regressed))
-        for f in self.failures:
-            lines.append("no data: " + f)
         return "\n".join(lines)
 
 
@@ -411,43 +398,3 @@ def bench_compare(
             report.rows.append(BenchRow(p.name, variant, stats))
     return report
 
-
-# --- selection-policy experiment ------------------------------------------
-
-#: Built-in planner configurations that stand in for external planners.
-PLANNER_CONFIGS: dict[str, SearchConfig] = {
-    "bfs": SearchConfig(algorithm="breadth-first", heuristic="zero"),
-    "gbfs-goalcount": SearchConfig(algorithm="greedy-best-first", heuristic="goal-count"),
-    "astar-goalcount": SearchConfig(algorithm="a-star", heuristic="goal-count"),
-    "gbfs-zero": SearchConfig(algorithm="greedy-best-first", heuristic="zero"),
-}
-
-
-def policy_experiment(
-    g: Graph,
-    tasks: Iterable[tuple[DomainDef, Iri, ProblemDef]],
-    seed: int = 0,
-) -> BenchReport:
-    """Run the ontology and random selection policies over (domain, problem)
-    tasks, picking among the built-in planner configurations.  Each row's
-    variant is the policy that picked its planner."""
-    candidates = [planner_iri(name) for name in sorted(PLANNER_CONFIGS)]
-    local = {planner_iri(name): name for name in PLANNER_CONFIGS}
-
-    report = BenchReport()
-    for i, (d, domain, p) in enumerate(tasks):
-        task = compile_task(d, p)
-        try:
-            picked = select_ontology(g, domain, candidates)
-        except NoDataForDomain as exc:
-            report.failures.append("{}: {}".format(p.name, exc))
-            picked = None
-        if picked is not None:
-            name = local[picked.chosen]
-            _, stats = search(task, PLANNER_CONFIGS[name])
-            report.rows.append(BenchRow(p.name, "ontology", stats, name))
-        outcome = select_random(candidates, seed + i)
-        name = local[outcome.chosen]
-        _, stats = search(task, PLANNER_CONFIGS[name])
-        report.rows.append(BenchRow(p.name, "random", stats, name))
-    return report

@@ -36,7 +36,3 @@ def load_problems(domain_name: str) -> list[ProblemDef]:
 def plan_paths(domain_name: str) -> list[Path]:
     """Bundled plan files, named `<problem>.<planner>.plan`."""
     return sorted((data_dir() / "plans" / domain_name).glob("*.plan"))
-
-
-def ipc_csv_path() -> Path:
-    return data_dir() / "ipc2011.csv"

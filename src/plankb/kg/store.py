@@ -87,9 +87,6 @@ class Triple:
     def __reduce__(self):
         return Triple, (self.subject, self.predicate, self.object)
 
-    def key(self) -> tuple:
-        return (term_key(self.subject), term_key(self.predicate), term_key(self.object))
-
 
 _set_value = Iri.value.__set__
 _set_lexical, _set_datatype = TypedLiteral.lexical.__set__, TypedLiteral.datatype.__set__
@@ -144,13 +141,6 @@ class Graph:
 
     def triples(self) -> frozenset[Triple]:
         return frozenset(self._decode(self._triples))
-
-    def add(self, t: Triple) -> "Graph":
-        if not isinstance(t, Triple):
-            raise TypeError("expected a Triple")
-        intern = self._intern
-        self._add_keys(((intern(t.subject), intern(t.predicate), intern(t.object)),))
-        return self
 
     def update(self, triples: Iterable[Triple]) -> "Graph":
         self._add_all(triples)
@@ -238,16 +228,6 @@ class Graph:
 
     # --- lookups -----------------------------------------------------------
 
-    def match(
-        self,
-        s: Optional[Iri] = None,
-        p: Optional[Iri] = None,
-        o: Optional[Node] = None,
-    ) -> set[Triple]:
-        """All triples matching the given constants (None = wildcard), as a
-        fresh set the caller may keep or change."""
-        return set(self._decode(self._lookup(s, p, o)))
-
     def _lookup(self, s=None, p=None, o=None):
         """The id tuples matching the given terms (None = wildcard), as
         `_find` gives them."""
@@ -257,13 +237,13 @@ class Graph:
                           None if o is None else ids.get(o, _ABSENT))
 
     def _find(self, s, p, o):
-        """The id tuples matching the given ids (None = wildcard); `_ABSENT`
-        matches nothing.
+        """The id tuples matching the given ids (None = wildcard), or None
+        when all three are wildcards, as no constant narrows the candidates;
+        `_ABSENT` matches nothing.
 
-        One constant gives its index bucket itself and none gives the triple
-        set itself, so the result is read-only and valid until the next
-        write.  Two or three constants intersect their buckets, which walks
-        the smaller set in C.
+        One constant gives its index bucket itself, so the result is
+        read-only and valid until the next write.  Two or three constants
+        intersect their buckets, which walks the smaller set in C.
         """
         found = None
         if s is not None:
@@ -280,7 +260,7 @@ class Graph:
             if bucket is None:
                 return _EMPTY
             found = bucket if found is None else found & bucket
-        return self._triples if found is None else found
+        return found
 
     def subjects_of_type(self, rdf_type: Iri, type_pred: Iri) -> list[Iri]:
         terms = self._terms
@@ -365,9 +345,7 @@ class Graph:
                     else:
                         fresh[t.name] = i
             bound.update(fresh)
-            constants = [None if isinstance(t, Variable) else t for t in pattern]
-            # None when no constant narrows the candidates.
-            base = None if constants == [None] * 3 else self._find(*constants)
+            base = self._find(*[None if isinstance(t, Variable) else t for t in pattern])
             new: list[dict[str, int]] = []
             for binding in solutions:
                 found = base

@@ -85,15 +85,16 @@ def _format_term(term: Node) -> str:
 
 def export_turtle(g: Graph) -> str:
     """One `@prefix` line per namespace, a blank line, then one `S P O .`
-    line per triple in `Triple.key` order.  Raises ValueError on an IRI that
-    Turtle cannot hold (see `plan_iri` for names that always fit)."""
+    line per triple, ordered by the `term_key`s of its subject, predicate
+    and object.  Raises ValueError on an IRI that Turtle cannot hold (see
+    `plan_iri` for names that always fit)."""
     lines = [
         "@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())
     ]
     lines.append("")
     # The graph's term ids are ranked through a list indexed by id, and each
     # term is formatted once.  `term_key` is one total order over all terms,
-    # so sorting by term ranks is sorting by `Triple.key`.
+    # so sorting by term ranks is sorting by those keys.
     terms = g._terms
     order = sorted(range(len(terms)), key=lambda i: term_key(terms[i]))
     rank = [0] * len(terms)
@@ -250,7 +251,7 @@ def _import_lines(text: str) -> Optional[Graph]:
 
 
 def _import_tokens(text: str) -> Graph:
-    g = Graph()
+    triples: list[Triple] = []
     prefixes: dict[str, str] = {}
     rdf_type = Iri(RDF_NS + "type")
     tokens = list(_tokenize(text))
@@ -306,5 +307,5 @@ def _import_tokens(text: str) -> Graph:
         if kind != "dot":
             raise TurtleSyntaxError("expected '.' after triple", line, col)
         i += 1
-        g.add(Triple(subject, predicate, obj))
-    return g
+        triples.append(Triple(subject, predicate, obj))
+    return Graph(triples)

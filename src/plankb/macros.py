@@ -4,12 +4,12 @@ precondition chaining checks, pairwise composition, and domain injection."""
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 from urllib.parse import unquote
 
 from .kg.schema import RDF_TYPE, SCHEMA, integer_literal, plan_iri, string_literal
-from .kg.store import Graph, Iri, Triple, Variable
-from .mapper import UnknownDomain, action_iri
+from .kg.store import Graph, Iri, Triple, TypedLiteral, Variable
+from .mapper import MappingError, UnknownDomain, action_iri
 from .pddl.ast import ActionSchema, Atom, DomainDef, Literal, EQUALITY_PREDICATE
 
 
@@ -82,22 +82,23 @@ class MacroSchema(NamedTuple):
     second_args: tuple[str, ...]
     frequency: int
 
-    def to_action_schema(self, name: Optional[str] = None) -> ActionSchema:
+    def to_action_schema(self, name: str) -> ActionSchema:
         return ActionSchema.make(
-            name or self.name, self.params, self.precondition, self.add, self.delete
+            name, self.params, self.precondition, self.add, self.delete
         )
 
 
 # --- mining ----------------------------------------------------------------
 
 
-def _parse_step_text(text: str) -> tuple[str, tuple[str, ...]]:
-    parts = text.strip().lstrip("(").rstrip(")").split()
-    return parts[0], tuple(parts[1:])
+Step = tuple[str, tuple[str, ...]]  # (action name, argument objects)
 
 
-def plan_step_sequences(g: Graph, domain: Iri) -> dict[Iri, list[str]]:
-    """Ordered step text per stored plan of a domain."""
+def plan_step_sequences(g: Graph, domain: Iri) -> dict[Iri, list[Step]]:
+    """Ordered steps per stored plan of a domain, read from each step's
+    index and `(name arg ...)` text.  Raises MappingError, naming the step
+    node and the value, on an index that is not an integer literal or a
+    text that is not a literal naming an action."""
     t = SCHEMA.prop
     rows = g.query(
         [
@@ -107,14 +108,27 @@ def plan_step_sequences(g: Graph, domain: Iri) -> dict[Iri, list[str]]:
             (Variable("st"), t("hasStepIndex"), Variable("i")),
             (Variable("st"), t("hasActionName"), Variable("txt")),
         ],
-        select=["plan", "i", "txt"],
+        select=["plan", "i", "txt", "st"],
     )
-    plans: dict[Iri, list[tuple[int, str]]] = {}
+    plans: dict[Iri, list[tuple[int, str, Step]]] = {}
     for row in rows:
-        idx = int(row["i"].lexical)
-        plans.setdefault(row["plan"], []).append((idx, row["txt"].lexical))
+        index, text = row["i"], row["txt"]
+        try:
+            idx = int(index.lexical) if isinstance(index, TypedLiteral) else None
+        except ValueError:
+            idx = None
+        if idx is None:
+            raise MappingError("step {}: hasStepIndex {} is not an integer".format(
+                row["st"], index))
+        parts = (text.lexical.strip().lstrip("(").rstrip(")").split()
+                 if isinstance(text, TypedLiteral) else None)
+        if not parts:
+            raise MappingError("step {}: hasActionName {} names no action".format(
+                row["st"], text))
+        plans.setdefault(row["plan"], []).append(
+            (idx, text.lexical, (parts[0], tuple(parts[1:]))))
     return {
-        plan: [txt for _, txt in sorted(steps)] for plan, steps in plans.items()
+        plan: [step for _, _, step in sorted(steps)] for plan, steps in plans.items()
     }
 
 
@@ -126,9 +140,7 @@ def mine_pairs(g: Graph, domain: Iri) -> list[LiftedPair]:
         raise NoPlansForDomain("no plans stored for {}".format(domain.value))
     counts: dict[LiftedPair, int] = {}
     for steps in plans.values():
-        for first_txt, second_txt in zip(steps, steps[1:]):
-            n1, a1 = _parse_step_text(first_txt)
-            n2, a2 = _parse_step_text(second_txt)
+        for (n1, a1), (n2, a2) in zip(steps, steps[1:]):
             pair = lift_pair(n1, a1, n2, a2)
             counts[pair] = counts.get(pair, 0) + 1
     ranked = [pair.with_frequency(n) for pair, n in counts.items()]
@@ -295,19 +307,22 @@ def augment_domain(d: DomainDef, macros: Iterable[MacroSchema], k: int) -> Domai
 def store_macros(g: Graph, domain: Iri, macros: Iterable[MacroSchema]) -> Graph:
     t = SCHEMA.prop
     c = SCHEMA.cls
-    if not g.match(s=domain, p=RDF_TYPE, o=c("PlanningDomain")):
+    if Triple(domain, RDF_TYPE, c("PlanningDomain")) not in g:
         raise UnknownDomain("domain {} is not mapped".format(domain.value))
     # The IRI holds the domain name percent-encoded; plan_iri encodes it again.
     domain_name = unquote(domain.value.rsplit("#", 1)[-1].removeprefix("domain-"))
+    out: list[Triple] = []
     for m in macros:
         M = plan_iri("macro-{}-{}".format(domain_name, m.name))
-        g.add(Triple(M, RDF_TYPE, c("MacroAction")))
-        g.add(Triple(domain, t("hasMacro"), M))
-        g.add(Triple(M, t("hasFirstAction"), action_iri(domain_name, m.first)))
-        g.add(Triple(M, t("hasSecondAction"), action_iri(domain_name, m.second)))
-        g.add(Triple(M, t("hasFrequency"), integer_literal(m.frequency)))
-        g.add(Triple(M, t("hasActionName"), string_literal(m.name)))
-    return g
+        out += (
+            Triple(M, RDF_TYPE, c("MacroAction")),
+            Triple(domain, t("hasMacro"), M),
+            Triple(M, t("hasFirstAction"), action_iri(domain_name, m.first)),
+            Triple(M, t("hasSecondAction"), action_iri(domain_name, m.second)),
+            Triple(M, t("hasFrequency"), integer_literal(m.frequency)),
+            Triple(M, t("hasActionName"), string_literal(m.name)),
+        )
+    return g.update(out)
 
 
 # --- reports ---------------------------------------------------------------

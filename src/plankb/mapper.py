@@ -176,13 +176,13 @@ def map_domain(d: DomainDef) -> list[Triple]:
     return out
 
 
-def map_problem(p: ProblemDef, g: Optional[Graph] = None) -> list[Triple]:
-    """The triples of a problem, possibly with repeats.  Given a graph,
-    raises UnknownDomain unless the problem's domain is mapped in it."""
+def map_problem(p: ProblemDef, g: Graph) -> list[Triple]:
+    """The triples of a problem, possibly with repeats.  Raises
+    UnknownDomain unless the problem's domain is mapped in `g`."""
     t = SCHEMA.prop
     c = SCHEMA.cls
     D = domain_iri(p.domain_name)
-    if g is not None and not g.match(s=D, p=RDF_TYPE, o=c("PlanningDomain")):
+    if Triple(D, RDF_TYPE, c("PlanningDomain")) not in g:
         raise UnknownDomain("domain '{}' is not mapped".format(p.domain_name))
     PR = problem_iri(p.domain_name, p.name)
     out: list[Triple] = [

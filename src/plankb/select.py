@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from typing import NamedTuple, Optional
 
@@ -84,7 +85,9 @@ def relevance(solved: int, total: int) -> Relevance:
 
 
 def solved_percentage(g: Graph, domain: Iri, planner: Iri) -> Optional[float]:
-    """The recorded solved percentage of a planner on a domain, if any."""
+    """The recorded solved percentage of a planner on a domain, if any.
+    Raises InvalidRecord, naming the relevance node and the value, on one
+    that is not a finite number literal."""
     t = SCHEMA.prop
     rows = g.query(
         [
@@ -92,13 +95,21 @@ def solved_percentage(g: Graph, domain: Iri, planner: Iri) -> Optional[float]:
             (Variable("r"), t("hasDomain"), domain),
             (Variable("r"), t("hasSolvedPercentage"), Variable("pct")),
         ],
-        select=["pct"],
+        select=["pct", "r"],
     )
     if not rows:
         return None
     value = rows[0]["pct"]
-    assert isinstance(value, TypedLiteral)
-    return float(value.lexical)
+    pct = None
+    if isinstance(value, TypedLiteral):
+        try:
+            pct = float(value.lexical)
+        except ValueError:
+            pass
+    if pct is None or not math.isfinite(pct):
+        raise InvalidRecord("relevance {}: hasSolvedPercentage {} is not a number".format(
+            rows[0]["r"], value))
+    return pct
 
 
 def select_ontology(

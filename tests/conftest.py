@@ -51,7 +51,7 @@ def driverlog_graph(driverlog_bundle):
 
 @pytest.fixture(scope="session")
 def ipc_rows():
-    return read_ipc_csv(bundles.ipc_csv_path().read_text())
+    return read_ipc_csv((bundles.data_dir() / "ipc2011.csv").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ of `plankb.kg.turtle`, so it checks the exporter's order, not its escaping."""
 
 import itertools
 
-from plankb.kg.store import Triple
+from plankb.kg.store import term_key
 from plankb.kg.turtle import PREFIXES, _format_term
 from plankb.semantics import GroundAction, applicable, apply_action
 
@@ -97,13 +97,18 @@ def assert_same_grounding(actual, expected):
             assert list(getattr(a, field)) == list(getattr(b, field))
 
 
+def triple_key(t):
+    """The sort key of a triple: the `term_key`s of its three terms."""
+    return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
+
+
 def reference_export(g):
     """The Turtle text `export_turtle` must write: the prefix lines, a blank
-    line, then the graph's triples sorted by `Triple.key`, each term
+    line, then the graph's triples sorted by `triple_key`, each term
     formatted where it occurs."""
     lines = ["@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())]
     lines.append("")
-    for t in sorted(g.triples(), key=Triple.key):
+    for t in sorted(g.triples(), key=triple_key):
         lines.append("{} {} {} .".format(
             _format_term(t.subject), _format_term(t.predicate), _format_term(t.object)))
     return "\n".join(lines) + "\n"

@@ -177,7 +177,7 @@ def test_store_flag_persists_macros(bw_ttl, capsys):
     from plankb.kg.schema import SCHEMA
     from plankb.mapper import domain_iri
 
-    assert g.match(s=domain_iri("blocksworld"), p=SCHEMA.prop("hasMacro"))
+    assert g.objects(domain_iri("blocksworld"), SCHEMA.prop("hasMacro"))
 
 
 BW_DOMAIN = data("domains/blocksworld.pddl")
@@ -210,6 +210,24 @@ REPEATED_PARAMETER = BW_TEXT.replace(STACK, STACK.replace("?y", "?x"))  # (?x ?x
 BW_PLAN = (bundles.data_dir() / "plans" / "blocksworld" / "bw-p01.bfs.plan").read_text()
 REVERSED_PLAN = "\n".join(reversed(BW_PLAN.splitlines())) + "\n"
 EX = "http://example.org/"
+STEP = "plan:plan-problem-blocksworld-bw-p01-planner-bfs-0d6efd9e-step-0 "
+FDSS_ELEVATORS = "plan:relevance-fdss-1-elevators "
+
+
+def edited_graph(old, new):
+    """Makes the build-kg + ingest-ipc graph of the blocksworld corpus with
+    the one line that starts with `old` changed to `old + new + " ."`."""
+    def make(bw_ttl):
+        assert main(["ingest-ipc", data("ipc2011.csv"), "-o", "bw.ttl"]) == 0
+        lines = bw_ttl.read_text().splitlines(keepends=True)
+        [i] = [i for i, line in enumerate(lines) if line.startswith(old)]
+        lines[i] = old + new + " .\n"
+        return "".join(lines)
+    return make
+
+
+MINE = ["mine-macros", "bad.ttl", "--domain", "blocksworld"]
+SELECT = ["select-planner", "bad.ttl", "--domain", "elevators", "--policy", "ontology"]
 
 
 @pytest.mark.parametrize("argv,files,code", [
@@ -289,11 +307,21 @@ EX = "http://example.org/"
     (["query", "dir", "--id", "C1"], {"dir/x": ""}, 1),
     (["parse", "dir"], {"dir/x": ""}, 1),
     (["build-kg", BW_DOMAIN, BW_PROBLEM, "-o", "dir"], {"dir/x": ""}, 1),
+    (MINE, {"bad.ttl": edited_graph(STEP + "plan:hasActionName ", '""')}, 1),
+    (MINE, {"bad.ttl": edited_graph(STEP + "plan:hasStepIndex ", '"x"')}, 1),
+    (MINE, {"bad.ttl": edited_graph(STEP + "plan:hasActionName ", "plan:x")}, 1),
+    (MINE, {"bad.ttl": edited_graph(STEP + "plan:hasStepIndex ", "plan:x")}, 1),
+    (SELECT, {"bad.ttl": edited_graph(FDSS_ELEVATORS + "plan:hasSolvedPercentage ",
+                                      '"lots"^^xsd:decimal')}, 1),
+    (SELECT, {"bad.ttl": edited_graph(FDSS_ELEVATORS + "plan:hasSolvedPercentage ",
+                                      "plan:x")}, 1),
 ])
 def test_malformed_input_exits_with_error_not_traceback(
         bw_ttl, workspace, capsys, argv, files, code):
     for name, text in files.items():
         (workspace / name).parent.mkdir(parents=True, exist_ok=True)
+        if callable(text):
+            text = text(bw_ttl)
         if isinstance(text, bytes):
             (workspace / name).write_bytes(text)
         else:
@@ -303,7 +331,8 @@ def test_malformed_input_exits_with_error_not_traceback(
     except SystemExit as exc:
         rc = exc.code
     assert rc == code
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text,reason", [

@@ -236,7 +236,7 @@ def sweep_equivalence(d, p, macros):
     pool = list(d.constants) + list(p.objects)
     checked = 0
     for m in macros:
-        schema = m.to_action_schema()
+        schema = m.to_action_schema(m.name)
         names = [
             sorted(o for o, t in pool if d.is_subtype(t, ptype))
             for _, ptype in schema.params

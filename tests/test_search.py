@@ -2,6 +2,7 @@
 
 import collections
 import heapq
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +10,14 @@ from hypothesis import strategies as st
 
 from plankb import bundles
 from plankb.bench import (
-    PLANNER_CONFIGS,
     BenchReport,
     SearchConfig,
     bench_compare,
     compile_task,
-    policy_experiment,
     search,
     solve,
 )
-from plankb.mapper import domain_iri, map_ipc_results
-from plankb.kg.store import Graph
+from plankb.mapper import domain_iri
 from plankb.pddl import parse_domain, parse_problem
 from plankb.pddl.ast import (
     ActionSchema,
@@ -30,7 +28,6 @@ from plankb.pddl.ast import (
     ProblemDef,
     TypeName,
 )
-from plankb.select import PlannerRecord
 from plankb.semantics import (
     Plan,
     applicable,
@@ -40,6 +37,14 @@ from plankb.semantics import (
 )
 
 from oracles import ATOM_SETS, goal_satisfied, reference_ground
+
+# Blind, greedy and A* searches with each heuristic.
+CONFIGS = [
+    SearchConfig(algorithm="breadth-first", heuristic="zero"),
+    SearchConfig(algorithm="greedy-best-first", heuristic="goal-count"),
+    SearchConfig(algorithm="a-star", heuristic="goal-count"),
+    SearchConfig(algorithm="greedy-best-first", heuristic="zero"),
+]
 
 
 def oracle_optimal_cost(d, p):
@@ -110,7 +115,7 @@ def test_counter_ordering_invariant():
     for name in bundles.DOMAIN_NAMES:
         d = bundles.load_domain(name)
         for p in bundles.load_problems(name):
-            for cfg in PLANNER_CONFIGS.values():
+            for cfg in CONFIGS:
                 _, stats = solve(d, p, cfg)
                 assert stats.generated >= stats.evaluated >= stats.expanded
 
@@ -128,7 +133,7 @@ def test_trivial_goal_counts_root_only():
 def test_determinism_across_runs():
     d = bundles.load_domain("gripper")
     p = bundles.load_problems("gripper")[2]
-    for cfg in PLANNER_CONFIGS.values():
+    for cfg in CONFIGS:
         p1, s1 = solve(d, p, cfg)
         p2, s2 = solve(d, p, cfg)
         assert [a.name for a in p1.steps] == [a.name for a in p2.steps]
@@ -198,38 +203,6 @@ def test_bench_compare_aggregates(bw_bundle, bw_graph):
 
 def test_bench_report_empty_mean():
     assert BenchReport().mean("original", "expanded") is None
-
-
-# --- selection-policy experiment -------------------------------------------
-
-
-def test_policy_experiment_runs():
-    d = bundles.load_domain("blocksworld")
-    problems = bundles.load_problems("blocksworld")[:3]
-    g = Graph()
-    g.update(map_ipc_results(
-        [PlannerRecord(name, "blocksworld", 10 + i, 20)
-         for i, name in enumerate(sorted(PLANNER_CONFIGS))]
-    ))
-    report = policy_experiment(
-        g, [(d, domain_iri("blocksworld"), p) for p in problems], seed=1
-    )
-    ontology_rows = [r for r in report.rows if r.variant == "ontology"]
-    random_rows = [r for r in report.rows if r.variant == "random"]
-    assert len(ontology_rows) == len(random_rows) == 3
-    # The ontology policy always picks the top-rated configuration.
-    best = sorted(PLANNER_CONFIGS)[-1]
-    assert {r.planner for r in ontology_rows} == {best}
-    assert report.failures == []
-    assert "mean" in report.format_table()
-
-
-def test_policy_experiment_reports_missing_data():
-    d = bundles.load_domain("blocksworld")
-    p = bundles.load_problems("blocksworld")[0]
-    report = policy_experiment(Graph(), [(d, domain_iri("blocksworld"), p)])
-    assert len(report.failures) == 1
-    assert [r.variant for r in report.rows] == ["random"]
 
 
 # --- compiled core against the frozenset reference -------------------------
@@ -512,8 +485,8 @@ def test_search_reuses_a_compiled_task():
     d = bundles.load_domain("gripper")
     p = bundles.load_problems("gripper")[0]
     task = compile_task(d, p)
-    for cfg in PLANNER_CONFIGS.values():
-        plan, stats = search(task, cfg)
+    for cfg in CONFIGS:
+        plan, stats = search(task, cfg, time.monotonic())
         expect_plan, expect = solve(d, p, cfg)
         assert plan == expect_plan
         assert (stats.expanded, stats.evaluated, stats.generated) == (

@@ -25,6 +25,8 @@ from plankb.select import (
     solved_percentage,
 )
 
+IPC_CSV = bundles.data_dir() / "ipc2011.csv"
+
 
 def test_tier_boundaries_inclusive():
     assert relevance(7, 20).tier == "medium"   # exactly 35%
@@ -61,7 +63,7 @@ def test_relevance_rejects_bad_counts():
 @pytest.fixture(scope="module")
 def table():
     """Raw CSV cells read independently of the package's ingestion code."""
-    reader = csv.DictReader(io.StringIO(bundles.ipc_csv_path().read_text()))
+    reader = csv.DictReader(io.StringIO(IPC_CSV.read_text()))
     cells = collections.defaultdict(dict)
     for row in reader:
         cells[row["domain"]][row["planner"]] = (
@@ -73,7 +75,7 @@ def table():
 @pytest.fixture(scope="module")
 def results_graph():
     g = Graph()
-    g.update(map_ipc_results(read_ipc_csv(bundles.ipc_csv_path().read_text())))
+    g.update(map_ipc_results(read_ipc_csv(IPC_CSV.read_text())))
     return g
 
 
@@ -169,6 +171,6 @@ def test_csv_bad_cell_rejected():
 
 
 def test_csv_row_count():
-    rows = read_ipc_csv(bundles.ipc_csv_path().read_text())
+    rows = read_ipc_csv(IPC_CSV.read_text())
     assert len(rows) == 56
     assert all(r.total == 20 for r in rows)

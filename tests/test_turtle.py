@@ -286,8 +286,8 @@ def test_roundtrip_any_names(names):
     line-per-statement reader."""
     g = Graph()
     for s, p, o in names:
-        g.add(Triple(plan_iri(s), plan_iri(p), plan_iri(o)))
-        g.add(Triple(plan_iri(s), plan_iri(p), string_literal(o)))
+        g.update([Triple(plan_iri(s), plan_iri(p), plan_iri(o)),
+                  Triple(plan_iri(s), plan_iri(p), string_literal(o))])
     text = export_turtle(g)
     fast = _import_lines(text)
     assert fast is not None and fast.triples() == g.triples()
@@ -308,7 +308,7 @@ _NAMED_TERMS = st.one_of(
                           _NAMED_TERMS), max_size=12))
 def test_export_matches_triple_by_triple_writer(triples):
     """Ranking term ids gives the bytes of writing each triple in
-    `Triple.key` order, for names that need escaping, IRIs written in full
+    `triple_key` order, for names that need escaping, IRIs written in full
     and literals of several datatypes."""
     g = Graph(Triple(s, p, o) for s, p, o in triples)
     assert export_turtle(g) == reference_export(g)
