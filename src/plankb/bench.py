@@ -114,7 +114,7 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
     once), then per role the OR of those bits across the role's atoms.
     """
     # Atoms are numbered through plain (predicate, args) tuples, whose
-    # hashing and comparison run in C; the Atom dataclass's run in Python.
+    # hashing and comparison run in C; Atom's run in Python.
     index: dict[tuple[str, tuple[str, ...]], int] = {}
 
     def mask(atoms: Iterable[Atom]) -> int:

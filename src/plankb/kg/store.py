@@ -2,26 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
+
+from ..frozen import Frozen
 
 
 class VariableInData(Exception):
     pass
 
 
-# Iri, TypedLiteral and Triple are frozen and slotted.  Each sets its slots
-# in an __init__ of its own, through the slots' setters (bound below the
-# classes), and the dataclass generates none: the mappers build one per term
-# and triple, and a generated __init__, which goes through
-# object.__setattr__ and then calls __post_init__, costs more.  Their
-# __reduce__ makes copy and pickle rebuild through __init__: on Python 3.10
-# the default state restore sets each slot and a frozen dataclass refuses
-# that.
+# Iri, TypedLiteral and Triple are frozen and slotted (see Frozen).  Each
+# sets its slots through the slots' setters, bound below the classes: the
+# mappers build one per term and triple, and object.__setattr__ costs more.
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Iri:
+class Iri(Frozen):
+    __slots__ = ("value",)
+    _fields = __slots__
     value: str
 
     def __init__(self, value: str):
@@ -29,15 +26,21 @@ class Iri:
             raise ValueError("IRI must be non-empty")
         _set_value(self, value)
 
-    def __reduce__(self):
-        return Iri, (self.value,)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __str__(self) -> str:
         return "<{}>".format(self.value)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TypedLiteral:
+class TypedLiteral(Frozen):
+    __slots__ = ("lexical", "datatype")
+    _fields = __slots__
     lexical: str
     datatype: Iri
 
@@ -45,8 +48,13 @@ class TypedLiteral:
         _set_lexical(self, lexical)
         _set_datatype(self, datatype)
 
-    def __reduce__(self):
-        return TypedLiteral, (self.lexical, self.datatype)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lexical, self.datatype) == (other.lexical, other.datatype)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lexical, self.datatype))
 
     def __str__(self) -> str:
         return '"{}"^^<{}>'.format(self.lexical, self.datatype.value)
@@ -70,8 +78,9 @@ def term_key(t: Node) -> tuple:
     return (1, t.datatype.value, t.lexical)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Triple:
+class Triple(Frozen):
+    __slots__ = ("subject", "predicate", "object")
+    _fields = __slots__
     subject: Iri
     predicate: Iri
     object: Node
@@ -84,8 +93,14 @@ class Triple:
         _set_predicate(self, predicate)
         _set_object(self, object)
 
-    def __reduce__(self):
-        return Triple, (self.subject, self.predicate, self.object)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.subject, self.predicate, self.object) == (
+                other.subject, other.predicate, other.object)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.subject, self.predicate, self.object))
 
 
 _set_value = Iri.value.__set__

@@ -3,7 +3,6 @@ ten named competency queries."""
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -219,6 +218,8 @@ def map_problem(p: ProblemDef, g: Graph) -> list[Triple]:
 def map_plan(plan: Plan, problem: Iri, planner: Iri) -> list[Triple]:
     """The triples of a plan of `problem` made by `planner`, possibly with
     repeats."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which only build-kg needs
+
     t = SCHEMA.prop
     c = SCHEMA.cls
     names = [step.name for step in plan.steps]

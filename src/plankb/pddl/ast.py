@@ -6,9 +6,9 @@ case-insensitive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
+
+from ..frozen import Frozen
 
 OBJECT_TYPE = "object"
 
@@ -37,17 +37,25 @@ class PredicateSchema(NamedTuple):
         return len(self.params)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(Frozen):
     """Predicate applied to terms; variables start with '?'."""
 
+    __slots__ = ("predicate", "args")
+    _fields = __slots__
     predicate: str
     args: tuple[str, ...]
 
-    def __reduce__(self):
-        # Copy and pickle rebuild through __init__: on Python 3.10 the default
-        # state restore sets each slot and a frozen dataclass refuses that.
-        return Atom, (self.predicate, self.args)
+    def __init__(self, predicate: str, args: tuple[str, ...]):
+        _set_predicate(self, predicate)
+        _set_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.predicate, self.args) == (other.predicate, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.predicate, self.args))
 
     def substitute(self, binding: dict[str, str]) -> "Atom":
         return Atom(self.predicate, tuple(binding.get(a, a) for a in self.args))
@@ -61,6 +69,9 @@ class Atom:
         return "({})".format(self.predicate)
 
 
+_set_predicate, _set_args = Atom.predicate.__set__, Atom.args.__set__
+
+
 class Literal(NamedTuple):
     atom: Atom
     negated: bool = False
@@ -72,8 +83,7 @@ class Literal(NamedTuple):
         return "(not {})".format(self.atom) if self.negated else str(self.atom)
 
 
-@dataclass(frozen=True)
-class ActionSchema:
+class ActionSchema(Frozen):
     """STRIPS action: flat conjunctive precondition plus add/delete lists.
 
     Delete effects shadowed by an add of the same atom are dropped at
@@ -81,11 +91,37 @@ class ActionSchema:
     are always disjoint.
     """
 
+    __slots__ = ("name", "params", "precondition", "add", "delete")
+    _fields = __slots__
     name: str
     params: tuple[tuple[str, str], ...]
     precondition: frozenset[Literal]
     add: frozenset[Atom]
     delete: frozenset[Atom]
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[tuple[str, str], ...],
+        precondition: frozenset[Literal],
+        add: frozenset[Atom],
+        delete: frozenset[Atom],
+    ):
+        _set = object.__setattr__
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "precondition", precondition)
+        _set(self, "add", add)
+        _set(self, "delete", delete)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.params, self.precondition, self.add, self.delete) == (
+                other.name, other.params, other.precondition, other.add, other.delete)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.params, self.precondition, self.add, self.delete))
 
     @staticmethod
     def make(
@@ -109,14 +145,46 @@ class ActionSchema:
         return tuple(v for v, _ in self.params)
 
 
-@dataclass(frozen=True)
-class DomainDef:
+class DomainDef(Frozen):
+    __slots__ = ("name", "requirements", "types", "constants", "predicates", "actions",
+                 "_ancestors")
+    _fields = __slots__[:-1]
     name: str
     requirements: frozenset[str]
     types: tuple[TypeName, ...]
     constants: tuple[tuple[str, str], ...]
     predicates: tuple[PredicateSchema, ...]
     actions: tuple[ActionSchema, ...]
+
+    def __init__(
+        self,
+        name: str,
+        requirements: frozenset[str],
+        types: tuple[TypeName, ...],
+        constants: tuple[tuple[str, str], ...],
+        predicates: tuple[PredicateSchema, ...],
+        actions: tuple[ActionSchema, ...],
+    ):
+        _set = object.__setattr__
+        _set(self, "name", name)
+        _set(self, "requirements", requirements)
+        _set(self, "types", types)
+        _set(self, "constants", constants)
+        _set(self, "predicates", predicates)
+        _set(self, "actions", actions)
+        _set(self, "_ancestors", _type_ancestors(self.type_parents()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.requirements, self.types, self.constants,
+                    self.predicates, self.actions) == (
+                other.name, other.requirements, other.types, other.constants,
+                other.predicates, other.actions)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.requirements, self.types, self.constants,
+                     self.predicates, self.actions))
 
     def predicate_map(self) -> dict[str, PredicateSchema]:
         return {p.name: p for p in self.predicates}
@@ -133,26 +201,25 @@ class DomainDef:
             declared.add(t.name)
         return declared
 
-    @cached_property
-    def _ancestors(self) -> dict[str, frozenset[str]]:
-        """Each declared type with itself and its ancestors; a cycle in the
-        parent links stops the walk instead of looping."""
-        parents = self.type_parents()
-        closure = {}
-        for name in parents:
-            seen: set[str] = set()
-            cur: Optional[str] = name
-            while cur is not None and cur not in seen:
-                seen.add(cur)
-                cur = parents.get(cur)
-            closure[name] = frozenset(seen)
-        return closure
-
     def is_subtype(self, sub: str, sup: str) -> bool:
         """True if sub is sup or a descendant of it in the type forest."""
         if sup == OBJECT_TYPE or sub == sup:
             return True
         return sup in self._ancestors.get(sub, ())
+
+
+def _type_ancestors(parents: dict[str, str]) -> dict[str, frozenset[str]]:
+    """Each declared type with itself and its ancestors; a cycle in the
+    parent links stops the walk instead of looping."""
+    closure = {}
+    for name in parents:
+        seen: set[str] = set()
+        cur: Optional[str] = name
+        while cur is not None and cur not in seen:
+            seen.add(cur)
+            cur = parents.get(cur)
+        closure[name] = frozenset(seen)
+    return closure
 
 
 class ProblemDef(NamedTuple):

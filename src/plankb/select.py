@@ -151,26 +151,33 @@ CSV_HEADER = ["planner", "domain", "solved", "total"]
 
 
 def read_ipc_csv(text: str) -> list[PlannerRecord]:
-    """Parse `planner,domain,solved,total` rows into PlannerRecords."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != CSV_HEADER:
-        raise InvalidRecord(
-            "expected header '{}', found '{}'".format(
-                ",".join(CSV_HEADER),
-                ",".join(reader.fieldnames or []),
-            )
-        )
-    rows = []
-    for row in reader:
-        try:
-            rows.append(
-                PlannerRecord(
-                    row["planner"].strip(),
-                    row["domain"].strip(),
-                    int(row["solved"]),
-                    int(row["total"]),
+    """Parse `planner,domain,solved,total` rows into PlannerRecords.  A
+    header name may have white space around it, and CR, LF and CRLF all end
+    a line."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != CSV_HEADER:
+            raise InvalidRecord(
+                "expected header '{}', found '{}'".format(
+                    ",".join(CSV_HEADER),
+                    ",".join(reader.fieldnames or []),
                 )
             )
-        except (TypeError, ValueError) as exc:
-            raise InvalidRecord("bad CSV row {}".format(row)) from exc
+        reader.fieldnames = list(CSV_HEADER)
+        rows = []
+        for row in reader:
+            try:
+                rows.append(
+                    PlannerRecord(
+                        row["planner"].strip(),
+                        row["domain"].strip(),
+                        int(row["solved"]),
+                        int(row["total"]),
+                    )
+                )
+            # A short row leaves its missing fields None.
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise InvalidRecord("bad CSV row {}".format(row)) from exc
+    except csv.Error as exc:  # a NUL byte before Python 3.11, among others
+        raise InvalidRecord("bad CSV: {}".format(exc)) from exc
     return rows

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from .frozen import Frozen
 from .pddl.ast import (
     ActionSchema,
     Atom,
@@ -40,30 +40,60 @@ class NotApplicable(Exception):
 _ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
 
 
-@dataclass(frozen=True, slots=True)
-class GroundAction:
+class GroundAction(Frozen):
     """A fully instantiated action; delete effects never overlap adds.
 
-    Equality, hash and repr cover the seven constructor fields.  An action
-    that `ground`, `resolve_plan` or `Template.action` makes is lazy: it
-    holds its objects and its compiled template, and builds `binding` on its
-    first read and the four atom sets on the first read of any of them.
+    Frozen and slotted (see `Frozen`).  Equality, hash and repr cover the
+    seven constructor fields, and a copy or pickle is an eager action.  An
+    action that `ground`, `resolve_plan` or `Template.action` makes is lazy:
+    it holds its objects and its compiled template, and builds `binding` on
+    its first read and the four atom sets on the first read of any of them.
     Reading `schema`, `binding`, `objects`, `name` or `cost` builds no atom.
     """
 
+    __slots__ = ("schema", "binding", *_ATOM_SETS, "cost", "_objects", "_source")
+    _fields = __slots__[:-2]
     schema: str
     binding: tuple[tuple[str, str], ...]  # (variable, object) in parameter order
     pre_pos: frozenset[GroundAtom]
     pre_neg: frozenset[GroundAtom]
     add: frozenset[GroundAtom]
     delete: frozenset[GroundAtom]
-    cost: int = 1
-    _objects: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # A lazy action's template; None otherwise.
-    _source: Optional[Template] = field(default=None, init=False, repr=False, compare=False)
+    cost: int
+    _objects: tuple[str, ...]
+    _source: Optional[Template]  # a lazy action's template; None otherwise
 
-    def __post_init__(self):
-        object.__setattr__(self, "_objects", tuple([o for _, o in self.binding]))
+    def __init__(
+        self,
+        schema: str,
+        binding: tuple[tuple[str, str], ...],
+        pre_pos: frozenset[GroundAtom],
+        pre_neg: frozenset[GroundAtom],
+        add: frozenset[GroundAtom],
+        delete: frozenset[GroundAtom],
+        cost: int = 1,
+    ):
+        _set(self, "schema", schema)
+        _set(self, "binding", binding)
+        _set(self, "pre_pos", pre_pos)
+        _set(self, "pre_neg", pre_neg)
+        _set(self, "add", add)
+        _set(self, "delete", delete)
+        _set(self, "cost", cost)
+        _set(self, "_objects", tuple([o for _, o in binding]))
+        _set(self, "_source", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.schema, self.binding, self.pre_pos, self.pre_neg,
+                    self.add, self.delete, self.cost) == (
+                other.schema, other.binding, other.pre_pos, other.pre_neg,
+                other.add, other.delete, other.cost)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.schema, self.binding, self.pre_pos, self.pre_neg,
+                     self.add, self.delete, self.cost))
 
     def __getattr__(self, name: str):
         # Python calls this only for an unset attribute: on a lazy action,
@@ -73,18 +103,11 @@ class GroundAction:
             raise AttributeError(
                 "'GroundAction' object has no attribute '{}'".format(name))
         if name == "binding":
-            object.__setattr__(self, name, tuple(zip(source.variables, self._objects)))
+            _set(self, name, tuple(zip(source.variables, self._objects)))
         else:
             for field_name, atoms in zip(_ATOM_SETS, _atom_sets(source, self._objects)):
-                object.__setattr__(self, field_name, atoms)
+                _set(self, field_name, atoms)
         return object.__getattribute__(self, name)
-
-    def __reduce__(self):
-        # Rebuild from the seven fields, so a copy is an eager action.
-        return GroundAction, (
-            self.schema, self.binding, self.pre_pos, self.pre_neg,
-            self.add, self.delete, self.cost,
-        )
 
     @property
     def objects(self) -> tuple[str, ...]:

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through main()."""
 
+import ast
 import json
 import os
 import shutil
@@ -408,3 +409,24 @@ def test_cli_imports_only_the_standard_library():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_hashlib():
+    # Every command pays for these at start-up: `dataclasses` loads
+    # `inspect` and with it `ast`, `dis` and `tokenize`, and `hashlib`
+    # loads OpenSSL.  What a bare interpreter loads (a site `.pth` file may
+    # load some of them) is left out.
+    probe = (
+        "import sys\n"
+        "{}"
+        "print(sorted({{'dataclasses', 'inspect', 'hashlib'}} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", probe.format(code)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        return set(ast.literal_eval(out))
+
+    assert loaded("import plankb.cli\n") - loaded("") == set()

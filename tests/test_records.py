@@ -1,7 +1,7 @@
 """The package's plain records are NamedTuples, not dataclasses (see
-`test_package.test_only_the_listed_classes_are_dataclasses`).  Each must
-print as the dataclass it replaced did, compare and hash by value as its
-field tuple, and refuse attribute assignment."""
+`test_package.test_no_class_is_a_dataclass`).  Each must print as the
+dataclass it replaced did, compare and hash by value as its field tuple,
+and refuse attribute assignment."""
 
 import pytest
 

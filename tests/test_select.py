@@ -18,6 +18,7 @@ from plankb.select import (
     InvalidRecord,
     NoCandidates,
     NoDataForDomain,
+    PlannerRecord,
     read_ipc_csv,
     relevance,
     select_ontology,
@@ -168,6 +169,40 @@ def test_csv_header_validated():
 def test_csv_bad_cell_rejected():
     with pytest.raises(InvalidRecord):
         read_ipc_csv("planner,domain,solved,total\nx,y,many,20\n")
+
+
+HEADER = "planner,domain,solved,total\n"
+
+
+@pytest.mark.parametrize("text", [
+    HEADER + "lama\n",                      # a short row: AttributeError before
+    HEADER + "lama,elevators\n",
+    HEADER + "la\rma,elevators,3,20\n",     # a lone CR: csv.Error before
+    HEADER + '"lama,elevators,3,20\n',      # an unclosed quote
+])
+def test_csv_malformed_row_is_an_invalid_record(text):
+    with pytest.raises(InvalidRecord, match="^bad CSV row "):
+        read_ipc_csv(text)
+
+
+def test_csv_nul_is_an_invalid_record_or_a_name():
+    # Python 3.10's csv refuses a NUL byte; later versions read it as text.
+    try:
+        rows = read_ipc_csv(HEADER + "la\x00ma,elevators,3,20\n")
+    except InvalidRecord as exc:
+        assert str(exc) == "bad CSV: line contains NUL"
+    else:
+        assert rows == [PlannerRecord("la\x00ma", "elevators", 3, 20)]
+
+
+def test_csv_line_ends_and_padded_header_names():
+    # A padded header name was accepted and its rows then failed with a
+    # KeyError.
+    expected = [PlannerRecord("lama", "elevators", 3, 20), PlannerRecord("lmcut", "barman", 4, 20)]
+    for text in ("planner, domain ,solved,total\nlama,elevators,3,20\nlmcut,barman,4,20\n",
+                 "planner,domain,solved,total\r\nlama,elevators,3,20\r\nlmcut,barman,4,20",
+                 "planner,domain,solved,total\rlama,elevators,3,20\rlmcut,barman,4,20\r"):
+        assert read_ipc_csv(text) == expected
 
 
 def test_csv_row_count():

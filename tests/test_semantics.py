@@ -1,6 +1,5 @@
 """Grounding, state transition, and plan validation semantics."""
 
-import dataclasses
 import itertools
 import random
 
@@ -319,7 +318,8 @@ def test_repeated_parameter_is_a_domain_error(hand_task):
     d, p = hand_task
     loop = ActionSchema.make("loop", (("?p", "place"), ("?p", "place")), (),
                              (Atom("same", ("?p", "?p")),), ())
-    d = dataclasses.replace(d, actions=d.actions + (loop,))
+    d = DomainDef(d.name, d.requirements, d.types, d.constants, d.predicates,
+                  d.actions + (loop,))
     message = r"action 'loop' declares parameter '\?p' twice"
     for _ in range(2):  # every call, not only the first
         with pytest.raises(RepeatedParameter, match=message):
@@ -366,7 +366,9 @@ def test_each_schema_object_compiles_once(monkeypatch):
     assert [id(s) for s in compiled] == [id(s) for s in d.actions]
     # An equal schema object gets its own template: its literal sets may
     # iterate in another order, and the template keeps that order.
-    twin = dataclasses.replace(d, actions=tuple(dataclasses.replace(a) for a in d.actions))
+    twin = DomainDef(d.name, d.requirements, d.types, d.constants, d.predicates, tuple(
+        ActionSchema(a.name, a.params, a.precondition, a.add, a.delete) for a in d.actions))
+    assert twin == d and all(x == y and x is not y for x, y in zip(twin.actions, d.actions))
     ground(twin, bundles.load_problems("blocksworld")[0])
     assert [id(s) for s in compiled[len(d.actions):]] == [id(s) for s in twin.actions]
 

@@ -1,28 +1,72 @@
-"""Frozen slotted value types: Atom, Iri, TypedLiteral and Triple must
-hash, compare, print and copy as plain frozen dataclasses of their fields,
-and a lazily grounded GroundAction exactly like one built from its seven
+"""Frozen slotted value types: Atom, ActionSchema, DomainDef, Iri,
+TypedLiteral and Triple must hash, compare, print and copy as the plain
+frozen records of their fields that the dataclasses they replaced were, and
+a lazily grounded GroundAction exactly like one built from its seven
 fields."""
 
 import copy
-import dataclasses
+import inspect
+import itertools
 import pickle
 
 import pytest
 
 from plankb import bundles
 from plankb.kg.store import Iri, Triple, TypedLiteral
-from plankb.pddl.ast import Atom
+from plankb.pddl.ast import ActionSchema, Atom, DomainDef, Literal, PredicateSchema, TypeName
 from plankb.semantics import GroundAction, ground
 
 from oracles import ATOM_SETS, reference_ground
 
 EX = "http://example.org/"
 
+# Each class's fields in constructor order: the fields that equality, hash,
+# repr and copies cover.
+FIELDS = {
+    Atom: ("predicate", "args"),
+    ActionSchema: ("name", "params", "precondition", "add", "delete"),
+    DomainDef: ("name", "requirements", "types", "constants", "predicates", "actions"),
+    Iri: ("value",),
+    TypedLiteral: ("lexical", "datatype"),
+    Triple: ("subject", "predicate", "object"),
+    GroundAction: ("schema", "binding", *ATOM_SETS, "cost"),
+}
+
+
+def schema(name):
+    return ActionSchema(
+        name, (("?x", "block"),), frozenset({Literal(Atom("clear", ("?x",)))}),
+        frozenset({Atom("holding", ("?x",))}), frozenset({Atom("clear", ("?x",))}))
+
+
+def schema_text(name):
+    return (
+        "ActionSchema(name='{}', params=(('?x', 'block'),), "
+        "precondition=frozenset({{Literal(atom=Atom(predicate='clear', args=('?x',)), "
+        "negated=False)}}), add=frozenset({{Atom(predicate='holding', args=('?x',))}}), "
+        "delete=frozenset({{Atom(predicate='clear', args=('?x',))}}))".format(name))
+
+
+def domain(*types):
+    return DomainDef(
+        "d", frozenset({":typing"}), types, (("t", "block"),),
+        (PredicateSchema("clear", (("?x", "block"),)),), (schema("pick"),))
+
+
 VALUES = {
     "Atom": (
         Atom("on", ("a", "b")),
         "Atom(predicate='on', args=('a', 'b'))",
         Atom("on", ("b", "a")),
+    ),
+    "ActionSchema": (schema("pick"), schema_text("pick"), schema("put")),
+    "DomainDef": (
+        domain(TypeName("block")),
+        "DomainDef(name='d', requirements=frozenset({':typing'}), "
+        "types=(TypeName(name='block', parent='object'),), constants=(('t', 'block'),), "
+        "predicates=(PredicateSchema(name='clear', params=(('?x', 'block'),)),), "
+        "actions=(" + schema_text("pick") + ",))",
+        domain(TypeName("block", "thing")),
     ),
     "Iri": (Iri(EX + "s"), "Iri(value='http://example.org/s')", Iri(EX + "o")),
     "TypedLiteral": (
@@ -43,14 +87,26 @@ CASES = pytest.mark.parametrize("name", sorted(VALUES))
 
 
 def compared(value):
-    return tuple(
-        getattr(value, f.name) for f in dataclasses.fields(value) if f.compare
-    )
+    return tuple(getattr(value, name) for name in FIELDS[type(value)])
 
 
 def rebuilt(value):
     cls = type(value)
     return cls(*compared(value))
+
+
+def assert_frozen(value):
+    """Assigning or deleting any attribute, a hidden slot or a new name
+    among them, raises AttributeError and leaves the value as it was."""
+    before = compared(value)
+    names = FIELDS[type(value)] + tuple(type(value).__slots__) + ("other",)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    after = compared(value)
+    assert after == before and all(a is b for a, b in zip(after, before))
 
 
 @CASES
@@ -66,17 +122,14 @@ def test_repr_and_equality_leave_the_cache_out(name):
     assert repr(value) == text
     assert value == rebuilt(value) and value is not rebuilt(value)
     assert value != other
-    assert [f.name for f in dataclasses.fields(value) if f.compare or f.repr] == [
-        f.name for f in dataclasses.fields(value) if f.init
-    ]
+    assert value.__eq__(compared(value)) is NotImplemented and value != compared(value)
+    assert tuple(inspect.signature(type(value)).parameters) == FIELDS[type(value)]
 
 
 @CASES
 def test_fields_are_frozen(name):
     value, _, _ = VALUES[name]
-    for f in dataclasses.fields(value):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(value, f.name, None)
+    assert_frozen(value)
 
 
 @CASES
@@ -87,13 +140,26 @@ def test_instances_have_no_dict(name):
 
 @CASES
 def test_copies_rebuild_through_init(name):
-    value, _, _ = VALUES[name]
-    # Copy and pickle go through __init__: on Python 3.10 the default state
-    # restore sets each slot, which a frozen dataclass refuses.
+    value, text, _ = VALUES[name]
+    # Copy and pickle go through __init__: the default state restore sets
+    # each slot, which a frozen value refuses.
     cls, args = value.__reduce__()
     assert cls is type(value) and args == compared(value)
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
-        assert clone == value and hash(clone) == hash(value)
+        assert clone == value and hash(clone) == hash(value) and repr(clone) == text
+
+
+def test_domain_copies_answer_is_subtype():
+    # a <- b <- c, and x and y name each other as parent (a cycle).
+    d = domain(TypeName("a"), TypeName("b", "a"), TypeName("c", "b"),
+               TypeName("x", "y"), TypeName("y", "x"))
+    names = ["a", "b", "c", "x", "y", "z", "object"]
+    answers = [d.is_subtype(sub, sup) for sub, sup in itertools.product(names, repeat=2)]
+    assert answers.count(True) == 18
+    for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert clone._ancestors == d._ancestors
+        assert [clone.is_subtype(sub, sup)
+                for sub, sup in itertools.product(names, repeat=2)] == answers
 
 
 def test_sets_iterate_as_the_tuples_do():
@@ -147,16 +213,23 @@ def test_lazy_action_reads_as_its_seven_fields(check):
 def test_lazy_action_is_frozen_and_slotted():
     for lazy, eager in lazy_and_eager():
         assert not hasattr(lazy, "__dict__")
-        for f in dataclasses.fields(lazy):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(lazy, f.name, None)
+        for name in FIELDS[GroundAction] + ("_objects", "_source", "other"):
+            with pytest.raises(AttributeError):
+                setattr(lazy, name, None)
+            with pytest.raises(AttributeError):
+                delattr(lazy, name)
         assert lazy == eager and sets_of(lazy) == sets_of(eager)
+        assert_frozen(eager)
         with pytest.raises(AttributeError, match="no attribute 'pre'"):
             lazy.pre
 
 
 def test_ground_action_fields_are_the_seven_constructor_arguments():
     _, eager = lazy_and_eager()[0]
-    assert [f.name for f in dataclasses.fields(eager) if f.compare or f.repr] == [
-        f.name for f in dataclasses.fields(eager) if f.init
-    ] == ["schema", "binding", *ATOM_SETS, "cost"]
+    assert list(inspect.signature(GroundAction).parameters) == list(
+        FIELDS[GroundAction]) == ["schema", "binding", *ATOM_SETS, "cost"]
+    assert repr(eager) == "GroundAction({})".format(", ".join(
+        "{}={!r}".format(name, value) for name, value in zip(FIELDS[GroundAction],
+                                                            compared(eager))))
+    assert eager == rebuilt(eager) and hash(eager) == hash(compared(eager))
+    assert inspect.signature(GroundAction).parameters["cost"].default == 1
