@@ -9,23 +9,14 @@ import re
 import sys
 from pathlib import Path
 
-from .bench import (
-    ALGORITHMS,
-    HEURISTICS,
-    SearchConfig,
-    bench_compare,
-    solve,
-)
+from . import PlankbError
+from .bench import ALGORITHMS, HEURISTICS, SearchConfig, bench_compare, solve
 from .kg.axioms import validate_axioms
 from .kg.schema import RDF_TYPE, SCHEMA
 from .kg.store import Graph, Iri
-from .kg.turtle import TurtleSyntaxError, export_turtle, import_turtle
+from .kg.turtle import export_turtle, import_turtle
 from .macros import (
-    MacroReportError,
     MacroSchema,
-    NoPlansForDomain,
-    TypeConflict,
-    UnknownSchema,
     augment_domain,
     chain_filter,
     compose,
@@ -38,10 +29,6 @@ from .macros import (
 from .mapper import (
     COMPETENCY_QUERIES,
     FileAccessError,
-    MappingError,
-    NotUtf8,
-    UnknownDomain,
-    UnknownQueryId,
     build_graph,
     domain_iri,
     load_plans,
@@ -50,37 +37,10 @@ from .mapper import (
     run_competency,
     write_output,
 )
-from .pddl.ast import PddlError
 from .pddl.parser import parse_domain, parse_problem
 from .pddl.printer import print_domain, print_problem
 from .pddl.validate import validate_domain
-from .select import (
-    InvalidRecord,
-    NoCandidates,
-    NoDataForDomain,
-    read_ipc_csv,
-    select_ontology,
-    select_random,
-)
-from .semantics import DomainProblemMismatch
-
-DOMAIN_ERRORS = (
-    PddlError,
-    TurtleSyntaxError,
-    MappingError,
-    NotUtf8,
-    UnknownDomain,
-    UnknownQueryId,
-    MacroReportError,
-    InvalidRecord,
-    NoCandidates,
-    NoDataForDomain,
-    NoPlansForDomain,
-    DomainProblemMismatch,
-    UnknownSchema,
-    TypeConflict,
-    FileAccessError,
-)
+from .select import read_ipc_csv, select_ontology, select_random
 
 
 class UsageError(Exception):
@@ -247,14 +207,8 @@ def cmd_bench(args) -> int:
         raise FileAccessError(
             "{}: no problem of domain '{}'".format(problem_dir, domain.name)
         )
-    cfg = SearchConfig(
-        algorithm=args.algo,
-        heuristic=args.heuristic,
-        max_expansions=args.max_expansions,
-        max_seconds=args.max_seconds,
-    )
     macros = _load_macros(domain, args.macros) if args.macros else []
-    report = bench_compare(domain, macros, problems, cfg, k=args.k)
+    report = bench_compare(domain, macros, problems, _search_config(args), k=args.k)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     else:
@@ -265,13 +219,7 @@ def cmd_bench(args) -> int:
 def cmd_solve(args) -> int:
     domain = parse_domain(read_input(_resolve(args.domain)))
     problem = parse_problem(read_input(_resolve(args.problem)), domain)
-    cfg = SearchConfig(
-        algorithm=args.algo,
-        heuristic=args.heuristic,
-        max_expansions=args.max_expansions,
-        max_seconds=args.max_seconds,
-    )
-    plan, stats = solve(domain, problem, cfg)
+    plan, stats = solve(domain, problem, _search_config(args))
     if plan is None:
         print("no plan ({})".format(stats.status), file=sys.stderr)
         return 1
@@ -297,6 +245,20 @@ def _limit(kind):
 
     parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
     return parse
+
+
+def _add_search_options(p: argparse.ArgumentParser, algo: str) -> None:
+    """The search options of `solve` and `bench`; `algo` is the command's
+    default algorithm, and the limits default to `SearchConfig`'s."""
+    defaults = SearchConfig()
+    p.add_argument("--algo", choices=ALGORITHMS, default=algo)
+    p.add_argument("--heuristic", choices=HEURISTICS, default=defaults.heuristic)
+    p.add_argument("--max-expansions", type=_limit(int), default=defaults.max_expansions)
+    p.add_argument("--max-seconds", type=_limit(float), default=defaults.max_seconds)
+
+
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(args.algo, args.heuristic, args.max_expansions, args.max_seconds)
 
 
 def _key_value(text: str) -> tuple[str, str]:
@@ -327,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Turtle file to write; missing parent directories are created")
     p.set_defaults(func=cmd_build_kg)
 
-    p = sub.add_parser("query", help="run a competency query against a graph")
+    listing = ["competency queries (give each parameter as --arg KEY=VALUE):"]
+    listing += ["  {:<4} {:<16} {}".format(q.id, " ".join(q.parameters) or "-", q.description)
+                for q in COMPETENCY_QUERIES.values()]
+    p = sub.add_parser("query", help="run a competency query against a graph",
+                       formatter_class=argparse.RawDescriptionHelpFormatter,
+                       epilog="\n".join(listing))
     p.add_argument("graph")
     p.add_argument("--id", required=True, choices=sorted(COMPETENCY_QUERIES))
     p.add_argument("--arg", action="append", default=[], metavar="KEY=VALUE",
@@ -375,20 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", required=True, help="directory of problem files")
     p.add_argument("--macros")
     p.add_argument("-k", type=_limit(int), default=2)
-    p.add_argument("--algo", choices=ALGORITHMS, default="greedy-best-first")
-    p.add_argument("--heuristic", choices=HEURISTICS, default="goal-count")
-    p.add_argument("--max-expansions", type=_limit(int), default=1_000_000)
-    p.add_argument("--max-seconds", type=_limit(float), default=60.0)
+    _add_search_options(p, "greedy-best-first")
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("solve", help="solve one problem and print the plan")
     p.add_argument("domain")
     p.add_argument("problem")
-    p.add_argument("--algo", choices=ALGORITHMS, default="breadth-first")
-    p.add_argument("--heuristic", choices=HEURISTICS, default="goal-count")
-    p.add_argument("--max-expansions", type=_limit(int), default=1_000_000)
-    p.add_argument("--max-seconds", type=_limit(float), default=60.0)
+    _add_search_options(p, "breadth-first")
     p.set_defaults(func=cmd_solve)
 
     return parser
@@ -401,7 +362,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))
-    except DOMAIN_ERRORS as exc:
+    except PlankbError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return 1
 

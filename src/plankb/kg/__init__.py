@@ -1,37 +1,1 @@
 """Triple store, planning ontology schema, axiom validation, and Turtle I/O."""
-
-from .axioms import AxiomViolation, validate_axioms
-from .schema import (
-    OntologySchema,
-    PLAN_NS,
-    RDF_TYPE,
-    SCHEMA,
-    decimal_literal,
-    integer_literal,
-    plan_iri,
-    string_literal,
-)
-from .store import Graph, Iri, Triple, TypedLiteral, Variable, VariableInData
-from .turtle import TurtleSyntaxError, export_turtle, import_turtle
-
-__all__ = [
-    "AxiomViolation",
-    "Graph",
-    "Iri",
-    "OntologySchema",
-    "PLAN_NS",
-    "RDF_TYPE",
-    "SCHEMA",
-    "Triple",
-    "TurtleSyntaxError",
-    "TypedLiteral",
-    "Variable",
-    "VariableInData",
-    "decimal_literal",
-    "export_turtle",
-    "import_turtle",
-    "integer_literal",
-    "plan_iri",
-    "string_literal",
-    "validate_axioms",
-]

@@ -22,7 +22,6 @@ RDF_TYPE = Iri(RDF_NS + "type")
 XSD_STRING = Iri(XSD_NS + "string")
 XSD_DECIMAL = Iri(XSD_NS + "decimal")
 XSD_NON_NEGATIVE_INTEGER = Iri(XSD_NS + "nonNegativeInteger")
-XSD_INTEGER = Iri(XSD_NS + "integer")
 
 CLASS_NAMES = (
     "PlanningDomain",

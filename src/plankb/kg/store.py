@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional, Union
 
+from .. import PlankbError
 from ..frozen import Frozen
 
 
-class VariableInData(Exception):
+class VariableInData(PlankbError):
     pass
 
 
@@ -67,7 +68,6 @@ class Variable(NamedTuple):
         return "?" + self.name
 
 
-Term = Union[Iri, TypedLiteral, Variable]
 Node = Union[Iri, TypedLiteral]
 
 
@@ -109,7 +109,7 @@ _set_subject, _set_predicate, _set_object = (
     Triple.subject.__set__, Triple.predicate.__set__, Triple.object.__set__)
 
 
-Pattern = tuple  # (Term, Term, Term) with Variables allowed anywhere
+Pattern = tuple  # (s, p, o): each a Node, or a Variable anywhere
 Key = tuple  # (subject id, predicate id, object id)
 
 _EMPTY: frozenset = frozenset()
@@ -150,9 +150,6 @@ class Graph:
             return False
         ids = self._ids
         return (ids.get(t.subject), ids.get(t.predicate), ids.get(t.object)) in self._triples
-
-    def __iter__(self):
-        return self._decode(self._triples)
 
     def triples(self) -> frozenset[Triple]:
         return frozenset(self._decode(self._triples))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
+from .. import PlankbError
 from .schema import PLAN_NS, RDF_NS, XSD_NS, XSD_STRING
 from .store import Graph, Iri, Node, Triple, TypedLiteral, term_key
 
@@ -30,7 +31,7 @@ _IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\\s]'
 _IRIREF_BODY = re.compile(_IRI_CHAR + "+")
 
 
-class TurtleSyntaxError(Exception):
+class TurtleSyntaxError(PlankbError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__("{}:{}: {}".format(line, column, message))
         self.line = line

@@ -4,32 +4,33 @@ precondition chaining checks, pairwise composition, and domain injection."""
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 from urllib.parse import unquote
 
+from . import PlankbError
 from .kg.schema import RDF_TYPE, SCHEMA, integer_literal, plan_iri, string_literal
 from .kg.store import Graph, Iri, Triple, TypedLiteral, Variable
 from .mapper import MappingError, UnknownDomain, action_iri
 from .pddl.ast import ActionSchema, Atom, DomainDef, Literal, EQUALITY_PREDICATE
 
 
-class UnknownSchema(Exception):
+class UnknownSchema(PlankbError):
     pass
 
 
-class ChainingViolation(Exception):
+class ChainingViolation(PlankbError):
     pass
 
 
-class TypeConflict(Exception):
+class TypeConflict(PlankbError):
     pass
 
 
-class NoPlansForDomain(Exception):
+class NoPlansForDomain(PlankbError):
     pass
 
 
-class MacroReportError(Exception):
+class MacroReportError(PlankbError):
     """A mine-macros JSON report that is not a list of lifted pairs."""
 
 
@@ -221,39 +222,23 @@ def _split_precondition(literals, sub):
     return pos, neg, equalities
 
 
-def chain_filter(d: DomainDef, p: LiftedPair) -> bool:
-    """True when, under the pair's unifier, the first action establishes part
-    of the second's precondition and destroys none of the rest."""
-    a1, a2, _, sub1, sub2 = _unify(d, p)
-    add1 = {a.substitute(sub1) for a in a1.add}
-    del1 = {a.substitute(sub1) for a in a1.delete}
-    pre2_pos, pre2_neg, _ = _split_precondition(a2.precondition, sub2)
-    if not (add1 & pre2_pos):
-        return False
-    if (pre2_pos - add1) & del1:
-        return False
-    if pre2_neg & add1:
-        return False
-    return True
-
-
-def compose(d: DomainDef, p: LiftedPair) -> MacroSchema:
-    """Compose the unified pair into one operator.
+def _compose(d: DomainDef, p: LiftedPair) -> Optional[MacroSchema]:
+    """The macro of a pair, unified and substituted once; None when the
+    first action establishes none of the second's precondition or destroys
+    some of the rest.
 
     pre = pre1 ∪ (pre2 \\ add1); add = add2 ∪ (add1 \\ del2);
     del = (del1 ∪ del2) \\ add.
     """
-    if not chain_filter(d, p):
-        raise ChainingViolation(
-            "pair {} * {} does not chain".format(p.first, p.second)
-        )
     a1, a2, params, sub1, sub2 = _unify(d, p)
     add1 = {a.substitute(sub1) for a in a1.add}
     del1 = {a.substitute(sub1) for a in a1.delete}
+    pre2_pos, pre2_neg, pre2_eq = _split_precondition(a2.precondition, sub2)
+    if not (add1 & pre2_pos) or (pre2_pos - add1) & del1 or pre2_neg & add1:
+        return None
     add2 = {a.substitute(sub2) for a in a2.add}
     del2 = {a.substitute(sub2) for a in a2.delete}
     pre1 = {l.substitute(sub1) for l in a1.precondition}
-    pre2_pos, pre2_neg, pre2_eq = _split_precondition(a2.precondition, sub2)
 
     pre = set(pre1)
     pre |= {Literal(a) for a in pre2_pos - add1}
@@ -274,6 +259,23 @@ def compose(d: DomainDef, p: LiftedPair) -> MacroSchema:
         tuple(sub2[v] for v in a2.variables),
         p.frequency,
     )
+
+
+def chain_filter(d: DomainDef, p: LiftedPair) -> bool:
+    """True when, under the pair's unifier, the first action establishes part
+    of the second's precondition and destroys none of the rest."""
+    return _compose(d, p) is not None
+
+
+def compose(d: DomainDef, p: LiftedPair) -> MacroSchema:
+    """Compose the unified pair into one operator (see `_compose`); raises
+    ChainingViolation for a pair that does not chain."""
+    macro = _compose(d, p)
+    if macro is None:
+        raise ChainingViolation(
+            "pair {} * {} does not chain".format(p.first, p.second)
+        )
+    return macro
 
 
 def mine_macros(g: Graph, d: DomainDef, domain: Iri) -> list[MacroSchema]:

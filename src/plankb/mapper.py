@@ -7,6 +7,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
+from . import PlankbError
 from .kg.schema import (
     PLAN_NS,
     RDF_TYPE,
@@ -23,23 +24,23 @@ from .select import PlannerRecord, relevance
 from .semantics import Plan, PlanParseError, resolve_plan, validate_plan
 
 
-class MappingError(Exception):
+class MappingError(PlankbError):
     pass
 
 
-class NotUtf8(Exception):
+class NotUtf8(PlankbError):
     """An input file whose bytes are not UTF-8 text."""
 
 
-class FileAccessError(Exception):
+class FileAccessError(PlankbError):
     """A file that cannot be read or written; the message names it."""
 
 
-class UnknownDomain(Exception):
+class UnknownDomain(PlankbError):
     pass
 
 
-class UnknownQueryId(Exception):
+class UnknownQueryId(PlankbError):
     pass
 
 

@@ -1,45 +1,1 @@
 """PDDL abstract syntax, parsing, printing, and validation."""
-
-from .ast import (
-    ActionSchema,
-    ArityMismatch,
-    Atom,
-    DomainDef,
-    Literal,
-    OBJECT_TYPE,
-    PddlError,
-    PddlSyntaxError,
-    PredicateSchema,
-    ProblemDef,
-    TypeName,
-    UnknownPredicate,
-    UnknownType,
-    UnsupportedConstruct,
-    WellFormednessIssue,
-)
-from .parser import parse_domain, parse_problem
-from .printer import print_domain, print_problem
-from .validate import validate_domain
-
-__all__ = [
-    "ActionSchema",
-    "ArityMismatch",
-    "Atom",
-    "DomainDef",
-    "Literal",
-    "OBJECT_TYPE",
-    "PddlError",
-    "PddlSyntaxError",
-    "PredicateSchema",
-    "ProblemDef",
-    "TypeName",
-    "UnknownPredicate",
-    "UnknownType",
-    "UnsupportedConstruct",
-    "WellFormednessIssue",
-    "parse_domain",
-    "parse_problem",
-    "print_domain",
-    "print_problem",
-    "validate_domain",
-]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
+from .. import PlankbError
 from ..frozen import Frozen
 
 OBJECT_TYPE = "object"
@@ -239,7 +240,7 @@ class WellFormednessIssue(NamedTuple):
         return "{} at {}: {}".format(self.code, self.location, self.message)
 
 
-class PddlError(Exception):
+class PddlError(PlankbError):
     """Base class for PDDL parsing and validation failures."""
 
 

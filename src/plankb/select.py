@@ -8,21 +8,22 @@ import math
 import random
 from typing import NamedTuple, Optional
 
+from . import PlankbError
 from .kg.schema import SCHEMA
 from .kg.store import Graph, Iri, TypedLiteral, Variable
 
 TIERS = ("low", "medium", "high")
 
 
-class NoCandidates(Exception):
+class NoCandidates(PlankbError):
     pass
 
 
-class NoDataForDomain(Exception):
+class NoDataForDomain(PlankbError):
     pass
 
 
-class InvalidRecord(Exception):
+class InvalidRecord(PlankbError):
     pass
 
 
@@ -39,6 +40,11 @@ class PlannerRecord(_PlannerRecord):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        # Python 3.10's csv module refuses a NUL byte and later ones keep it;
+        # refusing it here makes every version agree.
+        if any(not name.strip() or "\0" in name for name in (self.planner, self.domain)):
+            raise InvalidRecord("bad record for ({!r}, {!r}): a name is blank or holds NUL"
+                                .format(self.planner, self.domain))
         if self.total <= 0 or not 0 <= self.solved <= self.total:
             raise InvalidRecord(
                 "bad record for ({}, {}): solved={} total={}".format(

@@ -6,6 +6,7 @@ import itertools
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from . import PlankbError
 from .frozen import Frozen
 from .pddl.ast import (
     ActionSchema,
@@ -22,19 +23,12 @@ GroundAtom = Atom
 State = frozenset
 
 
-class DomainProblemMismatch(Exception):
+class DomainProblemMismatch(PlankbError):
     pass
 
 
 class RepeatedParameter(PddlError):
     """An action schema lists one parameter name twice, as in `(?p ?p)`."""
-
-
-class NotApplicable(Exception):
-    def __init__(self, action: "GroundAction", literal: str):
-        super().__init__("{} is not applicable: {} fails".format(action.name, literal))
-        self.action = action
-        self.literal = literal
 
 
 _ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
@@ -135,7 +129,6 @@ class Plan(NamedTuple):
 
 class ValidationReport(NamedTuple):
     valid: bool
-    failed_step: Optional[int] = None  # index of first failing step, or None
     reason: str = ""
 
     def __bool__(self) -> bool:
@@ -318,16 +311,6 @@ def applicable(s: State, a: GroundAction) -> bool:
     return a.pre_pos <= s and not (a.pre_neg & s)
 
 
-def apply_action(s: State, a: GroundAction) -> State:
-    for atom in a.pre_pos:
-        if atom not in s:
-            raise NotApplicable(a, str(atom))
-    for atom in a.pre_neg:
-        if atom in s:
-            raise NotApplicable(a, "(not {})".format(atom))
-    return (s - a.delete) | a.add
-
-
 def validate_plan(d: DomainDef, p: ProblemDef, plan: Plan) -> ValidationReport:
     state: State = frozenset(p.init)
     for i, step in enumerate(plan.steps):
@@ -337,13 +320,13 @@ def validate_plan(d: DomainDef, p: ProblemDef, plan: Plan) -> ValidationReport:
                 next(("(not {})".format(a) for a in step.pre_neg if a in state), "?"),
             )
             return ValidationReport(
-                False, i, "step {} {}: precondition {} fails".format(i, step.name, missing)
+                False, "step {} {}: precondition {} fails".format(i, step.name, missing)
             )
-        state = apply_action(state, step)
+        state = (state - step.delete) | step.add
     for lit in p.goal:
         if lit.negated == (lit.atom in state):
             return ValidationReport(
-                False, None, "goal literal {} does not hold in final state".format(lit)
+                False, "goal literal {} does not hold in final state".format(lit)
             )
     return ValidationReport(True)
 
@@ -351,7 +334,7 @@ def validate_plan(d: DomainDef, p: ProblemDef, plan: Plan) -> ValidationReport:
 # --- plan text format: one "(name obj...)" step per line -------------------
 
 
-class PlanParseError(Exception):
+class PlanParseError(PlankbError):
     pass
 
 

@@ -1,17 +1,36 @@
-"""Reference semantics that only the tests use: state-space enumeration, goal
-checks, the plan text writer, grounding by substitution and a triple-by-triple
-Turtle writer.  They share no code with `plankb.semantics` beyond `applicable`
-and `apply_action`, so the grounder and the search are checked against an
-independent construction.  The Turtle writer shares only the term formatting
+"""Reference semantics that only the tests use: a checked transition,
+state-space enumeration, goal checks, the plan text writer, grounding by
+substitution and a triple-by-triple Turtle writer.  They share no code with
+`plankb.semantics` beyond `applicable`, so the grounder and the search are
+checked against an independent construction.  The Turtle writer shares only the term formatting
 of `plankb.kg.turtle`, so it checks the exporter's order, not its escaping."""
 
 import itertools
 
 from plankb.kg.store import term_key
 from plankb.kg.turtle import PREFIXES, _format_term
-from plankb.semantics import GroundAction, applicable, apply_action
+from plankb.semantics import GroundAction, applicable
 
 ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
+
+
+class NotApplicable(Exception):
+    def __init__(self, action, literal):
+        super().__init__("{} is not applicable: {} fails".format(action.name, literal))
+        self.action = action
+        self.literal = literal
+
+
+def apply_action(s, a):
+    """The state after action a in state s; raises NotApplicable, naming the
+    first failing precondition, when a does not apply in s."""
+    for atom in a.pre_pos:
+        if atom not in s:
+            raise NotApplicable(a, str(atom))
+    for atom in a.pre_neg:
+        if atom in s:
+            raise NotApplicable(a, "(not {})".format(atom))
+    return (s - a.delete) | a.add
 
 
 def goal_satisfied(s, p):

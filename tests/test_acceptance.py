@@ -26,7 +26,9 @@ from plankb.mapper import (
     planner_iri,
     run_competency,
 )
-from plankb.pddl import parse_domain, parse_problem, print_domain, print_problem, validate_domain
+from plankb.pddl.parser import parse_domain, parse_problem
+from plankb.pddl.printer import print_domain, print_problem
+from plankb.pddl.validate import validate_domain
 from plankb.select import relevance, select_ontology, select_random
 from plankb.semantics import ground
 

@@ -13,6 +13,7 @@ import pytest
 from plankb import bundles
 from plankb.cli import main
 from plankb.kg.turtle import import_turtle
+from plankb.mapper import COMPETENCY_QUERIES
 from plankb.pddl.parser import parse_domain
 
 
@@ -78,6 +79,17 @@ def test_query_table_and_json(bw_ttl, capsys):
     assert main(["query", "bw.ttl", "--id", "C7", "--arg", "domain=blocksworld",
                  "--arg", "action=unstack", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"count": 2}
+
+
+def test_query_help_lists_each_query(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["query", "--help"])
+    assert err.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  C4   domain fact      problems whose initial state contains a fact" in lines
+    for q in COMPETENCY_QUERIES.values():
+        assert sum(line.split()[:1] == [q.id] and q.description in line
+                   for line in lines) == 1
 
 
 def test_query_unknown_id_fails(bw_ttl, capsys):

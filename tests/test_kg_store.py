@@ -266,7 +266,6 @@ def test_encoded_graph_matches_a_set_of_triples(ops):
             model.update(arg)
         assert len(g) == len(model)
     assert g.triples() == frozenset(model)
-    assert set(iter(g)) == model
     for probe in _probes(model):
         assert (probe in g) == (probe in model)
         values = (probe.subject, probe.predicate, probe.object)

@@ -25,9 +25,9 @@ from plankb.macros import (
 )
 from plankb.mapper import action_iri, domain_iri
 from plankb.pddl.ast import Atom, Literal
-from plankb.semantics import applicable, apply_action, ground
+from plankb.semantics import applicable, ground
 
-from oracles import instantiate, reachable_states
+from oracles import apply_action, instantiate, reachable_states
 
 
 # --- lifting ----------------------------------------------------------------

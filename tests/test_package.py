@@ -1,7 +1,13 @@
-"""Import hygiene of the package source, checked on its syntax tree."""
+"""Hygiene of the package source, mostly checked on its syntax tree:
+imports, callers of public code, readers of fields, and error classes."""
 
 import ast
+import functools
+import importlib
+import inspect
 from pathlib import Path
+
+from plankb import PlankbError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "plankb"
 
@@ -29,11 +35,21 @@ def _is_package_import(node):
     )
 
 
+def test_no_package_init_imports_anything():
+    """No `__init__.py` re-exports names: each is imported from the module
+    that defines it, its one import path."""
+    importing = [
+        str(path.relative_to(SRC)) for path in _modules()
+        if path.name == "__init__.py" and any(
+            isinstance(n, (ast.Import, ast.ImportFrom))
+            for n in ast.walk(ast.parse(path.read_text(), str(path))))
+    ]
+    assert importing == []
+
+
 def test_no_unused_imports():
     unused = []
     for path in _modules():
-        if path.name == "__init__.py":  # re-export files
-            continue
         tree = ast.parse(path.read_text(), str(path))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for name, line in _imported_names(tree):
@@ -90,6 +106,32 @@ def _public_definitions(tree, module):
                     yield "{}.{}.{}".format(module, node.name, item.name), item, True
 
 
+@functools.lru_cache(maxsize=None)
+def _trees():
+    """The syntax tree of each module of the package and of perfbench/."""
+    perfbench = SRC.parents[1] / "perfbench"
+    return {
+        path: ast.parse(path.read_text(), str(path))
+        for path in _modules() + sorted(perfbench.rglob("*.py"))
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _readers():
+    """name -> the nodes of `_trees` that read it."""
+    readers = {}
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            name = _read_name(node)
+            if name is not None:
+                readers.setdefault(name, []).append(node)
+    return readers
+
+
+def _module_name(path):
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
 def test_every_public_definition_has_a_caller_outside_tests():
     """A public module-level function or class of the package, and a public
     method or property of a class, must be read somewhere in src/ or
@@ -99,26 +141,42 @@ def test_every_public_definition_has_a_caller_outside_tests():
     is by name, so a same-named attribute elsewhere still counts: a method
     that shares its name with a builtin's, as `Graph.count` did with
     `str.count`, is never caught."""
-    perfbench = SRC.parents[1] / "perfbench"
-    trees = {
-        path: ast.parse(path.read_text(), str(path))
-        for path in _modules() + sorted(perfbench.rglob("*.py"))
-    }
-    readers = {}  # name -> the nodes that read it
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            name = _read_name(node)
-            if name is not None:
-                readers.setdefault(name, []).append(node)
     unused = set()
     for path in _modules():
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for dotted, node, method in _public_definitions(trees[path], module):
+        for dotted, node, method in _public_definitions(_trees()[path], _module_name(path)):
             own = {id(n) for n in ast.walk(node)}
             if all(id(n) in own or (method and not isinstance(n, ast.Attribute))
-                   for n in readers.get(node.name, ())):
+                   for n in _readers().get(node.name, ())):
                 unused.add(dotted)
     assert unused == LIBRARY_API
+
+
+def test_every_public_field_is_read_outside_tests():
+    """A public annotated field of a module-level class, a NamedTuple field
+    or a `Frozen` slot, must be read as an attribute somewhere in src/ or
+    perfbench/.  Reads in the class's own `__eq__` and `__hash__` do not
+    count, as those read every field; reads in its other methods do, as the
+    caller guard above holds each public method to a caller.  Matching is
+    by name, as there."""
+    unread = set()
+    for path in _modules():
+        for cls in _trees()[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            protocol = {
+                id(n) for item in cls.body
+                if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+                for n in ast.walk(item)
+            }
+            for item in cls.body:
+                if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")):
+                    continue
+                name = item.target.id
+                if not any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                           and id(n) not in protocol for n in _readers().get(name, ())):
+                    unread.add("{}.{}.{}".format(_module_name(path), cls.name, name))
+    assert unread == set()
 
 
 def test_no_class_is_a_dataclass():
@@ -130,11 +188,25 @@ def test_no_class_is_a_dataclass():
     subclass that writes out its own methods."""
     found = set()
     for path in _modules():
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        module = _module_name(path)
+        for node in ast.walk(_trees()[path]):
             if isinstance(node, ast.ClassDef) and any(
                 _read_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
                 for d in node.decorator_list
             ):
                 found.add("{}.{}".format(module, node.name))
     assert found == set()
+
+
+def test_every_error_class_is_a_plankb_error():
+    """The CLI exits 1 on a PlankbError, so every exception class of the
+    package is one, but for the CLI's UsageError (exit 2)."""
+    others = set()
+    for path in _modules():
+        mod = importlib.import_module(
+            "plankb.{}".format(_module_name(path)).removesuffix(".__init__"))
+        for cls in vars(mod).values():
+            if (inspect.isclass(cls) and cls.__module__ == mod.__name__
+                    and issubclass(cls, BaseException) and not issubclass(cls, PlankbError)):
+                others.add(cls.__name__)
+    assert others == {"UsageError"}

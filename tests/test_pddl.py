@@ -3,19 +3,21 @@
 import pytest
 
 from plankb import bundles
-from plankb.pddl import (
+from plankb.pddl.ast import (
+    OBJECT_TYPE,
     ArityMismatch,
+    Atom,
+    DomainDef,
+    Literal,
     PddlSyntaxError,
+    TypeName,
     UnknownPredicate,
     UnknownType,
     UnsupportedConstruct,
-    parse_domain,
-    parse_problem,
-    print_domain,
-    print_problem,
-    validate_domain,
 )
-from plankb.pddl.ast import OBJECT_TYPE, Atom, DomainDef, Literal, TypeName
+from plankb.pddl.parser import parse_domain, parse_problem
+from plankb.pddl.printer import print_domain, print_problem
+from plankb.pddl.validate import validate_domain
 
 DOMAINS = list(bundles.DOMAIN_NAMES)
 

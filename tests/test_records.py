@@ -74,8 +74,8 @@ RECORDS = {
         "pre_neg=frozenset(), add=frozenset(), delete=frozenset(), cost=1),))",
     ),
     "ValidationReport": (
-        ValidationReport(False, 2, "step 2 (noop): precondition (clear a) fails"),
-        "ValidationReport(valid=False, failed_step=2, "
+        ValidationReport(False, "step 2 (noop): precondition (clear a) fails"),
+        "ValidationReport(valid=False, "
         "reason='step 2 (noop): precondition (clear a) fails')",
     ),
     "Template": (

@@ -18,7 +18,7 @@ from plankb.bench import (
     solve,
 )
 from plankb.mapper import domain_iri
-from plankb.pddl import parse_domain, parse_problem
+from plankb.pddl.parser import parse_domain, parse_problem
 from plankb.pddl.ast import (
     ActionSchema,
     Atom,
@@ -28,15 +28,9 @@ from plankb.pddl.ast import (
     ProblemDef,
     TypeName,
 )
-from plankb.semantics import (
-    Plan,
-    applicable,
-    apply_action,
-    ground,
-    validate_plan,
-)
+from plankb.semantics import Plan, applicable, ground, validate_plan
 
-from oracles import ATOM_SETS, goal_satisfied, reference_ground
+from oracles import ATOM_SETS, apply_action, goal_satisfied, reference_ground
 
 # Blind, greedy and A* searches with each heuristic.
 CONFIGS = [

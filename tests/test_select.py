@@ -185,14 +185,15 @@ def test_csv_malformed_row_is_an_invalid_record(text):
         read_ipc_csv(text)
 
 
-def test_csv_nul_is_an_invalid_record_or_a_name():
-    # Python 3.10's csv refuses a NUL byte; later versions read it as text.
-    try:
-        rows = read_ipc_csv(HEADER + "la\x00ma,elevators,3,20\n")
-    except InvalidRecord as exc:
-        assert str(exc) == "bad CSV: line contains NUL"
-    else:
-        assert rows == [PlannerRecord("la\x00ma", "elevators", 3, 20)]
+@pytest.mark.parametrize("column", [0, 1], ids=["planner", "domain"])
+@pytest.mark.parametrize("name", ["", "  ", "la\x00ma"], ids=["empty", "blank", "nul"])
+def test_csv_blank_or_nul_name_is_an_invalid_record(column, name):
+    # Python 3.10's csv refuses a NUL byte and later versions read it as
+    # text; either way the row is refused.
+    cells = ["lama", "elevators", "3", "20"]
+    cells[column] = name
+    with pytest.raises(InvalidRecord):
+        read_ipc_csv(HEADER + ",".join(cells) + "\n")
 
 
 def test_csv_line_ends_and_padded_header_names():

@@ -21,12 +21,10 @@ from plankb.pddl.ast import (
 from plankb.pddl.parser import parse_domain, parse_problem
 from plankb.semantics import (
     DomainProblemMismatch,
-    NotApplicable,
     Plan,
     PlanParseError,
     RepeatedParameter,
     applicable,
-    apply_action,
     ground,
     parse_plan_text,
     resolve_plan,
@@ -34,6 +32,8 @@ from plankb.semantics import (
 )
 
 from oracles import (
+    NotApplicable,
+    apply_action,
     assert_same_grounding,
     format_plan,
     goal_satisfied,
@@ -180,7 +180,7 @@ def test_validate_plan_flags_bad_step():
     bad = Plan((actions["(pick-up a)"],))  # a is under c in bw-p01
     report = validate_plan(d, p, bad)
     assert not report.valid
-    assert report.failed_step == 0
+    assert report.reason.startswith("step 0 (pick-up a): precondition ")
 
 
 def test_validate_plan_flags_unmet_goal():
@@ -188,7 +188,7 @@ def test_validate_plan_flags_unmet_goal():
     p = bundles.load_problems("blocksworld")[0]
     report = validate_plan(d, p, Plan(()))
     assert not report.valid
-    assert report.failed_step is None
+    assert report.reason.startswith("goal literal ")
 
 
 def test_plan_text_roundtrip():

@@ -72,13 +72,13 @@ def test_typed_literal_parses():
             XSD_NS, EX
         )
     )
-    [triple] = list(g)
+    [triple] = g.triples()
     assert triple.object == TypedLiteral("42", Iri(XSD_NS + "integer"))
 
 
 def test_plain_literal_is_xsd_string():
     g = import_turtle('<{0}s> <{0}p> "plain" .\n'.format(EX))
-    [triple] = list(g)
+    [triple] = g.triples()
     assert triple.object == TypedLiteral("plain", XSD_STRING)
 
 
@@ -86,7 +86,7 @@ def test_escape_roundtrip():
     tricky = 'line1\nline2\t"quoted" back\\slash'
     g = Graph([Triple(Iri(EX + "s"), Iri(EX + "p"), string_literal(tricky))])
     out = import_turtle(export_turtle(g))
-    [triple] = list(out)
+    [triple] = out.triples()
     assert triple.object.lexical == tricky
 
 
@@ -174,7 +174,8 @@ def test_prefix_declared_again_rebinds_later_names():
 
 def test_repeated_names_share_one_iri():
     g = import_turtle("@prefix ex: <{0}> .\nex:s ex:p ex:o .\nex:s ex:q ex:o .\n".format(EX))
-    assert len({id(t.subject) for t in g}) == len({id(t.object) for t in g}) == 1
+    triples = g.triples()
+    assert len({id(t.subject) for t in triples}) == len({id(t.object) for t in triples}) == 1
 
 
 # --- the line-per-statement reader against the tokenizer --------------------
