@@ -64,7 +64,9 @@ class CompiledTask(NamedTuple):
     ``s & pre == pre and not s & neg`` and leads to ``(s & keep) | add``,
     where ``keep`` is the complement of its delete mask.  The goal holds
     when ``s & goal_pos == goal_pos and not s & goal_neg``, and goal-count
-    is ``(goal_pos & ~s).bit_count() + (goal_neg & s).bit_count()``.
+    is ``(goal_pos & ~s).bit_count() + (goal_neg & s).bit_count()``.  No
+    action makes more than `goal_gain` goal literals true, so no step
+    lowers goal-count by more.
 
     Action i is `groundings[i]`, a (template, combo) pair from
     `semantics.groundings` in `ground`'s order; `action(i)` instantiates
@@ -85,6 +87,7 @@ class CompiledTask(NamedTuple):
     init: int
     goal_pos: int
     goal_neg: int
+    goal_gain: int  # the most goal literals one action makes true; at least 1
     buckets: tuple[tuple[Op, ...], ...]  # indexed by key bit position
     keys: int  # the bits whose bucket is not empty
     unkeyed: tuple[Op, ...]
@@ -137,10 +140,8 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
             continue
         params = list(zip(*combos))  # the objects bound to each parameter
         bit_columns, mask_columns = [], []
-        for predicate, spec, key in t.atoms:
-            if spec is None:
-                args = map(key, combos)
-            elif spec:
+        for predicate, spec in t.atoms:
+            if spec:
                 args = zip(*[params[x] if type(x) is int else repeat(x, n) for x in spec])
             else:
                 args = repeat((), n)
@@ -164,11 +165,13 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
         ))
         refs.extend(zip(repeat(t, n), combos))
         rows = list(zip(*bit_columns[:i])) if i else [()] * n
-        if len({predicate for predicate, _, _ in t.atoms[:i]}) < i:
+        if len({predicate for predicate, _ in t.atoms[:i]}) < i:
             # Two precondition literals of one predicate can ground alike.
             rows = [tuple(set(r)) for r in rows]
         pre_bits.extend(rows)
     never, always = ~(init | added), init & kept
+    goal_gain = max([1] + [(goal_pos & add).bit_count() + (goal_neg & ~keep).bit_count()
+                           for _, _, _, keep, add in ops])
     needed_by = Counter(chain.from_iterable(pre_bits))
     rank = [
         (0 if never >> b & 1 else 2 if always >> b & 1 else 1, needed_by[b], atom)
@@ -185,7 +188,7 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
         else:
             unkeyed.append(op)
     return CompiledTask(
-        tuple(refs), tuple(index), init, goal_pos, goal_neg,
+        tuple(refs), tuple(index), init, goal_pos, goal_neg, goal_gain,
         tuple(map(tuple, buckets)), keys, tuple(unkeyed),
     )
 
@@ -198,16 +201,24 @@ def search(
     Counters: generated = nodes constructed (the root included), evaluated =
     heuristic calls, expanded = nodes popped and expanded.  Duplicates are
     detected on generation, before evaluation, so generated >= evaluated >=
-    expanded always holds.  The successors of a state are generated in
-    grounding order, and ties in the frontier are broken FIFO by generation
-    index, so runs are deterministic and match the plain scan over every
-    ground action in order.  `start` is the `time.monotonic()` reading that
-    `wall_time` and `max_seconds` count from.
+    expanded always holds.  Breadth-first and greedy drop a state seen
+    before.  A* keeps the best g of each state: a state that a cheaper path
+    reaches is evaluated and pushed again, so it counts once more in
+    evaluated, and its stale entry is skipped, not expanded, when popped.
+    A* orders by f = g + ceil(goal-count / goal_gain), a heuristic that no
+    step lowers by more than its cost, so its plans are optimal.  The
+    successors of a state are generated in grounding order, and ties in the
+    frontier are broken FIFO by generation index, so runs are deterministic
+    and match the plain scan over every ground action in order.  `start` is
+    the `time.monotonic()` reading that `wall_time` and `max_seconds` count
+    from.
     """
     clock = time.monotonic
     breadth_first = cfg.algorithm == "breadth-first"
     greedy = cfg.algorithm == "greedy-best-first"
+    a_star = not (breadth_first or greedy)
     count_goals = cfg.heuristic == "goal-count"
+    gain = task.goal_gain if a_star else 1
     goal_pos, goal_neg = task.goal_pos, task.goal_neg
     buckets, keys, unkeyed = task.buckets, task.keys, task.unkeyed
     max_expansions, deadline = cfg.max_expansions, start + cfg.max_seconds
@@ -216,10 +227,10 @@ def search(
     hbound = goal_pos.bit_count() + goal_neg.bit_count() + 1
 
     s = task.init
-    h = (goal_pos & ~s).bit_count() + (goal_neg & s).bit_count() if count_goals else 0
     # state -> (predecessor, action index); also the set of seen states.
     parent: dict[int, Optional[tuple[int, int]]] = {s: None}
     depth = 0
+    best = {s: 0}  # A* only: state -> the least g it was pushed with
     # The heap holds (priority, generation index, state, depth) entries.
     # Breadth-first would push them in (depth, generation index) order, as
     # depth never decreases, so a FIFO queue of bare states pops what the
@@ -228,7 +239,8 @@ def search(
         frontier = deque([s])
         popleft, append = frontier.popleft, frontier.append
     else:
-        frontier = [(h if greedy else h * hbound + h, 0, s, depth)]
+        # The root is popped first, so its priority is never compared.
+        frontier = [(0, 0, s, depth)]
         heappush, heappop = heapq.heappush, heapq.heappop
     # evaluated, the root aside, doubles as the generation index.
     expanded = generated = evaluated = 0
@@ -241,6 +253,8 @@ def search(
             s = popleft()
         else:
             _, _, s, depth = heappop(frontier)
+            if a_star and depth > best[s]:
+                continue
         if s & goal_pos == goal_pos and not s & goal_neg:
             status = "solved"
             break
@@ -263,7 +277,7 @@ def search(
         for i, _, _, keep, add in applicable:
             succ = s & keep | add
             generated += 1
-            if succ in parent:
+            if succ in parent and (not a_star or best[succ] <= depth):
                 continue
             parent[succ] = (s, i)
             evaluated += 1
@@ -271,10 +285,15 @@ def search(
                 append(succ)
             else:
                 h = (
-                    (goal_pos & ~succ).bit_count() + (goal_neg & succ).bit_count()
+                    ((goal_pos & ~succ).bit_count() + (goal_neg & succ).bit_count()
+                     + gain - 1) // gain
                     if count_goals else 0
                 )
-                key = h if greedy else (depth + h) * hbound + h
+                if greedy:
+                    key = h
+                else:
+                    best[succ] = depth
+                    key = (depth + h) * hbound + h
                 heappush(frontier, (key, evaluated, succ, depth))
 
     plan = None

@@ -9,8 +9,6 @@ from pathlib import Path
 from .pddl.ast import DomainDef, ProblemDef
 from .pddl.parser import parse_domain, parse_problem
 
-DOMAIN_NAMES = ("blocksworld", "gripper", "driverlog")
-
 _PREFIX = {"blocksworld": "bw", "gripper": "gr", "driverlog": "dl"}
 
 

@@ -48,21 +48,13 @@ def _escape(text: str) -> str:
     )
 
 
+_UNESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
+
+
 def _unescape(text: str) -> str:
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), text, flags=re.DOTALL)
 
 
 def _format_iri(iri: Iri) -> str:

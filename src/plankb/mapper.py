@@ -303,7 +303,7 @@ def map_ipc_results(
         )
         out.append(
             Triple(REL, t("hasRelevanceTier"),
-                   string_literal(relevance(row.solved, row.total).tier))
+                   string_literal(relevance(row.solved, row.total)))
         )
     return out
 

@@ -84,6 +84,18 @@ class Literal(NamedTuple):
         return "(not {})".format(self.atom) if self.negated else str(self.atom)
 
 
+def atom_key(a: Atom):
+    """The canonical order of atoms: by predicate, then by arguments."""
+    return (a.predicate, a.args)
+
+
+def literal_key(lit: Literal):
+    """The canonical order of literals: positive ones first, then by atom.
+    The printer writes sets of literals in it, and messages that name one
+    member of a set name the least."""
+    return (lit.negated, atom_key(lit.atom))
+
+
 class ActionSchema(Frozen):
     """STRIPS action: flat conjunctive precondition plus add/delete lists.
 

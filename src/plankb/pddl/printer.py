@@ -7,15 +7,7 @@ are printed in sorted order, and declaration order is preserved elsewhere.
 
 from __future__ import annotations
 
-from .ast import Atom, DomainDef, Literal, OBJECT_TYPE, ProblemDef
-
-
-def _atom_key(a: Atom):
-    return (a.predicate, a.args)
-
-
-def _literal_key(lit: Literal):
-    return (lit.negated, _atom_key(lit.atom))
+from .ast import DomainDef, OBJECT_TYPE, ProblemDef, atom_key, literal_key
 
 
 def _typed_list(pairs) -> str:
@@ -63,9 +55,9 @@ def print_domain(d: DomainDef) -> str:
                 preds.append("({})".format(p.name))
         lines.append("  (:predicates {})".format("\n                ".join(preds)))
     for a in d.actions:
-        pre = [str(l) for l in sorted(a.precondition, key=_literal_key)]
-        effects = [str(x) for x in sorted(a.add, key=_atom_key)]
-        effects += ["(not {})".format(x) for x in sorted(a.delete, key=_atom_key)]
+        pre = [str(l) for l in sorted(a.precondition, key=literal_key)]
+        effects = [str(x) for x in sorted(a.add, key=atom_key)]
+        effects += ["(not {})".format(x) for x in sorted(a.delete, key=atom_key)]
         lines.append("  (:action {}".format(a.name))
         lines.append("    :parameters ({})".format(_typed_list(a.params)))
         lines.append("    :precondition {}".format(_conjunction(pre, "    ")))
@@ -79,9 +71,9 @@ def print_problem(p: ProblemDef) -> str:
     lines.append("  (:domain {})".format(p.domain_name))
     if p.objects:
         lines.append("  (:objects {})".format(_typed_list(p.objects)))
-    init = [str(a) for a in sorted(p.init, key=_atom_key)]
+    init = [str(a) for a in sorted(p.init, key=atom_key)]
     lines.append("  (:init {})".format("\n         ".join(init)))
-    goal = [str(l) for l in sorted(p.goal, key=_literal_key)]
+    goal = [str(l) for l in sorted(p.goal, key=literal_key)]
     lines.append("  (:goal {})".format(_conjunction(goal, "  ")))
     lines.append(")")
     return "\n".join(lines) + "\n"

@@ -6,6 +6,8 @@ errors.  `;` starts a comment that runs to end of line.
 
 from __future__ import annotations
 
+import re
+
 from .ast import PddlSyntaxError
 
 
@@ -34,36 +36,23 @@ class SList(list):
         self.column = column
 
 
-_DELIMS = "()"
-_WS = " \t\r\n"
+# A line break, a paren, a symbol or a comment; the blanks " \t\r" between
+# them are skipped.
+_TOKEN = r"\n|[()]|[^ \t\r\n();]+|;[^\n]*"
 
 
 def tokenize(text: str):
     """Yield (token, line, column); token is '(' , ')' or a symbol."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    # Compiled on first use (re caches it), as in `kg.turtle`: compiling
+    # at import would slow every CLI start.
+    for m in re.finditer(_TOKEN, text):
+        tok = m.group()
+        if tok == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif c in _WS:
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _DELIMS:
-            yield c, line, col
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < n and text[i] not in _WS and text[i] not in _DELIMS and text[i] != ";":
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
+            line_start = m.end()
+        elif tok[0] != ";":
+            yield tok, line, m.start() - line_start + 1
 
 
 def read(text: str) -> SList:

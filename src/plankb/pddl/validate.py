@@ -12,6 +12,8 @@ from .ast import (
     OBJECT_TYPE,
     SUPPORTED_REQUIREMENTS,
     WellFormednessIssue,
+    atom_key,
+    literal_key,
 )
 
 
@@ -148,11 +150,11 @@ def validate_domain(d: DomainDef) -> list[WellFormednessIssue]:
                         )
                     )
 
-        for lit in a.precondition:
+        for lit in sorted(a.precondition, key=literal_key):
             check_atom(lit.atom, "precondition", equality_ok=True)
-        for atom in a.add:
+        for atom in sorted(a.add, key=atom_key):
             check_atom(atom, "add effect", equality_ok=False)
-        for atom in a.delete:
+        for atom in sorted(a.delete, key=atom_key):
             check_atom(atom, "delete effect", equality_ok=False)
 
     return issues

@@ -12,8 +12,6 @@ from . import PlankbError
 from .kg.schema import SCHEMA
 from .kg.store import Graph, Iri, TypedLiteral, Variable
 
-TIERS = ("low", "medium", "high")
-
 
 class NoCandidates(PlankbError):
     pass
@@ -54,28 +52,14 @@ class PlannerRecord(_PlannerRecord):
         return self
 
 
-class _Relevance(NamedTuple):
-    tier: str
-
-
-class Relevance(_Relevance):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.tier not in TIERS:
-            raise ValueError("unknown tier '{}'".format(self.tier))
-        return self
-
-
 class SelectionOutcome(NamedTuple):
     chosen: Iri
     policy: str  # "ontology" or "random"
     rationale: str
 
 
-def relevance(solved: int, total: int) -> Relevance:
-    """Tier the solved ratio: <35% low, 35%..<70% medium, >=70% high.
+def relevance(solved: int, total: int) -> str:
+    """Tier the solved ratio: <35% "low", 35%..<70% "medium", >=70% "high".
 
     Both boundaries are inclusive on the lower side.  Comparison is by
     cross-multiplication, so exact boundary ratios never suffer float
@@ -84,10 +68,10 @@ def relevance(solved: int, total: int) -> Relevance:
     if total <= 0 or not 0 <= solved <= total:
         raise InvalidRecord("solved={} total={}".format(solved, total))
     if solved * 10 >= total * 7:
-        return Relevance("high")
+        return "high"
     if solved * 20 >= total * 7:
-        return Relevance("medium")
-    return Relevance("low")
+        return "medium"
+    return "low"
 
 
 def solved_percentage(g: Graph, domain: Iri, planner: Iri) -> Optional[float]:

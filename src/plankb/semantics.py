@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import PlankbError
@@ -13,8 +12,10 @@ from .pddl.ast import (
     Atom,
     DomainDef,
     EQUALITY_PREDICATE,
+    Literal,
     PddlError,
     ProblemDef,
+    literal_key,
 )
 
 # Ground atoms are plain Atoms with no variables; a state is a set of them
@@ -137,21 +138,18 @@ class ValidationReport(NamedTuple):
 
 # --- grounding through compiled schema templates ---------------------------
 #
-# A schema is compiled into a Template once per schema object: each literal
+# A schema is compiled into a Template once per schema value: each literal
 # argument becomes the position of its parameter in a binding combo (an int)
-# or stays a constant (a str).  A template atom is (predicate, spec, key):
-# when the atom's arguments are two or more parameters and no constant, spec
-# is None and key maps a combo straight to the args tuple; otherwise spec
-# holds the arguments and key is None.  `groundings` enumerates each
-# template's combos, equality already filtered; `bench.compile_task` reads
-# the templates straight into bitmasks, and `ground`, `resolve_plan` and
-# `Template.action` make lazy GroundActions (`_lazy_action`) that hold their
-# template and combo.  Only the actions whose sets are read, such as plan
-# steps, build atoms: all four sets on the first read of any (`_atom_sets`),
-# one Atom per template atom, so the sets iterate as an eager
-# construction's do.
+# or stays a constant (a str).  A template atom is (predicate, spec), spec
+# holding the arguments.  `groundings` enumerates each template's combos,
+# equality already filtered; `bench.compile_task` reads the templates
+# straight into bitmasks, and `ground`, `resolve_plan` and `Template.action`
+# make lazy GroundActions (`_lazy_action`) that hold their template and
+# combo.  Only the actions whose sets are read, such as plan steps, build
+# atoms: all four sets on the first read of any (`_atom_sets`), one Atom per
+# template atom.
 
-_TemplateAtom = tuple  # (predicate, spec, key)
+_TemplateAtom = tuple  # (predicate, spec)
 
 
 class Template(NamedTuple):
@@ -188,10 +186,7 @@ def _compile(schema: ActionSchema) -> Template:
         return tuple(position.get(a, a) for a in atom.args)
 
     def template(atom: Atom) -> _TemplateAtom:
-        sp = spec(atom)
-        if len(sp) > 1 and all(type(x) is int for x in sp):
-            return atom.predicate, None, itemgetter(*sp)
-        return atom.predicate, sp, None
+        return atom.predicate, spec(atom)
 
     equalities, pos, neg = [], [], []
     for lit in schema.precondition:
@@ -211,41 +206,30 @@ def _compile(schema: ActionSchema) -> Template:
     )
 
 
-# schema -> (schema, template): one entry per distinct schema value, holding
-# the object last compiled.  Equal schemas can iterate their literal sets in
-# different orders and a template keeps that order (it decides how the atom
-# sets iterate), so a template is reused only for the object it was compiled
-# from.
-_TEMPLATES: dict[ActionSchema, tuple[ActionSchema, Template]] = {}
+_TEMPLATES: dict[ActionSchema, Template] = {}
 
 
 def _template(schema: ActionSchema) -> Template:
-    """The compiled template of a schema, compiled once per schema object.
+    """The compiled template of a schema, compiled once per schema value.
 
     Raises RepeatedParameter, on every call, for a schema that declares a
     parameter twice.
     """
-    hit = _TEMPLATES.get(schema)
-    if hit is not None and hit[0] is schema:
-        return hit[1]
-    t = _compile(schema)
-    _TEMPLATES[schema] = schema, t
+    t = _TEMPLATES.get(schema)
+    if t is None:
+        t = _TEMPLATES[schema] = _compile(schema)
     return t
 
 
 def _atom_sets(t: Template, combo: tuple) -> tuple:
     """The (pre_pos, pre_neg, add, delete) sets of one combo of a template."""
     atoms = [
-        Atom(predicate, key(combo) if spec is None
-             else tuple([combo[x] if type(x) is int else x for x in spec]))
-        for predicate, spec, key in t.atoms
+        Atom(predicate, tuple([combo[x] if type(x) is int else x for x in spec]))
+        for predicate, spec in t.atoms
     ]
     i, j, n = t.ends
     add = frozenset(atoms[j:n])
-    # frozenset(set(x)) can lay out its table unlike frozenset(x); the
-    # preconditions take the first form so they iterate like sets built
-    # literal by literal (validate_plan names the first failing one).
-    return frozenset(set(atoms[:i])), frozenset(set(atoms[i:j])), add, frozenset(atoms[n:]) - add
+    return frozenset(atoms[:i]), frozenset(atoms[i:j]), add, frozenset(atoms[n:]) - add
 
 
 _new = object.__new__
@@ -312,22 +296,21 @@ def applicable(s: State, a: GroundAction) -> bool:
 
 
 def validate_plan(d: DomainDef, p: ProblemDef, plan: Plan) -> ValidationReport:
+    """Run the plan from the initial state.  A failure names the first step
+    that does not apply and its least failing precondition under
+    `literal_key`, or else the least goal literal the final state misses."""
     state: State = frozenset(p.init)
     for i, step in enumerate(plan.steps):
         if not applicable(state, step):
-            missing = next(
-                (str(a) for a in step.pre_pos if a not in state),
-                next(("(not {})".format(a) for a in step.pre_neg if a in state), "?"),
-            )
-            return ValidationReport(
-                False, "step {} {}: precondition {} fails".format(i, step.name, missing)
-            )
+            failing = [Literal(a) for a in step.pre_pos if a not in state]
+            failing += [Literal(a, True) for a in step.pre_neg if a in state]
+            return ValidationReport(False, "step {} {}: precondition {} fails".format(
+                i, step.name, min(failing, key=literal_key)))
         state = (state - step.delete) | step.add
-    for lit in p.goal:
-        if lit.negated == (lit.atom in state):
-            return ValidationReport(
-                False, "goal literal {} does not hold in final state".format(lit)
-            )
+    unmet = [lit for lit in p.goal if lit.negated == (lit.atom in state)]
+    if unmet:
+        return ValidationReport(False, "goal literal {} does not hold in final state".format(
+            min(unmet, key=literal_key)))
     return ValidationReport(True)
 
 

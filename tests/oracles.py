@@ -12,6 +12,7 @@ from plankb.kg.turtle import PREFIXES, _format_term
 from plankb.semantics import GroundAction, applicable
 
 ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
+DOMAIN_NAMES = ("blocksworld", "gripper", "driverlog")
 
 
 class NotApplicable(Exception):
@@ -109,11 +110,9 @@ def reference_ground(d, p):
 
 def assert_same_grounding(actual, expected):
     assert actual == expected
-    # The sets are built in the same insertion order, so they iterate alike
-    # (validate_plan reports the first failing precondition in that order).
     for a, b in zip(actual, expected):
         for field in ATOM_SETS:
-            assert list(getattr(a, field)) == list(getattr(b, field))
+            assert getattr(a, field) == getattr(b, field)
 
 
 def triple_key(t):

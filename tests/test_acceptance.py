@@ -32,7 +32,7 @@ from plankb.pddl.validate import validate_domain
 from plankb.select import relevance, select_ontology, select_random
 from plankb.semantics import ground
 
-from oracles import reachable_states
+from oracles import DOMAIN_NAMES, reachable_states
 from test_kg_store import oracle_query
 from test_macros import (
     BW_CHAINING,
@@ -70,7 +70,7 @@ def test_acceptance_01_pddl_roundtrip(criterion):
     with criterion(1, "PDDL round-trip, zero issues, < 1 s"):
         start = time.monotonic()
         problem_count = 0
-        for name in bundles.DOMAIN_NAMES:
+        for name in DOMAIN_NAMES:
             d = bundles.load_domain(name)
             assert validate_domain(d) == []
             assert parse_domain(print_domain(d)) == d
@@ -158,10 +158,10 @@ def test_acceptance_03_competency_coverage(criterion, ipc_graph):
 
 def test_acceptance_04_relevance_boundaries(criterion):
     with criterion(4, "tier boundaries exact at 35% and 70%"):
-        assert relevance(7, 20).tier == "medium"
-        assert relevance(14, 20).tier == "high"
-        assert relevance(34, 100).tier == "low"
-        assert relevance(6, 20).tier == "low"
+        assert relevance(7, 20) == "medium"
+        assert relevance(14, 20) == "high"
+        assert relevance(34, 100) == "low"
+        assert relevance(6, 20) == "low"
 
 
 def test_acceptance_05_selection_policies(criterion, ipc_rows):
@@ -288,7 +288,7 @@ def test_acceptance_09_bfs_optimality(criterion):
     with criterion(9, "breadth-first costs equal the exhaustive-oracle optimum"):
         cfg = SearchConfig(algorithm="breadth-first", heuristic="zero",
                            max_expansions=2_000_000)
-        for name in bundles.DOMAIN_NAMES:
+        for name in DOMAIN_NAMES:
             d = bundles.load_domain(name)
             for p in bundles.load_problems(name):
                 n_states = len(reachable_states(frozenset(p.init), ground(d, p),

@@ -442,3 +442,59 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_hashlib():
         return set(ast.literal_eval(out))
 
     assert loaded("import plankb.cli\n") - loaded("") == set()
+
+
+UNKNOWN_PREDICATES = """
+(define (domain unk)
+  (:requirements :strips)
+  (:predicates (p ?x))
+  (:action act
+    :parameters (?x)
+    :precondition (and (foo ?x) (bar ?y) (baz ?x))
+    :effect (and (zap ?x) (zop ?x))))
+"""
+
+
+def test_error_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    # Each message names members of a set: the least failing precondition,
+    # the least unmet goal literal, and the issues in the printer's order.
+    # A fresh interpreter per seed, as the string hash seed is fixed at start.
+    (tmp_path / "stack").mkdir()
+    (tmp_path / "stack" / "bw-p01.x.plan").write_text("(stack c a)\n")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "bw-p01.x.plan").write_text("")
+    (tmp_path / "unk.pddl").write_text(UNKNOWN_PREDICATES)
+    bw = [data("domains/blocksworld.pddl"), str(bundles.problem_paths("blocksworld")[0])]
+    commands = [
+        ["build-kg", *bw, "--plans", "stack", "-o", "g.ttl"],
+        ["build-kg", *bw, "--plans", "empty", "-o", "g.ttl"],
+        ["parse", "unk.pddl"],
+        ["build-kg", "unk.pddl", "-o", "g.ttl"],
+    ]
+    probe = "from plankb.cli import main\nfor argv in {!r}:\n    print(main(argv))\n".format(
+        commands)
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, check=True)
+        outputs.add((proc.stdout, proc.stderr))
+    assert len(outputs) == 1
+    (out, err), = outputs
+    issue = "issue: {} at action act: {}"
+    assert err.splitlines() == [
+        "error: stack/bw-p01.x.plan: invalid plan: step 0 (stack c a): "
+        "precondition (clear a) fails",
+        "error: empty/bw-p01.x.plan: invalid plan: "
+        "goal literal (on a b) does not hold in final state",
+        issue.format("UnknownPredicate", "predicate 'bar' in precondition"),
+        issue.format("UnboundVariable", "variable '?y' in precondition"),
+        issue.format("UnknownPredicate", "predicate 'baz' in precondition"),
+        issue.format("UnknownPredicate", "predicate 'foo' in precondition"),
+        issue.format("UnknownPredicate", "predicate 'zap' in add effect"),
+        issue.format("UnknownPredicate", "predicate 'zop' in add effect"),
+        "error: domain 'unk' is not well-formed: "
+        "UnknownPredicate at action act: predicate 'bar' in precondition",
+    ]
+    assert out.startswith("1\n1\n") and out.endswith(")\n1\n1\n")

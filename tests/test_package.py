@@ -210,3 +210,25 @@ def test_every_error_class_is_a_plankb_error():
                     and issubclass(cls, BaseException) and not issubclass(cls, PlankbError)):
                 others.add(cls.__name__)
     assert others == {"UsageError"}
+
+
+def test_every_module_level_name_is_read_outside_tests():
+    """A name that a module of the package assigns at its top level must be
+    read, as a name or an attribute, somewhere in src/ or perfbench/; a
+    constant that only the tests read belongs in tests/.  Matching is by
+    name, as in the caller guard."""
+    unread = set()
+    for path in _modules():
+        for node in _trees()[path].body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not any(
+                            isinstance(n.ctx, ast.Load) for n in _readers().get(name.id, ())):
+                        unread.add("{}.{}".format(_module_name(path), name.id))
+    assert unread == set()

@@ -19,7 +19,9 @@ from plankb.pddl.parser import parse_domain, parse_problem
 from plankb.pddl.printer import print_domain, print_problem
 from plankb.pddl.validate import validate_domain
 
-DOMAINS = list(bundles.DOMAIN_NAMES)
+from oracles import DOMAIN_NAMES
+
+DOMAINS = list(DOMAIN_NAMES)
 
 
 @pytest.mark.parametrize("name", DOMAINS)

@@ -12,7 +12,7 @@ from plankb.kg.store import Iri, Variable
 from plankb.macros import LiftedPair, MacroSchema
 from plankb.mapper import CompetencyQuery, PlanEntry
 from plankb.pddl.ast import Atom, Literal, PredicateSchema, ProblemDef, TypeName, WellFormednessIssue
-from plankb.select import PlannerRecord, Relevance, SelectionOutcome
+from plankb.select import PlannerRecord, SelectionOutcome
 from plankb.semantics import GroundAction, Plan, Template, ValidationReport
 
 EX = "http://example.org/"
@@ -21,7 +21,7 @@ EX = "http://example.org/"
 # string hash seed.
 CLEAR = Atom("clear", ("a",))
 NOOP = GroundAction("noop", (), frozenset(), frozenset(), frozenset(), frozenset())
-TEMPLATE = Template("noop", ("?x",), ((0, "a", True),), (("clear", (0,), None),), (1, 1, 1))
+TEMPLATE = Template("noop", ("?x",), ((0, "a", True),), (("clear", (0,)),), (1, 1, 1))
 STATS = SearchStats(5, 7, 9, 2, 0.5, "solved")
 
 # name -> (record, its repr text when it was a dataclass)
@@ -62,7 +62,6 @@ RECORDS = {
         PlannerRecord("lama", "bw", 3, 4),
         "PlannerRecord(planner='lama', domain='bw', solved=3, total=4)",
     ),
-    "Relevance": (Relevance("high"), "Relevance(tier='high')"),
     "SelectionOutcome": (
         SelectionOutcome(Iri(EX + "lama"), "random", "seed 0"),
         "SelectionOutcome(chosen=Iri(value='http://example.org/lama'), "
@@ -81,7 +80,7 @@ RECORDS = {
     "Template": (
         TEMPLATE,
         "Template(name='noop', variables=('?x',), equalities=((0, 'a', True),), "
-        "atoms=(('clear', (0,), None),), ends=(1, 1, 1))",
+        "atoms=(('clear', (0,)),), ends=(1, 1, 1))",
     ),
     "CompetencyQuery": (
         CompetencyQuery("C7", ("domain", "action"), "number of parameters of an action",
@@ -118,11 +117,11 @@ RECORDS = {
         "wall_time=0.5, status='solved')",
     ),
     "CompiledTask": (
-        CompiledTask(((TEMPLATE, ("b",)),), (("clear", ("b",)),), 0, 1, 0, ((),), 0, ()),
+        CompiledTask(((TEMPLATE, ("b",)),), (("clear", ("b",)),), 0, 1, 0, 1, ((),), 0, ()),
         "CompiledTask(groundings=((Template(name='noop', variables=('?x',), "
-        "equalities=((0, 'a', True),), atoms=(('clear', (0,), None),), "
+        "equalities=((0, 'a', True),), atoms=(('clear', (0,)),), "
         "ends=(1, 1, 1)), ('b',)),), atoms=(('clear', ('b',)),), init=0, "
-        "goal_pos=1, goal_neg=0, buckets=((),), keys=0, unkeyed=())",
+        "goal_pos=1, goal_neg=0, goal_gain=1, buckets=((),), keys=0, unkeyed=())",
     ),
     "BenchRow": (
         BenchRow("p01", "macro", STATS),
@@ -167,11 +166,6 @@ def test_assignment_raises(name):
             setattr(record, f, None)
     with pytest.raises(AttributeError):
         record.extra = None
-
-
-def test_relevance_refuses_an_unknown_tier():
-    with pytest.raises(ValueError, match="unknown tier 'bogus'"):
-        Relevance("bogus")
 
 
 def test_bench_reports_do_not_share_their_lists():

@@ -30,7 +30,13 @@ from plankb.pddl.ast import (
 )
 from plankb.semantics import Plan, applicable, ground, validate_plan
 
-from oracles import ATOM_SETS, apply_action, goal_satisfied, reference_ground
+from oracles import (
+    ATOM_SETS,
+    DOMAIN_NAMES,
+    apply_action,
+    goal_satisfied,
+    reference_ground,
+)
 
 # Blind, greedy and A* searches with each heuristic.
 CONFIGS = [
@@ -65,7 +71,7 @@ def oracle_optimal_cost(d, p):
 
 def all_tasks():
     tasks = []
-    for name in bundles.DOMAIN_NAMES:
+    for name in DOMAIN_NAMES:
         d = bundles.load_domain(name)
         for p in bundles.load_problems(name):
             tasks.append(pytest.param(d, p, id="{}-{}".format(name, p.name)))
@@ -106,7 +112,7 @@ def test_astar_goalcount_is_optimal_here():
 
 
 def test_counter_ordering_invariant():
-    for name in bundles.DOMAIN_NAMES:
+    for name in DOMAIN_NAMES:
         d = bundles.load_domain(name)
         for p in bundles.load_problems(name):
             for cfg in CONFIGS:
@@ -205,14 +211,21 @@ def test_bench_report_empty_mean():
 def reference_solve(d, p, cfg):
     """The search over frozenset states that the compiled core replaced: it
     scans every ground action in grounding order at every expansion and
-    applies it through `semantics`.  Returns (plan, status, expanded,
+    applies it through `semantics`.  A* divides goal-count by the most goal
+    literals one action makes true, rounding up, and pushes a state again
+    when a cheaper path reaches it.  Returns (plan, status, expanded,
     evaluated, generated)."""
     actions = ground(d, p)
+    a_star = cfg.algorithm == "a-star"
+    gain = max([1] + [
+        sum(1 for lit in p.goal if lit.atom in (a.delete if lit.negated else a.add))
+        for a in actions
+    ]) if a_star else 1
 
     def h(s):
         if cfg.heuristic == "zero":
             return 0
-        return sum(1 for lit in p.goal if lit.negated == (lit.atom in s))
+        return -(-sum(1 for lit in p.goal if lit.negated == (lit.atom in s)) // gain)
 
     def priority(hval, depth):
         if cfg.algorithm == "breadth-first":
@@ -226,10 +239,12 @@ def reference_solve(d, p, cfg):
     expanded, evaluated, generated = 0, 1, 1
     counter = 0
     frontier = [(priority(h(init), 0), counter, root)]
-    seen = {init}
+    best = {init: 0}  # state -> the least depth it was pushed with
     while frontier:
         _, _, node = heapq.heappop(frontier)
         state, _, _, depth = node
+        if depth > best[state]:
+            continue
         if goal_satisfied(state, p):
             steps = []
             while node[1] is not None:
@@ -243,9 +258,9 @@ def reference_solve(d, p, cfg):
             if applicable(state, a):
                 succ = apply_action(state, a)
                 generated += 1
-                if succ in seen:
+                if succ in best and (not a_star or best[succ] <= depth + 1):
                     continue
-                seen.add(succ)
+                best[succ] = depth + 1
                 evaluated += 1
                 counter += 1
                 heapq.heappush(
@@ -448,10 +463,10 @@ def test_compiled_masks_equal_the_ground_actions(task):
 
 @settings(max_examples=150, deadline=None)
 @given(strips_tasks(), st.randoms(use_true_random=False))
-def test_lazy_atom_sets_iterate_as_the_eager_ones(task, rng):
-    """Whatever order the actions of one call are first read in (which
-    decides the order their atoms are built and cached), each lazy action's
-    sets list in the order of the eager construction from seven fields."""
+def test_lazy_atom_sets_equal_the_eager_ones(task, rng):
+    """Whatever order the actions of one call are first read in, and
+    whichever set of an action is read first, each lazy action's sets equal
+    those of the eager construction from seven fields."""
     d, p = task
     eager = reference_ground(d, p)
     compiled = compile_task(d, p)
@@ -462,8 +477,8 @@ def test_lazy_atom_sets_iterate_as_the_eager_ones(task, rng):
         for i in order:
             field = rng.choice(ATOM_SETS)  # the set read first builds all four
             getattr(actions[i], field)
-            assert [list(getattr(actions[i], f)) for f in ATOM_SETS] == [
-                list(getattr(eager[i], f)) for f in ATOM_SETS]
+            assert [getattr(actions[i], f) for f in ATOM_SETS] == [
+                getattr(eager[i], f) for f in ATOM_SETS]
 
 
 @settings(max_examples=100, deadline=None)
@@ -486,3 +501,82 @@ def test_search_reuses_a_compiled_task():
         assert (stats.expanded, stats.evaluated, stats.generated) == (
             expect.expanded, expect.evaluated, expect.generated
         )
+
+
+# --- A* optimality ----------------------------------------------------------
+
+# Six 0-ary actions; every one but `fin` deletes its precondition.  The
+# longer path to (at-x), through (a), achieves g1 first, so goal-count
+# reaches (at-x) along it before the shorter path through (b).
+WITNESS_DOMAIN = """
+(define (domain witness)
+  (:requirements :strips)
+  (:predicates (at-i) (at-a) (at-a2) (at-b) (at-x) (g1) (g2))
+  (:action a :parameters () :precondition (at-i)
+    :effect (and (at-a) (g1) (not (at-i))))
+  (:action a2 :parameters () :precondition (at-a) :effect (and (at-a2) (not (at-a))))
+  (:action x1 :parameters () :precondition (at-a2) :effect (and (at-x) (not (at-a2))))
+  (:action b :parameters () :precondition (at-i) :effect (and (at-b) (not (at-i))))
+  (:action x2 :parameters () :precondition (at-b)
+    :effect (and (at-x) (g1) (not (at-b))))
+  (:action fin :parameters () :precondition (at-x) :effect (g2)))
+"""
+
+WITNESS_PROBLEM = """
+(define (problem witness-1) (:domain witness)
+  (:init (at-i))
+  (:goal (and (g1) (g2))))
+"""
+
+
+def test_a_star_lowers_the_g_of_a_state_a_cheaper_path_reaches():
+    d = parse_domain(WITNESS_DOMAIN)
+    p = parse_problem(WITNESS_PROBLEM, d)
+    for cfg in ALL_CONFIGS:
+        assert_matches_reference(d, p, cfg)
+    plan, stats = solve(d, p, SearchConfig(algorithm="a-star", heuristic="goal-count"))
+    assert [a.name for a in plan.steps] == ["(b)", "(x2)", "(fin)"]
+    assert stats.plan_cost == 3 == oracle_optimal_cost(d, p)
+
+
+# (both) makes both goal literals true, so goal-count overestimates at the
+# root and (one) looks one step closer than (prep).
+GAIN_DOMAIN = """
+(define (domain gain)
+  (:requirements :strips)
+  (:predicates (i) (p) (q) (r) (g1) (g2))
+  (:action prep :parameters () :precondition (i) :effect (p))
+  (:action both :parameters () :precondition (p) :effect (and (g1) (g2)))
+  (:action one :parameters () :precondition (i) :effect (and (g1) (q)))
+  (:action q1 :parameters () :precondition (q) :effect (r))
+  (:action q2 :parameters () :precondition (r) :effect (g2)))
+"""
+
+
+def test_a_star_divides_goal_count_by_the_goal_gain():
+    d = parse_domain(GAIN_DOMAIN)
+    p = parse_problem("(define (problem gain-1) (:domain gain) (:init (i)) "
+                      "(:goal (and (g1) (g2))))", d)
+    assert compile_task(d, p).goal_gain == 2
+    for cfg in ALL_CONFIGS:
+        assert_matches_reference(d, p, cfg)
+    plan, stats = solve(d, p, SearchConfig(algorithm="a-star", heuristic="goal-count"))
+    assert [a.name for a in plan.steps] == ["(prep)", "(both)"]
+    assert stats.plan_cost == 2 == oracle_optimal_cost(d, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strips_tasks())
+def test_a_star_cost_equals_the_breadth_first_cost(task):
+    """Actions here may make two goal literals true at once, where plain
+    goal-count overestimates; A* divides it by that number."""
+    d, p = task
+    compiled = compile_task(d, p)
+    outcomes = [
+        search(compiled, SearchConfig(algorithm=algo, heuristic="goal-count",
+                                      max_expansions=5_000), time.monotonic())
+        for algo in ("breadth-first", "a-star")
+    ]
+    (_, bfs), (_, a_star) = outcomes
+    assert "limit" not in (bfs.status, a_star.status)
+    assert a_star.status == bfs.status and a_star.plan_cost == bfs.plan_cost

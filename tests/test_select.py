@@ -30,23 +30,23 @@ IPC_CSV = bundles.data_dir() / "ipc2011.csv"
 
 
 def test_tier_boundaries_inclusive():
-    assert relevance(7, 20).tier == "medium"   # exactly 35%
-    assert relevance(14, 20).tier == "high"    # exactly 70%
-    assert relevance(6, 20).tier == "low"      # 30%
-    assert relevance(34, 100).tier == "low"    # just under 35%
-    assert relevance(35, 100).tier == "medium"
-    assert relevance(69, 100).tier == "medium"
-    assert relevance(70, 100).tier == "high"
-    assert relevance(0, 20).tier == "low"
-    assert relevance(20, 20).tier == "high"
+    assert relevance(7, 20) == "medium"   # exactly 35%
+    assert relevance(14, 20) == "high"    # exactly 70%
+    assert relevance(6, 20) == "low"      # 30%
+    assert relevance(34, 100) == "low"    # just under 35%
+    assert relevance(35, 100) == "medium"
+    assert relevance(69, 100) == "medium"
+    assert relevance(70, 100) == "high"
+    assert relevance(0, 20) == "low"
+    assert relevance(20, 20) == "high"
 
 
 def test_tier_boundaries_avoid_float_rounding():
     # 7/20 in binary floating point is 0.35000000000000003; exact
     # cross-multiplication must still land on the boundary tier.
     for scale in (1, 3, 7, 1000):
-        assert relevance(7 * scale, 20 * scale).tier == "medium"
-        assert relevance(14 * scale, 20 * scale).tier == "high"
+        assert relevance(7 * scale, 20 * scale) == "medium"
+        assert relevance(14 * scale, 20 * scale) == "high"
 
 
 def test_relevance_rejects_bad_counts():

@@ -184,7 +184,7 @@ def lazy_and_eager():
 
 
 def sets_of(action):
-    return [list(getattr(action, name)) for name in ATOM_SETS]
+    return [getattr(action, name) for name in ATOM_SETS]
 
 
 LAZY_CHECKS = {
