@@ -93,8 +93,7 @@ class CompiledTask(NamedTuple):
     unkeyed: tuple[Op, ...]
 
     def action(self, i: int) -> GroundAction:
-        t, combo = self.groundings[i]
-        return t.action(combo)
+        return GroundAction(*self.groundings[i])
 
 
 def _or_columns(columns: list[list[int]], n: int) -> list[int]:

@@ -18,7 +18,6 @@ from .kg.turtle import export_turtle, import_turtle
 from .macros import (
     MacroSchema,
     augment_domain,
-    chain_filter,
     compose,
     dump_report,
     load_report,
@@ -158,7 +157,8 @@ def cmd_select_planner(args) -> int:
 def _load_macros(domain, path: str) -> list[MacroSchema]:
     """The chainable pairs of a mine-macros JSON report, composed."""
     pairs = load_report(read_input(_resolve(path)), path)
-    return [compose(domain, p) for p in pairs if chain_filter(domain, p)]
+    macros = [compose(domain, p) for p in pairs]
+    return [m for m in macros if m is not None]
 
 
 def cmd_mine_macros(args) -> int:
@@ -168,11 +168,10 @@ def cmd_mine_macros(args) -> int:
     pairs = mine_pairs(g, domain_iri(args.domain))
     if args.domain_file:
         domain = parse_domain(read_input(_resolve(args.domain_file)))
-        pairs = [p for p in pairs if chain_filter(domain, p)]
+        macros = [compose(domain, p) for p in pairs]
+        pairs = [p for p, m in zip(pairs, macros) if m is not None]
         if args.store:
-            store_macros(
-                g, domain_iri(args.domain), [compose(domain, p) for p in pairs]
-            )
+            store_macros(g, domain_iri(args.domain), [m for m in macros if m is not None])
             _save_graph(g, args.graph)
     if args.format == "json":
         print(dump_report(pairs))

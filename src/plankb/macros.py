@@ -18,10 +18,6 @@ class UnknownSchema(PlankbError):
     pass
 
 
-class ChainingViolation(PlankbError):
-    pass
-
-
 class TypeConflict(PlankbError):
     pass
 
@@ -222,10 +218,10 @@ def _split_precondition(literals, sub):
     return pos, neg, equalities
 
 
-def _compose(d: DomainDef, p: LiftedPair) -> Optional[MacroSchema]:
-    """The macro of a pair, unified and substituted once; None when the
-    first action establishes none of the second's precondition or destroys
-    some of the rest.
+def compose(d: DomainDef, p: LiftedPair) -> Optional[MacroSchema]:
+    """The macro of a pair, unified and substituted once; None when the pair
+    does not chain: the first action establishes none of the second's
+    precondition or destroys some of the rest.
 
     pre = pre1 ∪ (pre2 \\ add1); add = add2 ∪ (add1 \\ del2);
     del = (del1 ∪ del2) \\ add.
@@ -264,29 +260,19 @@ def _compose(d: DomainDef, p: LiftedPair) -> Optional[MacroSchema]:
 def chain_filter(d: DomainDef, p: LiftedPair) -> bool:
     """True when, under the pair's unifier, the first action establishes part
     of the second's precondition and destroys none of the rest."""
-    return _compose(d, p) is not None
-
-
-def compose(d: DomainDef, p: LiftedPair) -> MacroSchema:
-    """Compose the unified pair into one operator (see `_compose`); raises
-    ChainingViolation for a pair that does not chain."""
-    macro = _compose(d, p)
-    if macro is None:
-        raise ChainingViolation(
-            "pair {} * {} does not chain".format(p.first, p.second)
-        )
-    return macro
+    return compose(d, p) is not None
 
 
 def mine_macros(g: Graph, d: DomainDef, domain: Iri) -> list[MacroSchema]:
-    """Mine, chain-filter, and compose, keeping the mined ranking."""
+    """Mine and compose, keeping the mined ranking of the pairs that chain."""
     macros = []
     for pair in mine_pairs(g, domain):
         try:
-            if chain_filter(d, pair):
-                macros.append(compose(d, pair))
+            macro = compose(d, pair)
         except (UnknownSchema, TypeConflict):
             continue
+        if macro is not None:
+            macros.append(macro)
     return macros
 
 

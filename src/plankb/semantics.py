@@ -6,7 +6,6 @@ import itertools
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import PlankbError
-from .frozen import Frozen
 from .pddl.ast import (
     ActionSchema,
     Atom,
@@ -32,87 +31,54 @@ class RepeatedParameter(PddlError):
     """An action schema lists one parameter name twice, as in `(?p ?p)`."""
 
 
-_ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
+class GroundAction(NamedTuple):
+    """A fully instantiated action: one admitted combo of a compiled schema
+    template.  Everything else is computed from the two fields when read,
+    each atom set building only its own atoms; delete effects never overlap
+    adds.  Reading `schema`, `binding` or `name` builds no atom."""
 
-
-class GroundAction(Frozen):
-    """A fully instantiated action; delete effects never overlap adds.
-
-    Frozen and slotted (see `Frozen`).  Equality, hash and repr cover the
-    seven constructor fields, and a copy or pickle is an eager action.  An
-    action that `ground`, `resolve_plan` or `Template.action` makes is lazy:
-    it holds its objects and its compiled template, and builds `binding` on
-    its first read and the four atom sets on the first read of any of them.
-    Reading `schema`, `binding`, `objects`, `name` or `cost` builds no atom.
-    """
-
-    __slots__ = ("schema", "binding", *_ATOM_SETS, "cost", "_objects", "_source")
-    _fields = __slots__[:-2]
-    schema: str
-    binding: tuple[tuple[str, str], ...]  # (variable, object) in parameter order
-    pre_pos: frozenset[GroundAtom]
-    pre_neg: frozenset[GroundAtom]
-    add: frozenset[GroundAtom]
-    delete: frozenset[GroundAtom]
-    cost: int
-    _objects: tuple[str, ...]
-    _source: Optional[Template]  # a lazy action's template; None otherwise
-
-    def __init__(
-        self,
-        schema: str,
-        binding: tuple[tuple[str, str], ...],
-        pre_pos: frozenset[GroundAtom],
-        pre_neg: frozenset[GroundAtom],
-        add: frozenset[GroundAtom],
-        delete: frozenset[GroundAtom],
-        cost: int = 1,
-    ):
-        _set(self, "schema", schema)
-        _set(self, "binding", binding)
-        _set(self, "pre_pos", pre_pos)
-        _set(self, "pre_neg", pre_neg)
-        _set(self, "add", add)
-        _set(self, "delete", delete)
-        _set(self, "cost", cost)
-        _set(self, "_objects", tuple([o for _, o in binding]))
-        _set(self, "_source", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.schema, self.binding, self.pre_pos, self.pre_neg,
-                    self.add, self.delete, self.cost) == (
-                other.schema, other.binding, other.pre_pos, other.pre_neg,
-                other.add, other.delete, other.cost)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.schema, self.binding, self.pre_pos, self.pre_neg,
-                     self.add, self.delete, self.cost))
-
-    def __getattr__(self, name: str):
-        # Python calls this only for an unset attribute: on a lazy action,
-        # `binding` and the four atom sets until their first read.
-        source = self._source
-        if source is None or (name != "binding" and name not in _ATOM_SETS):
-            raise AttributeError(
-                "'GroundAction' object has no attribute '{}'".format(name))
-        if name == "binding":
-            _set(self, name, tuple(zip(source.variables, self._objects)))
-        else:
-            for field_name, atoms in zip(_ATOM_SETS, _atom_sets(source, self._objects)):
-                _set(self, field_name, atoms)
-        return object.__getattribute__(self, name)
+    template: Template
+    objects: tuple[str, ...]
 
     @property
-    def objects(self) -> tuple[str, ...]:
-        return self._objects
+    def schema(self) -> str:
+        return self.template.name
+
+    @property
+    def binding(self) -> tuple[tuple[str, str], ...]:
+        """(variable, object) in parameter order."""
+        return tuple(zip(self.template.variables, self.objects))
 
     @property
     def name(self) -> str:
-        if self.binding:
+        if self.objects:
             return "({} {})".format(self.schema, " ".join(self.objects))
         return "({})".format(self.schema)
+
+    def _atoms(self, start: int, end: Optional[int]) -> frozenset[GroundAtom]:
+        combo = self.objects
+        return frozenset([
+            Atom(predicate, tuple([combo[x] if type(x) is int else x for x in spec]))
+            for predicate, spec in self.template.atoms[start:end]
+        ])
+
+    @property
+    def pre_pos(self) -> frozenset[GroundAtom]:
+        return self._atoms(0, self.template.ends[0])
+
+    @property
+    def pre_neg(self) -> frozenset[GroundAtom]:
+        i, j, _ = self.template.ends
+        return self._atoms(i, j)
+
+    @property
+    def add(self) -> frozenset[GroundAtom]:
+        _, j, n = self.template.ends
+        return self._atoms(j, n)
+
+    @property
+    def delete(self) -> frozenset[GroundAtom]:
+        return self._atoms(self.template.ends[2], None) - self.add
 
 
 class Plan(NamedTuple):
@@ -120,7 +86,7 @@ class Plan(NamedTuple):
 
     @property
     def cost(self) -> int:
-        return sum(s.cost for s in self.steps)
+        return len(self.steps)
 
     def __len__(self) -> int:
         # The step count, while iterating a plan gives its one field: read
@@ -142,12 +108,8 @@ class ValidationReport(NamedTuple):
 # argument becomes the position of its parameter in a binding combo (an int)
 # or stays a constant (a str).  A template atom is (predicate, spec), spec
 # holding the arguments.  `groundings` enumerates each template's combos,
-# equality already filtered; `bench.compile_task` reads the templates
-# straight into bitmasks, and `ground`, `resolve_plan` and `Template.action`
-# make lazy GroundActions (`_lazy_action`) that hold their template and
-# combo.  Only the actions whose sets are read, such as plan steps, build
-# atoms: all four sets on the first read of any (`_atom_sets`), one Atom per
-# template atom.
+# equality already filtered; `bench.compile_task` reads them straight into
+# bitmasks, and a GroundAction is one (template, combo) pair.
 
 _TemplateAtom = tuple  # (predicate, spec)
 
@@ -167,11 +129,6 @@ class Template(NamedTuple):
             if (x == y) == negated:
                 return False
         return True
-
-    def action(self, combo: tuple) -> GroundAction:
-        """The ground action of one admitted combo, equal to the one `ground`
-        builds for it."""
-        return _lazy_action(self, combo)
 
 
 def _compile(schema: ActionSchema) -> Template:
@@ -221,32 +178,6 @@ def _template(schema: ActionSchema) -> Template:
     return t
 
 
-def _atom_sets(t: Template, combo: tuple) -> tuple:
-    """The (pre_pos, pre_neg, add, delete) sets of one combo of a template."""
-    atoms = [
-        Atom(predicate, tuple([combo[x] if type(x) is int else x for x in spec]))
-        for predicate, spec in t.atoms
-    ]
-    i, j, n = t.ends
-    add = frozenset(atoms[j:n])
-    return frozenset(atoms[:i]), frozenset(atoms[i:j]), add, frozenset(atoms[n:]) - add
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _lazy_action(t: Template, combo: tuple) -> GroundAction:
-    """The ground action of an admitted combo of a template, its binding and
-    atom sets left unbuilt."""
-    a = _new(GroundAction)
-    _set(a, "schema", t.name)
-    _set(a, "_objects", combo)
-    _set(a, "cost", 1)
-    _set(a, "_source", t)
-    return a
-
-
 def _check_match(d: DomainDef, p: ProblemDef) -> None:
     if p.domain_name != d.name:
         raise DomainProblemMismatch(
@@ -281,13 +212,13 @@ def groundings(d: DomainDef, p: ProblemDef) -> list[tuple[Template, Iterator[tup
 def ground(d: DomainDef, p: ProblemDef) -> list[GroundAction]:
     """Every type-consistent instantiation of every schema, in deterministic
     order: schema declaration order, then lexicographic bindings.  The
-    actions are lazy (see GroundAction).
+    actions build no atom (see GroundAction).
 
     Raises RepeatedParameter for a schema that declares a parameter twice.
     """
     actions: list[GroundAction] = []
     for t, combos in groundings(d, p):
-        actions.extend([_lazy_action(t, combo) for combo in combos])
+        actions.extend([GroundAction(t, combo) for combo in combos])
     return actions
 
 
@@ -376,7 +307,7 @@ def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
             ):
                 continue
             if t.admits(objects):
-                return _lazy_action(t, objects)
+                return GroundAction(t, objects)
         return None
 
     steps: list[GroundAction] = []

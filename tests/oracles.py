@@ -1,18 +1,43 @@
 """Reference semantics that only the tests use: a checked transition,
 state-space enumeration, goal checks, the plan text writer, grounding by
-substitution and a triple-by-triple Turtle writer.  They share no code with
-`plankb.semantics` beyond `applicable`, so the grounder and the search are
-checked against an independent construction.  The Turtle writer shares only the term formatting
-of `plankb.kg.turtle`, so it checks the exporter's order, not its escaping."""
+substitution into plain records and a triple-by-triple Turtle writer.  They
+share no code with `plankb.semantics` beyond `applicable`, so the grounder
+and the search are checked against an independent construction.  The
+Turtle writer shares only the term formatting of `plankb.kg.turtle`, so it
+checks the exporter's order, not its escaping."""
 
 import itertools
+from typing import NamedTuple
 
 from plankb.kg.store import term_key
 from plankb.kg.turtle import PREFIXES, _format_term
-from plankb.semantics import GroundAction, applicable
+from plankb.semantics import applicable
 
 ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
 DOMAIN_NAMES = ("blocksworld", "gripper", "driverlog")
+
+
+class Instance(NamedTuple):
+    """A ground action built eagerly, every value it is read for stored as a
+    field: what `plankb.semantics.GroundAction` computes from its template
+    and objects."""
+
+    schema: str
+    binding: tuple
+    objects: tuple
+    pre_pos: frozenset
+    pre_neg: frozenset
+    add: frozenset
+    delete: frozenset
+
+    @property
+    def name(self):
+        return "({})".format(" ".join((self.schema,) + self.objects))
+
+
+def snapshot(a):
+    """The Instance of any ground action, each of its values read once."""
+    return Instance(*[getattr(a, field) for field in Instance._fields])
 
 
 class NotApplicable(Exception):
@@ -44,7 +69,7 @@ def goal_satisfied(s, p):
 
 def reachable_states(init, actions, limit=10**6):
     """Breadth-first enumeration of all states reachable from init."""
-    actions = list(actions)
+    actions = [snapshot(a) for a in actions]
     seen = {init}
     frontier = [init]
     while frontier:
@@ -69,8 +94,8 @@ def format_plan(plan):
 
 def instantiate(schema, binding):
     """Ground one schema by substituting a complete binding into every
-    literal, built eagerly from the seven fields.  Equality literals are
-    resolved statically; returns None when one fails."""
+    literal, as an Instance.  Equality literals are resolved statically;
+    returns None when one fails."""
     pre_pos, pre_neg = set(), set()
     for lit in schema.precondition:
         atom = lit.atom.substitute(binding)
@@ -81,14 +106,9 @@ def instantiate(schema, binding):
         (pre_neg if lit.negated else pre_pos).add(atom)
     add = frozenset(a.substitute(binding) for a in schema.add)
     delete = frozenset(a.substitute(binding) for a in schema.delete) - add
-    return GroundAction(
-        schema.name,
-        tuple((v, binding[v]) for v in schema.variables),
-        frozenset(pre_pos),
-        frozenset(pre_neg),
-        add,
-        delete,
-    )
+    objects = tuple(binding[v] for v in schema.variables)
+    return Instance(schema.name, tuple(zip(schema.variables, objects)), objects,
+                    frozenset(pre_pos), frozenset(pre_neg), add, delete)
 
 
 def reference_ground(d, p):
@@ -109,10 +129,10 @@ def reference_ground(d, p):
 
 
 def assert_same_grounding(actual, expected):
-    assert actual == expected
-    for a, b in zip(actual, expected):
-        for field in ATOM_SETS:
-            assert getattr(a, field) == getattr(b, field)
+    """Each action of `actual` reads as the Instance at its place in
+    `expected`, name included."""
+    assert [snapshot(a) for a in actual] == expected
+    assert [a.name for a in actual] == [b.name for b in expected]
 
 
 def triple_key(t):

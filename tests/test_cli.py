@@ -193,6 +193,25 @@ def test_store_flag_persists_macros(bw_ttl, capsys):
     assert g.objects(domain_iri("blocksworld"), SCHEMA.prop("hasMacro"))
 
 
+def test_mine_macros_and_augment_unify_each_pair_once(bw_ttl, workspace, capsys,
+                                                     monkeypatch):
+    from plankb import macros
+
+    unified = []
+    unify = macros._unify
+    monkeypatch.setattr(macros, "_unify", lambda d, p: unified.append(p) or unify(d, p))
+    assert main(["mine-macros", "bw.ttl", "--domain", "blocksworld",
+                 "--domain-file", data("domains/blocksworld.pddl"),
+                 "--format", "json", "--store"]) == 0
+    report = capsys.readouterr().out
+    assert unified and len(set(unified)) == len(unified)
+    (workspace / "macros.json").write_text(report)
+    unified.clear()
+    assert main(["augment", "--domain", data("domains/blocksworld.pddl"),
+                 "--macros", "macros.json", "-o", "bw-aug.pddl"]) == 0
+    assert unified == macros.load_report(report, "macros.json")
+
+
 BW_DOMAIN = data("domains/blocksworld.pddl")
 BW_PROBLEM = str(bundles.problem_paths("blocksworld")[0])
 GRIPPER_PROBLEM = (bundles.data_dir() / "problems" / "gr-p01.pddl").read_text()

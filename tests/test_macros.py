@@ -8,7 +8,6 @@ from plankb import bundles
 from plankb.kg.schema import RDF_TYPE, SCHEMA
 from plankb.kg.store import Graph, Variable
 from plankb.macros import (
-    ChainingViolation,
     LiftedPair,
     NoPlansForDomain,
     UnknownSchema,
@@ -191,8 +190,8 @@ def test_compose_pickup_stack_algebra():
 
 def test_compose_rejects_non_chaining():
     d = bundles.load_domain("blocksworld")
-    with pytest.raises(ChainingViolation):
-        compose(d, LiftedPair("pick-up", "pick-up", (0, 1), 1))
+    pair = LiftedPair("pick-up", "pick-up", (0, 1), 1)
+    assert compose(d, pair) is None and not chain_filter(d, pair)
 
 
 def test_compose_unifies_types_to_more_specific():
@@ -276,6 +275,20 @@ def test_gripper_macro_equivalence(gripper_bundle, gripper_graph):
     assert macros
     two_ball = next(p for p in problems if p.name == "gr-p01")
     assert sweep_equivalence(d, two_ball, macros) > 0
+
+
+def test_mine_macros_unifies_each_pair_once(bw_graph, monkeypatch):
+    from plankb import macros
+
+    unified = []
+    unify = macros._unify
+    monkeypatch.setattr(macros, "_unify", lambda d, p: unified.append(p) or unify(d, p))
+    d = bundles.load_domain("blocksworld")
+    mined = mine_macros(bw_graph, d, domain_iri("blocksworld"))
+    pairs = mine_pairs(bw_graph, domain_iri("blocksworld"))
+    assert unified == pairs
+    assert [(m.first, m.second) for m in mined] == [
+        (p.first, p.second) for p in pairs if chain_filter(d, p)]
 
 
 # --- injection and storage --------------------------------------------------

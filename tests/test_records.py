@@ -20,7 +20,7 @@ EX = "http://example.org/"
 # Each set holds at most one element, so the repr does not depend on the
 # string hash seed.
 CLEAR = Atom("clear", ("a",))
-NOOP = GroundAction("noop", (), frozenset(), frozenset(), frozenset(), frozenset())
+NOOP = GroundAction(Template("noop", (), (), (), (0, 0, 0)), ())
 TEMPLATE = Template("noop", ("?x",), ((0, "a", True),), (("clear", (0,)),), (1, 1, 1))
 STATS = SearchStats(5, 7, 9, 2, 0.5, "solved")
 
@@ -69,8 +69,8 @@ RECORDS = {
     ),
     "Plan": (
         Plan((NOOP,)),
-        "Plan(steps=(GroundAction(schema='noop', binding=(), pre_pos=frozenset(), "
-        "pre_neg=frozenset(), add=frozenset(), delete=frozenset(), cost=1),))",
+        "Plan(steps=(GroundAction(template=Template(name='noop', variables=(), "
+        "equalities=(), atoms=(), ends=(0, 0, 0)), objects=()),))",
     ),
     "ValidationReport": (
         ValidationReport(False, "step 2 (noop): precondition (clear a) fails"),

@@ -32,6 +32,7 @@ from plankb.semantics import (
 )
 
 from oracles import (
+    ATOM_SETS,
     DOMAIN_NAMES,
     NotApplicable,
     apply_action,
@@ -342,15 +343,18 @@ def test_ground_builds_no_atom_until_a_set_is_read(monkeypatch):
     actions = ground(d, p)
     text = bundles.plan_paths("blocksworld")[0].read_text()
     plan = parse_plan_text(text, actions)
-    assert [(a.name, a.binding, a.cost) for a in plan.steps] and len(actions) == 24
-    assert built == []
+    assert [(a.name, a.binding, a.schema) for a in plan.steps] and len(actions) == 24
+    assert plan.cost == 6 and built == []
     stack = next(a for a in actions if a.name == "(stack c b)")
-    stack.pre_pos
-    # Only this action's atoms, one per literal: holding c and clear b as
-    # preconditions and again as deletes, then on c b, clear c and handempty.
-    assert len(built) == 7
-    assert set(built) == {
-        (x.predicate, x.args) for x in stack.pre_pos | stack.pre_neg | stack.add | stack.delete}
+    # Each read of a set builds only that set's atoms, one per literal:
+    # holding c and clear b as preconditions; on c b, clear c and handempty
+    # as adds; holding c and clear b as deletes, and the adds again, which
+    # the deletes leave out.
+    held = {Atom("holding", ("c",)), Atom("clear", ("b",))}
+    sizes = [(len(getattr(stack, name)), len(built)) for name in ATOM_SETS]
+    assert sizes == [(2, 2), (0, 2), (3, 5), (2, 10)]
+    assert stack.delete == held and len(built) == 15
+    assert set(built) == {(x.predicate, x.args) for x in held | stack.add}
 
 
 def test_each_schema_value_compiles_once(monkeypatch):

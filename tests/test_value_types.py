@@ -1,8 +1,8 @@
 """Frozen slotted value types: Atom, ActionSchema, DomainDef, Iri,
 TypedLiteral and Triple must hash, compare, print and copy as the plain
 frozen records of their fields that the dataclasses they replaced were, and
-a lazily grounded GroundAction exactly like one built from its seven
-fields."""
+a GroundAction, a (template, objects) record, must read as the seven fields
+of the action grounded by substitution."""
 
 import copy
 import inspect
@@ -16,7 +16,7 @@ from plankb.kg.store import Iri, Triple, TypedLiteral
 from plankb.pddl.ast import ActionSchema, Atom, DomainDef, Literal, PredicateSchema, TypeName
 from plankb.semantics import GroundAction, ground
 
-from oracles import ATOM_SETS, reference_ground
+from oracles import ATOM_SETS, reference_ground, snapshot
 
 EX = "http://example.org/"
 
@@ -29,7 +29,7 @@ FIELDS = {
     Iri: ("value",),
     TypedLiteral: ("lexical", "datatype"),
     Triple: ("subject", "predicate", "object"),
-    GroundAction: ("schema", "binding", *ATOM_SETS, "cost"),
+    GroundAction: ("template", "objects"),
 }
 
 
@@ -169,12 +169,13 @@ def test_sets_iterate_as_the_tuples_do():
     assert [compared(a) for a in set(atoms)] == list({compared(a) for a in atoms})
 
 
-# --- lazy ground actions ----------------------------------------------------
+# --- ground actions ---------------------------------------------------------
 #
-# `ground` makes each GroundAction from its template and objects and builds
-# its binding and atom sets on first read.  Every check below starts from
-# actions fresh from `ground`, none of them read yet, and compares each with
-# the action grounded by substitution and built from its seven fields.
+# `ground` makes each GroundAction from its template and objects, and every
+# other value of it is computed, lazily, when read.  Every check below
+# starts from actions fresh from `ground` and compares each with the action
+# grounded by substitution (`oracles.Instance`), whose seven fields hold
+# those values.
 
 
 def lazy_and_eager():
@@ -187,18 +188,25 @@ def sets_of(action):
     return [getattr(action, name) for name in ATOM_SETS]
 
 
+def round_trip(clone, lazy, eager):
+    return type(clone) is GroundAction and clone == lazy and snapshot(clone) == eager
+
+
 LAZY_CHECKS = {
-    "equal": lambda lazy, eager: lazy == eager and eager == lazy,
-    "hash": lambda lazy, eager: hash(lazy) == hash(eager) == hash(compared(eager)),
-    "repr": lambda lazy, eager: repr(lazy) == repr(eager),
+    "equal": lambda lazy, eager: lazy == rebuilt(lazy) and snapshot(lazy) == eager,
+    "hash": lambda lazy, eager: hash(lazy) == hash(rebuilt(lazy)) == hash(compared(lazy)),
+    "repr": lambda lazy, eager: repr(lazy) == "GroundAction(template={!r}, objects={!r})".format(
+        lazy.template, eager.objects),
     "sets": lambda lazy, eager: sets_of(lazy) == sets_of(eager),
-    "reduce": lambda lazy, eager: lazy.__reduce__() == (GroundAction, compared(eager)),
-    "pickle": lambda lazy, eager: pickle.loads(pickle.dumps(lazy)) == eager,
-    "copy": lambda lazy, eager: copy.copy(lazy) == eager,
-    "deepcopy": lambda lazy, eager: copy.deepcopy(lazy) == eager,
+    "reduce": lambda lazy, eager: (
+        lazy.__getnewargs__() == compared(lazy)
+        and round_trip(GroundAction(*lazy.__getnewargs__()), lazy, eager)),
+    "pickle": lambda lazy, eager: round_trip(pickle.loads(pickle.dumps(lazy)), lazy, eager),
+    "copy": lambda lazy, eager: round_trip(copy.copy(lazy), lazy, eager),
+    "deepcopy": lambda lazy, eager: round_trip(copy.deepcopy(lazy), lazy, eager),
     "atom-free fields": lambda lazy, eager: (
-        (lazy.schema, lazy.binding, lazy.objects, lazy.name, lazy.cost)
-        == (eager.schema, eager.binding, eager.objects, eager.name, eager.cost)),
+        (lazy.schema, lazy.binding, lazy.objects, lazy.name)
+        == (eager.schema, eager.binding, eager.objects, eager.name)),
 }
 
 
@@ -213,23 +221,19 @@ def test_lazy_action_reads_as_its_seven_fields(check):
 def test_lazy_action_is_frozen_and_slotted():
     for lazy, eager in lazy_and_eager():
         assert not hasattr(lazy, "__dict__")
-        for name in FIELDS[GroundAction] + ("_objects", "_source", "other"):
+        for name in ("schema", "binding", "name", *ATOM_SETS):
             with pytest.raises(AttributeError):
                 setattr(lazy, name, None)
             with pytest.raises(AttributeError):
                 delattr(lazy, name)
-        assert lazy == eager and sets_of(lazy) == sets_of(eager)
-        assert_frozen(eager)
+        assert_frozen(lazy)
+        assert snapshot(lazy) == eager
         with pytest.raises(AttributeError, match="no attribute 'pre'"):
             lazy.pre
 
 
-def test_ground_action_fields_are_the_seven_constructor_arguments():
-    _, eager = lazy_and_eager()[0]
-    assert list(inspect.signature(GroundAction).parameters) == list(
-        FIELDS[GroundAction]) == ["schema", "binding", *ATOM_SETS, "cost"]
-    assert repr(eager) == "GroundAction({})".format(", ".join(
-        "{}={!r}".format(name, value) for name, value in zip(FIELDS[GroundAction],
-                                                            compared(eager))))
-    assert eager == rebuilt(eager) and hash(eager) == hash(compared(eager))
-    assert inspect.signature(GroundAction).parameters["cost"].default == 1
+def test_ground_action_fields_are_its_template_and_objects():
+    lazy, eager = lazy_and_eager()[0]
+    assert GroundAction._fields == FIELDS[GroundAction] == ("template", "objects")
+    assert tuple(inspect.signature(GroundAction).parameters) == FIELDS[GroundAction]
+    assert lazy.template.name == eager.schema and lazy.objects == eager.objects
