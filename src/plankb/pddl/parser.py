@@ -18,22 +18,21 @@ from .ast import (
     UnknownType,
     UnsupportedConstruct,
 )
-from .sexpr import SList, position, read
+from .sexpr import read, read_plain
 
 
 def _err(msg: str, node) -> PddlSyntaxError:
-    line, col = position(node)
-    return PddlSyntaxError(msg, line, col)
+    return PddlSyntaxError(msg, getattr(node, "line", 0), getattr(node, "column", 0))
 
 
-def _expect_list(node, what: str) -> SList:
-    if not isinstance(node, SList):
+def _expect_list(node, what: str) -> list:
+    if not isinstance(node, list):
         raise _err("expected {} (a list), found '{}'".format(what, node), node)
     return node
 
 
 def _expect_symbol(node, what: str) -> str:
-    if isinstance(node, SList) or not isinstance(node, str):
+    if isinstance(node, list):
         raise _err("expected {} (a symbol)".format(what), node)
     return str(node)
 
@@ -67,57 +66,59 @@ def _parse_atom(form) -> Atom:
     return Atom(name, args)
 
 
+def _conjuncts(form, what: str):
+    """Yield the non-empty lists that nested `and`s in `form` conjoin,
+    depth first and left to right.  A stack, not recursion, so any depth
+    parses; "(and)" and "()" both mean the empty conjunction."""
+    todo = [form]
+    while todo:
+        lst = _expect_list(todo.pop(), what)
+        if lst and lst[0] == "and":
+            todo.extend(lst[:0:-1])  # the operands, last on the bottom
+        elif lst:
+            yield lst
+
+
 def _flatten_condition(form, allow_negation: bool) -> list[Literal]:
     """Flatten a goal/precondition formula into a conjunction of literals."""
-    lst = _expect_list(form, "a condition")
-    if not lst:
-        return []  # "(and)" and "()" both mean the empty conjunction
-    head = lst[0]
-    if head == "and":
-        out: list[Literal] = []
-        for sub in lst[1:]:
-            out.extend(_flatten_condition(sub, allow_negation))
-        return out
-    if head == "not":
-        if not allow_negation:
-            raise UnsupportedConstruct("not", "negation not allowed here")
-        if len(lst) != 2:
-            raise _err("'not' takes exactly one argument", form)
-        inner = _expect_list(lst[1], "an atom")
-        if inner and inner[0] in ("and", "or", "not", "imply", "forall", "exists"):
-            raise UnsupportedConstruct(str(inner[0]), "nested formula under 'not'")
-        return [Literal(_parse_atom(lst[1]), negated=True)]
-    if head in ("or", "imply", "forall", "exists", "when"):
-        raise UnsupportedConstruct(str(head))
-    return [Literal(_parse_atom(form))]
+    out: list[Literal] = []
+    for lst in _conjuncts(form, "a condition"):
+        head = lst[0]
+        if head == "not":
+            if not allow_negation:
+                raise UnsupportedConstruct("not", "negation not allowed here")
+            if len(lst) != 2:
+                raise _err("'not' takes exactly one argument", lst)
+            inner = _expect_list(lst[1], "an atom")
+            if inner and inner[0] in ("and", "or", "not", "imply", "forall", "exists"):
+                raise UnsupportedConstruct(str(inner[0]), "nested formula under 'not'")
+            out.append(Literal(_parse_atom(inner), negated=True))
+        elif head in ("or", "imply", "forall", "exists", "when"):
+            raise UnsupportedConstruct(str(head))
+        else:
+            out.append(Literal(_parse_atom(lst)))
+    return out
 
 
 def _parse_effect(form) -> tuple[list[Atom], list[Atom]]:
     """Split an effect formula into add and delete atom lists."""
     add: list[Atom] = []
     delete: list[Atom] = []
-    lst = _expect_list(form, "an effect")
-    if not lst:
-        return add, delete
-    head = lst[0]
-    if head == "and":
-        for sub in lst[1:]:
-            a, d = _parse_effect(sub)
-            add.extend(a)
-            delete.extend(d)
-        return add, delete
-    if head == "not":
-        if len(lst) != 2:
-            raise _err("'not' takes exactly one argument", form)
-        delete.append(_parse_atom(lst[1]))
-        return add, delete
-    if head in ("when", "forall", "increase", "decrease", "assign", "scale-up", "scale-down"):
-        raise UnsupportedConstruct(str(head), "in effect")
-    add.append(_parse_atom(form))
+    for lst in _conjuncts(form, "an effect"):
+        head = lst[0]
+        if head == "not":
+            if len(lst) != 2:
+                raise _err("'not' takes exactly one argument", lst)
+            delete.append(_parse_atom(lst[1]))
+        elif head in ("when", "forall", "increase", "decrease", "assign", "scale-up",
+                      "scale-down"):
+            raise UnsupportedConstruct(str(head), "in effect")
+        else:
+            add.append(_parse_atom(lst))
     return add, delete
 
 
-def _parse_action(form: SList) -> ActionSchema:
+def _parse_action(form: list) -> ActionSchema:
     if len(form) < 2:
         raise _err("':action' needs a name", form)
     name = _expect_symbol(form[1], "an action name")
@@ -146,8 +147,20 @@ def _parse_action(form: SList) -> ActionSchema:
     return ActionSchema.make(name, params, precondition, add, delete)
 
 
+def _parse(parse, text: str, *args):
+    """parse(tree, *args) on `read_plain`'s tree of `text`.  On a syntax error,
+    parse `read`'s tree: it raises the same error, now with its position."""
+    try:
+        return parse(read_plain(text), *args)
+    except PddlSyntaxError:
+        return parse(read(text), *args)
+
+
 def parse_domain(text: str) -> DomainDef:
-    form = read(text)
+    return _parse(_parse_domain, text)
+
+
+def _parse_domain(form: list) -> DomainDef:
     if len(form) < 2 or form[0] != "define":
         raise _err("expected '(define (domain ...) ...)'", form)
     head = _expect_list(form[1], "'(domain NAME)'")
@@ -201,14 +214,14 @@ def parse_domain(text: str) -> DomainDef:
     )
 
 
-def _check_ground_atom(atom: Atom, domain: DomainDef, where: str) -> None:
+def _check_ground_atom(atom: Atom, predicates: dict[str, PredicateSchema], where: str) -> None:
     if not atom.is_ground():
         raise PddlSyntaxError("atom {} in {} is not ground".format(atom, where))
     if atom.predicate == EQUALITY_PREDICATE:
         if len(atom.args) != 2:
             raise ArityMismatch("'=' takes 2 arguments, got {}".format(len(atom.args)))
         return
-    schema = domain.predicate_map().get(atom.predicate)
+    schema = predicates.get(atom.predicate)
     if schema is None:
         raise UnknownPredicate(
             "unknown predicate '{}' in {}".format(atom.predicate, where)
@@ -222,7 +235,10 @@ def _check_ground_atom(atom: Atom, domain: DomainDef, where: str) -> None:
 
 
 def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
-    form = read(text)
+    return _parse(_parse_problem, text, domain)
+
+
+def _parse_problem(form: list, domain: DomainDef) -> ProblemDef:
     if len(form) < 2 or form[0] != "define":
         raise _err("expected '(define (problem ...) ...)'", form)
     head = _expect_list(form[1], "'(problem NAME)'")
@@ -234,6 +250,7 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
     objects: list[tuple[str, str]] = []
     init: list[Atom] = []
     goal: list[Literal] = []
+    predicates = domain.predicate_map()
 
     for section in form[2:]:
         lst = _expect_list(section, "a problem section")
@@ -249,14 +266,14 @@ def parse_problem(text: str, domain: DomainDef) -> ProblemDef:
         elif key == ":init":
             for a in lst[1:]:
                 atom = _parse_atom(a)
-                _check_ground_atom(atom, domain, "init")
+                _check_ground_atom(atom, predicates, "init")
                 init.append(atom)
         elif key == ":goal":
             if len(lst) != 2:
                 raise _err("':goal' takes one formula", lst)
             goal = _flatten_condition(lst[1], allow_negation=True)
             for lit in goal:
-                _check_ground_atom(lit.atom, domain, "goal")
+                _check_ground_atom(lit.atom, predicates, "goal")
         elif key in (":metric", ":constraints"):
             raise UnsupportedConstruct(key)
         else:

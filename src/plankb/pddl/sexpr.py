@@ -1,7 +1,9 @@
 """Minimal s-expression reader for PDDL text.
 
-Symbols carry their source position so later passes can report useful
-errors.  `;` starts a comment that runs to end of line.
+`read_plain` reads the nested lists of lowercased strings that the parser
+walks.  `read` reads the same tree with the line and column of each symbol
+and list; the parser reads the text again with it only to place an error.
+`;` starts a comment that runs to end of line.
 """
 
 from __future__ import annotations
@@ -14,66 +16,61 @@ from .ast import PddlSyntaxError
 class Sym(str):
     """A symbol token; behaves as a plain string but remembers where it was."""
 
-    line: int
-    column: int
-
-    def __new__(cls, text: str, line: int = 0, column: int = 0):
-        obj = super().__new__(cls, text)
-        obj.line = line
-        obj.column = column
-        return obj
+    line = column = 0
 
 
 class SList(list):
     """A parenthesized list; remembers the position of its opening paren."""
 
-    line: int
-    column: int
-
-    def __init__(self, items=(), line: int = 0, column: int = 0):
-        super().__init__(items)
-        self.line = line
-        self.column = column
+    line = column = 0
 
 
-# A line break, a paren, a symbol or a comment; the blanks " \t\r" between
-# them are skipped.
-_TOKEN = r"\n|[()]|[^ \t\r\n();]+|;[^\n]*"
+# A paren, a symbol or a comment; the blanks " \t\r\n" between them are
+# skipped.  Compiled on first use (re caches it), as in `kg.turtle`:
+# compiling at import would slow every CLI start.
+_TOKEN = r"[()]|[^ \t\r\n();]+|;[^\n]*"
 
 
 def tokenize(text: str):
     """Yield (token, line, column); token is '(' , ')' or a symbol."""
-    line, line_start = 1, 0
-    # Compiled on first use (re caches it), as in `kg.turtle`: compiling
-    # at import would slow every CLI start.
-    for m in re.finditer(_TOKEN, text):
-        tok = m.group()
-        if tok == "\n":
-            line += 1
-            line_start = m.end()
+    # No token holds a line break, so each line is read on its own.
+    for line, row in enumerate(text.split("\n"), 1):
+        for m in re.finditer(_TOKEN, row):
+            tok = m.group()
+            if tok[0] != ";":
+                yield tok, line, m.start() + 1
+
+
+def read_plain(text: str) -> list:
+    """`read` without positions: the same tree, of plain lists and strings.
+    Malformed text raises `read`'s error."""
+    top: list = []
+    cur, stack = top, []
+    for tok in re.findall(_TOKEN, text):
+        if tok == "(":
+            lst: list = []
+            cur.append(lst)
+            stack.append(cur)
+            cur = lst
+        elif tok == ")":
+            if not stack:
+                return read(text)  # raises the error, with its position
+            cur = stack.pop()
         elif tok[0] != ";":
-            yield tok, line, m.start() - line_start + 1
+            cur.append(tok.lower())
+    if stack or len(top) != 1 or not isinstance(top[0], list):
+        return read(text)
+    return top[0]
 
 
 def read(text: str) -> SList:
     """Parse one top-level s-expression; anything after it is an error."""
-    forms = read_all(text)
-    if not forms:
-        raise PddlSyntaxError("expected '(' but found end of input")
-    if len(forms) > 1:
-        extra = forms[1]
-        raise PddlSyntaxError(
-            "unexpected trailing expression", extra.line, extra.column
-        )
-    return forms[0]
-
-
-def read_all(text: str) -> list[SList]:
     stack: list[SList] = []
     top: list[SList] = []
     for tok, ln, col in tokenize(text):
         if tok == "(":
-            lst = SList((), ln, col)
+            lst = SList()
+            lst.line, lst.column = ln, col
             if stack:
                 stack[-1].append(lst)
             stack.append(lst)
@@ -83,19 +80,18 @@ def read_all(text: str) -> list[SList]:
             done = stack.pop()
             if not stack:
                 top.append(done)
+        elif not stack:
+            raise PddlSyntaxError("expected '(' but found '{}'".format(tok), ln, col)
         else:
-            sym = Sym(tok.lower(), ln, col)
-            if not stack:
-                raise PddlSyntaxError(
-                    "expected '(' but found '{}'".format(tok), ln, col
-                )
+            sym = Sym(tok.lower())
+            sym.line, sym.column = ln, col
             stack[-1].append(sym)
     if stack:
         raise PddlSyntaxError(
             "unbalanced '(': expected ')'", stack[-1].line, stack[-1].column
         )
-    return top
-
-
-def position(node) -> tuple[int, int]:
-    return getattr(node, "line", 0), getattr(node, "column", 0)
+    if not top:
+        raise PddlSyntaxError("expected '(' but found end of input")
+    if len(top) > 1:
+        raise PddlSyntaxError("unexpected trailing expression", top[1].line, top[1].column)
+    return top[0]

@@ -60,6 +60,26 @@ def test_parse_syntax_error_exit_code(tmp_path, capsys):
     assert main(["parse", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("part", ["effect", "goal"])
+def test_parse_reads_formulas_nested_10000_deep(tmp_path, capsys, part):
+    # The condition and effect walks keep their own stack, not Python's, and
+    # the deep formula prints as the flat one.
+    def parse(depth):
+        formula = "(and " * depth + "(q) (not (p))" + ")" * depth
+        effect, goal = (formula, "(q)") if part == "effect" else ("(q)", formula)
+        (tmp_path / "d.pddl").write_text(
+            "(define (domain deep) (:predicates (p) (q))\n"
+            "  (:action a :parameters () :precondition (p) :effect {}))".format(effect))
+        (tmp_path / "p.pddl").write_text(
+            "(define (problem deep) (:domain deep) (:init (p)) (:goal {}))".format(goal))
+        assert main(["parse", str(tmp_path / "d.pddl"), str(tmp_path / "p.pddl")]) == 0
+        return capsys.readouterr()
+
+    deep = parse(10_000)
+    assert "Traceback" not in deep.err
+    assert deep.out == parse(1).out
+
+
 def test_usage_error_exit_code_2():
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])

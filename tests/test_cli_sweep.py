@@ -3,7 +3,9 @@ through main(), with each path slot holding a valid bundled file, a
 directory, a missing path, an empty file, non-UTF-8 bytes, a truncated
 prefix of a valid file or a one-byte change of one, and each value slot a
 valid or an invalid value.  Whatever the input, a command exits 0, 1 or 2
-(argparse's usage errors raise SystemExit(2)) and prints no traceback."""
+(argparse's usage errors raise SystemExit(2)) and prints no traceback.  When
+an input file it must read is missing, a directory or not UTF-8, and no value
+is one it refuses, it exits 1."""
 
 import contextlib
 import io
@@ -23,14 +25,16 @@ PROBLEMS = ("bw-p01.pddl", "bw-p02.pddl", "bw-p03.pddl")
 PLANS = ("bw-p01.bfs.plan", "bw-p02.bfs.plan", "bw-p03.bfs.plan")
 
 FILE_KINDS = ("valid", "directory", "missing", "empty", "not utf-8", "truncated", "changed")
+BAD_FILE_KINDS = ("directory", "missing", "not utf-8")
 DIR_KINDS = ("valid", "file", "missing", "empty", "one bad file")
 OUTPUT_KINDS = ("new", "new parent", "directory", "under a file")
 
 DOMAIN_NAMES = ("blocksworld", "elevators", "gripper", "", "no such", "a%b/c")
 ARG_VALUES = ("blocksworld", "bw-p01", "pick-up", "lmcut", "(clear a)", "", "a b%")
-LIMITS = ("300", "0", "-1", "x", "nan")
-K = ("2", "1", "0", "-1", "x")
-ALGORITHMS = ("breadth-first", "greedy-best-first", "a-star", "dfs")
+# The values an option takes, then those it refuses with a usage error (exit 2).
+LIMITS = ("300",), ("0", "-1", "x", "nan")
+K = ("2", "1"), ("0", "-1", "x")
+ALGORITHMS = ("breadth-first", "greedy-best-first", "a-star"), ("dfs",)
 
 
 def run(argv):
@@ -89,6 +93,8 @@ class Slots:
     def __init__(self, draw, root, corpus):
         self.draw, self.root, self.corpus = draw, root, corpus
         self.count = 0
+        self.bad_input = False  # an input file that must be read is one of BAD_FILE_KINDS
+        self.refused = False  # a value slot holds a value the command refuses
 
     def _path(self, name):
         self.count += 1
@@ -122,9 +128,13 @@ class Slots:
         slots."""
         return self.draw(st.sampled_from((kinds[0],) * (len(kinds) - 1) + kinds), label=label)
 
-    def file(self, name):
+    def file(self, name, required=True):
+        """A file slot; not `required` if the command makes the file when
+        it is missing."""
         path = self._path(name)
-        self._write(path, self.kind(FILE_KINDS, name), self.corpus[name])
+        kind = self.kind(FILE_KINDS, name)
+        self.bad_input |= required and kind in BAD_FILE_KINDS
+        self._write(path, kind, self.corpus[name])
         return str(path)
 
     def directory(self, names):
@@ -156,8 +166,10 @@ class Slots:
             path = path / "out"
         return str(path)
 
-    def value(self, *choices):
-        return self.draw(st.sampled_from(choices))
+    def value(self, taken, refused=()):
+        value = self.draw(st.sampled_from(taken + refused))
+        self.refused |= value in refused
+        return value
 
     def maybe(self, make):
         """make() or nothing."""
@@ -165,13 +177,16 @@ class Slots:
 
 
 def query_args(s):
-    qid = s.value(*sorted(COMPETENCY_QUERIES), "C0")
+    qid = s.value(tuple(sorted(COMPETENCY_QUERIES)), ("C0",))
     keys = COMPETENCY_QUERIES[qid].parameters if qid in COMPETENCY_QUERIES else ()
     arg = st.one_of(
         st.builds("{}={}".format, st.sampled_from(keys + ("zz",)), st.sampled_from(ARG_VALUES)),
         st.just("no-equals"),
     )
     args = s.draw(st.lists(arg, max_size=len(keys) + 1), label="args")
+    # An argument without "=", of another query or given twice is refused.
+    given = [a.partition("=")[0] for a in args]
+    s.refused |= not set(given) <= set(keys) or len(set(given)) < len(given)
     return ["--id", qid] + [x for a in args for x in ("--arg", a)]
 
 
@@ -181,17 +196,18 @@ COMMANDS = {
         "build-kg", s.file("domain.pddl"), s.file(PROBLEMS[0]), s.file(PROBLEMS[1]),
         *s.maybe(lambda: ["--plans", s.directory(PLANS)]), "-o", s.output()],
     "query": lambda s: [
-        "query", s.file("graph.ttl"), *query_args(s), "--format", s.value("table", "json")],
+        "query", s.file("graph.ttl"), *query_args(s), "--format", s.value(("table", "json"))],
     "ingest-ipc": lambda s: [
-        "ingest-ipc", s.file("ipc2011.csv"), "-o", s.file("graph.ttl"),
-        "--planner-type", s.value("optimal", "satisficing", "")],
+        "ingest-ipc", s.file("ipc2011.csv"), "-o", s.file("graph.ttl", required=False),
+        "--planner-type", s.value(("optimal", "satisficing", ""))],
     "select-planner": lambda s: [
-        "select-planner", s.file("graph.ttl"), "--domain", s.value(*DOMAIN_NAMES),
-        "--policy", s.value("ontology", "random", "best"), "--seed", s.value("0", "7", "-3", "x")],
+        "select-planner", s.file("graph.ttl"), "--domain", s.value(DOMAIN_NAMES),
+        "--policy", s.value(("ontology", "random"), ("best",)),
+        "--seed", s.value(("0", "7", "-3"), ("x",))],
     "mine-macros": lambda s: [
-        "mine-macros", s.file("graph.ttl"), "--domain", s.value(*DOMAIN_NAMES),
+        "mine-macros", s.file("graph.ttl"), "--domain", s.value(DOMAIN_NAMES),
         *s.maybe(lambda: ["--domain-file", s.file("domain.pddl")]),
-        *s.maybe(lambda: ["--store"]), "--format", s.value("table", "json")],
+        *s.maybe(lambda: ["--store"]), "--format", s.value(("table", "json"))],
     "augment": lambda s: [
         "augment", "--domain", s.file("domain.pddl"), "--macros", s.file("macros.json"),
         "-k", s.value(*K), "-o", s.output()],
@@ -199,10 +215,11 @@ COMMANDS = {
         "bench", "--domain", s.file("domain.pddl"), "--problems", s.directory(PROBLEMS[:2]),
         *s.maybe(lambda: ["--macros", s.file("macros.json")]), "-k", s.value(*K),
         "--algo", s.value(*ALGORITHMS), "--max-expansions", s.value(*LIMITS),
-        "--format", s.value("table", "csv")],
+        "--format", s.value(("table", "csv"))],
     "solve": lambda s: [
         "solve", s.file("domain.pddl"), s.file(PROBLEMS[0]), "--algo", s.value(*ALGORITHMS),
-        "--heuristic", s.value("goal-count", "zero", "ff"), "--max-expansions", s.value(*LIMITS)],
+        "--heuristic", s.value(("goal-count", "zero"), ("ff",)),
+        "--max-expansions", s.value(*LIMITS)],
 }
 
 
@@ -211,7 +228,12 @@ COMMANDS = {
 @given(data=st.data())
 def test_cli_exits_0_1_or_2_without_traceback(corpus, command, data):
     with tempfile.TemporaryDirectory() as tmp:
-        argv = COMMANDS[command](Slots(data.draw, Path(tmp), corpus))
+        slots = Slots(data.draw, Path(tmp), corpus)
+        argv = COMMANDS[command](slots)
         code, _, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    # mine-macros --store without --domain-file is a usage error.
+    refused = slots.refused or ("--store" in argv and "--domain-file" not in argv)
+    if slots.bad_input and not refused:
+        assert code == 1, (argv, code, err)
