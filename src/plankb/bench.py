@@ -115,14 +115,12 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
     ground atom of every binding and its bit (each distinct atom numbered
     once), then per role the OR of those bits across the role's atoms.
     """
-    # Atoms are numbered through plain (predicate, args) tuples, whose
-    # hashing and comparison run in C; Atom's run in Python.
     index: dict[tuple[str, tuple[str, ...]], int] = {}
 
     def mask(atoms: Iterable[Atom]) -> int:
         m = 0
         for x in atoms:
-            m |= 1 << index.setdefault((x.predicate, x.args), len(index))
+            m |= 1 << index.setdefault(x, len(index))
         return m
 
     init = mask(p.init)

@@ -5,57 +5,34 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .. import PlankbError
-from ..frozen import Frozen
 
 
 class VariableInData(PlankbError):
     pass
 
 
-# Iri, TypedLiteral and Triple are frozen and slotted (see Frozen).  Each
-# sets its slots through the slots' setters, bound below the classes: the
-# mappers build one per term and triple, and object.__setattr__ costs more.
-
-
-class Iri(Frozen):
-    __slots__ = ("value",)
-    _fields = __slots__
+class _Iri(NamedTuple):
     value: str
 
-    def __init__(self, value: str):
+
+class Iri(_Iri):
+    # A subclass, as typing.NamedTuple does not allow __new__ in its body.
+    # The mappers build one per term, so __new__ calls tuple.__new__
+    # itself, not the NamedTuple's own __new__, a Python function.
+    __slots__ = ()
+
+    def __new__(cls, value: str):
         if not value:
             raise ValueError("IRI must be non-empty")
-        _set_value(self, value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
+        return tuple.__new__(cls, (value,))
 
     def __str__(self) -> str:
         return "<{}>".format(self.value)
 
 
-class TypedLiteral(Frozen):
-    __slots__ = ("lexical", "datatype")
-    _fields = __slots__
+class TypedLiteral(NamedTuple):
     lexical: str
     datatype: Iri
-
-    def __init__(self, lexical: str, datatype: Iri):
-        _set_lexical(self, lexical)
-        _set_datatype(self, datatype)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lexical, self.datatype) == (other.lexical, other.datatype)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lexical, self.datatype))
 
     def __str__(self) -> str:
         return '"{}"^^<{}>'.format(self.lexical, self.datatype.value)
@@ -78,35 +55,20 @@ def term_key(t: Node) -> tuple:
     return (1, t.datatype.value, t.lexical)
 
 
-class Triple(Frozen):
-    __slots__ = ("subject", "predicate", "object")
-    _fields = __slots__
+class _Triple(NamedTuple):
     subject: Iri
     predicate: Iri
     object: Node
 
-    def __init__(self, subject: Iri, predicate: Iri, object: Node):
+
+class Triple(_Triple):
+    __slots__ = ()
+
+    def __new__(cls, subject: Iri, predicate: Iri, object: Node):
         if isinstance(subject, Variable) or isinstance(predicate, Variable) \
                 or isinstance(object, Variable):
             raise VariableInData("stored triples must not contain variables")
-        _set_subject(self, subject)
-        _set_predicate(self, predicate)
-        _set_object(self, object)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.subject, self.predicate, self.object) == (
-                other.subject, other.predicate, other.object)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.subject, self.predicate, self.object))
-
-
-_set_value = Iri.value.__set__
-_set_lexical, _set_datatype = TypedLiteral.lexical.__set__, TypedLiteral.datatype.__set__
-_set_subject, _set_predicate, _set_object = (
-    Triple.subject.__set__, Triple.predicate.__set__, Triple.object.__set__)
+        return tuple.__new__(cls, (subject, predicate, object))
 
 
 Pattern = tuple  # (s, p, o): each a Node, or a Variable anywhere
@@ -171,41 +133,23 @@ class Graph:
     def _add_all(self, triples: Iterable[Triple]) -> None:
         """Encode and store triples.  The ids are collected first and stored
         in one pass; on an error, those collected so far are stored, so every
-        interned term is in a stored triple, as if each were added alone.
-
-        Mappers reuse term objects across the triples they return, so the
-        ids are first looked up by object identity in a table that lives
-        for this call: each term object is hashed once per call, and a new
-        term once in all.  `held` keeps every object whose `id` is a key
-        alive, so no id can be reused by another object while the table
-        lives."""
+        interned term is in a stored triple, as if each were added alone."""
         ids, terms = self._ids, self._terms
-        seen: dict[int, int] = {}
-        held: list[Node] = []
         keys = []
         try:
             for t in triples:
                 if not isinstance(t, Triple):
                     raise TypeError("expected a Triple")
-                s, p, o = t.subject, t.predicate, t.object
-                si = seen.get(id(s))
-                if si is None:
-                    si = seen[id(s)] = ids.setdefault(s, len(terms))
-                    if si == len(terms):
-                        terms.append(s)
-                    held.append(s)
-                pi = seen.get(id(p))
-                if pi is None:
-                    pi = seen[id(p)] = ids.setdefault(p, len(terms))
-                    if pi == len(terms):
-                        terms.append(p)
-                    held.append(p)
-                oi = seen.get(id(o))
-                if oi is None:
-                    oi = seen[id(o)] = ids.setdefault(o, len(terms))
-                    if oi == len(terms):
-                        terms.append(o)
-                    held.append(o)
+                s, p, o = t
+                si = ids.setdefault(s, len(terms))
+                if si == len(terms):
+                    terms.append(s)
+                pi = ids.setdefault(p, len(terms))
+                if pi == len(terms):
+                    terms.append(p)
+                oi = ids.setdefault(o, len(terms))
+                if oi == len(terms):
+                    terms.append(o)
                 keys.append((si, pi, oi))
         finally:
             self._add_keys(keys)

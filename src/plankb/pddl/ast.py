@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .. import PlankbError
-from ..frozen import Frozen
 
 OBJECT_TYPE = "object"
 
@@ -38,25 +37,12 @@ class PredicateSchema(NamedTuple):
         return len(self.params)
 
 
-class Atom(Frozen):
-    """Predicate applied to terms; variables start with '?'."""
+class Atom(NamedTuple):
+    """Predicate applied to terms; variables start with '?'.  Atoms sort by
+    predicate, then by arguments: the canonical order."""
 
-    __slots__ = ("predicate", "args")
-    _fields = __slots__
     predicate: str
     args: tuple[str, ...]
-
-    def __init__(self, predicate: str, args: tuple[str, ...]):
-        _set_predicate(self, predicate)
-        _set_args(self, args)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.predicate, self.args) == (other.predicate, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.predicate, self.args))
 
     def substitute(self, binding: dict[str, str]) -> "Atom":
         return Atom(self.predicate, tuple(binding.get(a, a) for a in self.args))
@@ -70,9 +56,6 @@ class Atom(Frozen):
         return "({})".format(self.predicate)
 
 
-_set_predicate, _set_args = Atom.predicate.__set__, Atom.args.__set__
-
-
 class Literal(NamedTuple):
     atom: Atom
     negated: bool = False
@@ -84,19 +67,14 @@ class Literal(NamedTuple):
         return "(not {})".format(self.atom) if self.negated else str(self.atom)
 
 
-def atom_key(a: Atom):
-    """The canonical order of atoms: by predicate, then by arguments."""
-    return (a.predicate, a.args)
-
-
 def literal_key(lit: Literal):
     """The canonical order of literals: positive ones first, then by atom.
     The printer writes sets of literals in it, and messages that name one
     member of a set name the least."""
-    return (lit.negated, atom_key(lit.atom))
+    return (lit.negated, lit.atom)
 
 
-class ActionSchema(Frozen):
+class ActionSchema(NamedTuple):
     """STRIPS action: flat conjunctive precondition plus add/delete lists.
 
     Delete effects shadowed by an add of the same atom are dropped at
@@ -104,37 +82,11 @@ class ActionSchema(Frozen):
     are always disjoint.
     """
 
-    __slots__ = ("name", "params", "precondition", "add", "delete")
-    _fields = __slots__
     name: str
     params: tuple[tuple[str, str], ...]
     precondition: frozenset[Literal]
     add: frozenset[Atom]
     delete: frozenset[Atom]
-
-    def __init__(
-        self,
-        name: str,
-        params: tuple[tuple[str, str], ...],
-        precondition: frozenset[Literal],
-        add: frozenset[Atom],
-        delete: frozenset[Atom],
-    ):
-        _set = object.__setattr__
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "precondition", precondition)
-        _set(self, "add", add)
-        _set(self, "delete", delete)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.params, self.precondition, self.add, self.delete) == (
-                other.name, other.params, other.precondition, other.add, other.delete)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.params, self.precondition, self.add, self.delete))
 
     @staticmethod
     def make(
@@ -158,46 +110,13 @@ class ActionSchema(Frozen):
         return tuple(v for v, _ in self.params)
 
 
-class DomainDef(Frozen):
-    __slots__ = ("name", "requirements", "types", "constants", "predicates", "actions",
-                 "_ancestors")
-    _fields = __slots__[:-1]
+class DomainDef(NamedTuple):
     name: str
     requirements: frozenset[str]
     types: tuple[TypeName, ...]
     constants: tuple[tuple[str, str], ...]
     predicates: tuple[PredicateSchema, ...]
     actions: tuple[ActionSchema, ...]
-
-    def __init__(
-        self,
-        name: str,
-        requirements: frozenset[str],
-        types: tuple[TypeName, ...],
-        constants: tuple[tuple[str, str], ...],
-        predicates: tuple[PredicateSchema, ...],
-        actions: tuple[ActionSchema, ...],
-    ):
-        _set = object.__setattr__
-        _set(self, "name", name)
-        _set(self, "requirements", requirements)
-        _set(self, "types", types)
-        _set(self, "constants", constants)
-        _set(self, "predicates", predicates)
-        _set(self, "actions", actions)
-        _set(self, "_ancestors", _type_ancestors(self.type_parents()))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.requirements, self.types, self.constants,
-                    self.predicates, self.actions) == (
-                other.name, other.requirements, other.types, other.constants,
-                other.predicates, other.actions)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.requirements, self.types, self.constants,
-                     self.predicates, self.actions))
 
     def predicate_map(self) -> dict[str, PredicateSchema]:
         return {p.name: p for p in self.predicates}
@@ -218,20 +137,28 @@ class DomainDef(Frozen):
         """True if sub is sup or a descendant of it in the type forest."""
         if sup == OBJECT_TYPE or sub == sup:
             return True
-        return sup in self._ancestors.get(sub, ())
+        return sup in _type_ancestors(self.types).get(sub, ())
 
 
-def _type_ancestors(parents: dict[str, str]) -> dict[str, frozenset[str]]:
-    """Each declared type with itself and its ancestors; a cycle in the
-    parent links stops the walk instead of looping."""
-    closure = {}
-    for name in parents:
-        seen: set[str] = set()
-        cur: Optional[str] = name
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            cur = parents.get(cur)
-        closure[name] = frozenset(seen)
+_ANCESTORS: dict[tuple[TypeName, ...], dict[str, frozenset[str]]] = {}
+
+
+def _type_ancestors(types: tuple[TypeName, ...]) -> dict[str, frozenset[str]]:
+    """Each declared type with itself and its ancestors, computed once per
+    `types` value; a cycle in the parent links stops the walk instead of
+    looping."""
+    closure = _ANCESTORS.get(types)
+    if closure is None:
+        parents = {t.name: t.parent for t in types}
+        closure = {}
+        for name in parents:
+            seen: set[str] = set()
+            cur: Optional[str] = name
+            while cur is not None and cur not in seen:
+                seen.add(cur)
+                cur = parents.get(cur)
+            closure[name] = frozenset(seen)
+        _ANCESTORS[types] = closure
     return closure
 
 

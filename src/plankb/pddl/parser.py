@@ -79,24 +79,23 @@ def _conjuncts(form, what: str):
             yield lst
 
 
-def _flatten_condition(form, allow_negation: bool) -> list[Literal]:
-    """Flatten a goal/precondition formula into a conjunction of literals."""
-    out: list[Literal] = []
+def _flatten_condition(form) -> list[tuple[Literal, list]]:
+    """Flatten a goal/precondition formula into a conjunction of literals,
+    each with the list of its atom."""
+    out: list[tuple[Literal, list]] = []
     for lst in _conjuncts(form, "a condition"):
         head = lst[0]
         if head == "not":
-            if not allow_negation:
-                raise UnsupportedConstruct("not", "negation not allowed here")
             if len(lst) != 2:
                 raise _err("'not' takes exactly one argument", lst)
             inner = _expect_list(lst[1], "an atom")
             if inner and inner[0] in ("and", "or", "not", "imply", "forall", "exists"):
                 raise UnsupportedConstruct(str(inner[0]), "nested formula under 'not'")
-            out.append(Literal(_parse_atom(inner), negated=True))
+            out.append((Literal(_parse_atom(inner), negated=True), inner))
         elif head in ("or", "imply", "forall", "exists", "when"):
             raise UnsupportedConstruct(str(head))
         else:
-            out.append(Literal(_parse_atom(lst)))
+            out.append((Literal(_parse_atom(lst)), lst))
     return out
 
 
@@ -138,7 +137,7 @@ def _parse_action(form: list) -> ActionSchema:
                 if not v.startswith("?"):
                     raise _err("parameter '{}' must start with '?'".format(v), value)
         elif key == ":precondition":
-            precondition = _flatten_condition(value, allow_negation=True)
+            precondition = [lit for lit, _ in _flatten_condition(value)]
         elif key == ":effect":
             add, delete = _parse_effect(value)
         else:
@@ -214,9 +213,11 @@ def _parse_domain(form: list) -> DomainDef:
     )
 
 
-def _check_ground_atom(atom: Atom, predicates: dict[str, PredicateSchema], where: str) -> None:
+def _check_ground_atom(atom: Atom, node: list, predicates: dict[str, PredicateSchema],
+                       where: str) -> None:
+    """Check an init or goal atom; `node` is its list, for the position."""
     if not atom.is_ground():
-        raise PddlSyntaxError("atom {} in {} is not ground".format(atom, where))
+        raise _err("atom {} in {} is not ground".format(atom, where), node)
     if atom.predicate == EQUALITY_PREDICATE:
         if len(atom.args) != 2:
             raise ArityMismatch("'=' takes 2 arguments, got {}".format(len(atom.args)))
@@ -266,14 +267,15 @@ def _parse_problem(form: list, domain: DomainDef) -> ProblemDef:
         elif key == ":init":
             for a in lst[1:]:
                 atom = _parse_atom(a)
-                _check_ground_atom(atom, predicates, "init")
+                _check_ground_atom(atom, a, predicates, "init")
                 init.append(atom)
         elif key == ":goal":
             if len(lst) != 2:
                 raise _err("':goal' takes one formula", lst)
-            goal = _flatten_condition(lst[1], allow_negation=True)
-            for lit in goal:
-                _check_ground_atom(lit.atom, predicates, "goal")
+            conjuncts = _flatten_condition(lst[1])
+            for lit, node in conjuncts:
+                _check_ground_atom(lit.atom, node, predicates, "goal")
+            goal = [lit for lit, _ in conjuncts]
         elif key in (":metric", ":constraints"):
             raise UnsupportedConstruct(key)
         else:

@@ -7,7 +7,7 @@ are printed in sorted order, and declaration order is preserved elsewhere.
 
 from __future__ import annotations
 
-from .ast import DomainDef, OBJECT_TYPE, ProblemDef, atom_key, literal_key
+from .ast import DomainDef, OBJECT_TYPE, ProblemDef, literal_key
 
 
 def _typed_list(pairs) -> str:
@@ -56,8 +56,8 @@ def print_domain(d: DomainDef) -> str:
         lines.append("  (:predicates {})".format("\n                ".join(preds)))
     for a in d.actions:
         pre = [str(l) for l in sorted(a.precondition, key=literal_key)]
-        effects = [str(x) for x in sorted(a.add, key=atom_key)]
-        effects += ["(not {})".format(x) for x in sorted(a.delete, key=atom_key)]
+        effects = [str(x) for x in sorted(a.add)]
+        effects += ["(not {})".format(x) for x in sorted(a.delete)]
         lines.append("  (:action {}".format(a.name))
         lines.append("    :parameters ({})".format(_typed_list(a.params)))
         lines.append("    :precondition {}".format(_conjunction(pre, "    ")))
@@ -71,7 +71,7 @@ def print_problem(p: ProblemDef) -> str:
     lines.append("  (:domain {})".format(p.domain_name))
     if p.objects:
         lines.append("  (:objects {})".format(_typed_list(p.objects)))
-    init = [str(a) for a in sorted(p.init, key=atom_key)]
+    init = [str(a) for a in sorted(p.init)]
     lines.append("  (:init {})".format("\n         ".join(init)))
     goal = [str(l) for l in sorted(p.goal, key=literal_key)]
     lines.append("  (:goal {})".format(_conjunction(goal, "  ")))

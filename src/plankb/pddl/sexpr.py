@@ -91,7 +91,9 @@ def read(text: str) -> SList:
             "unbalanced '(': expected ')'", stack[-1].line, stack[-1].column
         )
     if not top:
-        raise PddlSyntaxError("expected '(' but found end of input")
+        # The end of input: the last line, one past its last character.
+        raise PddlSyntaxError("expected '(' but found end of input",
+                              text.count("\n") + 1, len(text) - text.rfind("\n"))
     if len(top) > 1:
         raise PddlSyntaxError("unexpected trailing expression", top[1].line, top[1].column)
     return top[0]

@@ -12,7 +12,6 @@ from .ast import (
     OBJECT_TYPE,
     SUPPORTED_REQUIREMENTS,
     WellFormednessIssue,
-    atom_key,
     literal_key,
 )
 
@@ -152,9 +151,9 @@ def validate_domain(d: DomainDef) -> list[WellFormednessIssue]:
 
         for lit in sorted(a.precondition, key=literal_key):
             check_atom(lit.atom, "precondition", equality_ok=True)
-        for atom in sorted(a.add, key=atom_key):
+        for atom in sorted(a.add):
             check_atom(atom, "add effect", equality_ok=False)
-        for atom in sorted(a.delete, key=atom_key):
+        for atom in sorted(a.delete):
             check_atom(atom, "delete effect", equality_ok=False)
 
     return issues

@@ -60,6 +60,16 @@ def test_parse_syntax_error_exit_code(tmp_path, capsys):
     assert main(["parse", str(bad)]) == 1
 
 
+def test_parse_error_gives_the_line_and_column(tmp_path, capsys):
+    (tmp_path / "d.pddl").write_text("(define (domain d) (:predicates (p ?x)))")
+    (tmp_path / "p.pddl").write_text("(define (problem p) (:domain d)\n  (:init (p ?x)))")
+    (tmp_path / "empty.pddl").write_text("")
+    assert main(["parse", str(tmp_path / "d.pddl"), str(tmp_path / "p.pddl")]) == 1
+    assert capsys.readouterr().err == "error: 2:10: atom (p ?x) in init is not ground\n"
+    assert main(["parse", str(tmp_path / "empty.pddl")]) == 1
+    assert capsys.readouterr().err == "error: 1:1: expected '(' but found end of input\n"
+
+
 @pytest.mark.parametrize("part", ["effect", "goal"])
 def test_parse_reads_formulas_nested_10000_deep(tmp_path, capsys, part):
     # The condition and effect walks keep their own stack, not Python's, and

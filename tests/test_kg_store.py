@@ -305,8 +305,8 @@ def _fresh_triples(steps):
 @settings(max_examples=200, deadline=None)
 @given(_fresh_steps)
 def test_update_from_a_generator_of_fresh_terms(steps):
-    """`update` looks terms up by object identity during the call; a term
-    object freed mid-call must not lend its id to a later object."""
+    """`update` of fresh term objects, each dropped as the next is built,
+    stores what adding the triples one at a time stores."""
     one_by_one = Graph()
     for t in _fresh_triples(steps):
         one_by_one.update([t])

@@ -152,29 +152,23 @@ def test_every_public_definition_has_a_caller_outside_tests():
 
 
 def test_every_public_field_is_read_outside_tests():
-    """A public annotated field of a module-level class, a NamedTuple field
-    or a `Frozen` slot, must be read as an attribute somewhere in src/ or
-    perfbench/.  Reads in the class's own `__eq__` and `__hash__` do not
-    count, as those read every field; reads in its other methods do, as the
-    caller guard above holds each public method to a caller.  Matching is
-    by name, as there."""
+    """A public annotated field of a module-level class, such as a
+    NamedTuple field, must be read as an attribute somewhere in src/ or
+    perfbench/.  Reads in the class's own methods count, as the caller
+    guard above holds each public method to a caller.  Matching is by name,
+    as there."""
     unread = set()
     for path in _modules():
         for cls in _trees()[path].body:
             if not isinstance(cls, ast.ClassDef):
                 continue
-            protocol = {
-                id(n) for item in cls.body
-                if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
-                for n in ast.walk(item)
-            }
             for item in cls.body:
                 if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                         and not item.target.id.startswith("_")):
                     continue
                 name = item.target.id
                 if not any(isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-                           and id(n) not in protocol for n in _readers().get(name, ())):
+                           for n in _readers().get(name, ())):
                     unread.add("{}.{}.{}".format(_module_name(path), cls.name, name))
     assert unread == set()
 
@@ -183,9 +177,8 @@ def test_no_class_is_a_dataclass():
     """Importing `dataclasses` costs every CLI command about 8 ms on Python
     3.11 (it loads `inspect`, `ast`, `dis` and `tokenize`), and each
     dataclass about 1 ms more: the source of its generated methods is
-    compiled by exec at import and never cached in .pyc.  A plain record is
-    a NamedTuple instead, and a value type a slotted `frozen.Frozen`
-    subclass that writes out its own methods."""
+    compiled by exec at import and never cached in .pyc.  A record or a
+    value type is a NamedTuple instead."""
     found = set()
     for path in _modules():
         module = _module_name(path)
@@ -195,6 +188,21 @@ def test_no_class_is_a_dataclass():
                 for d in node.decorator_list
             ):
                 found.add("{}.{}".format(module, node.name))
+    assert found == set()
+
+
+def test_no_class_defines_equality_or_hash():
+    """Values compare and hash as tuples of their fields, which NamedTuple
+    gives in C; a hand-written `__eq__` or `__hash__` would be a second way
+    to do it, and slower."""
+    found = set()
+    for path in _modules():
+        for cls in ast.walk(_trees()[path]):
+            if isinstance(cls, ast.ClassDef):
+                found.update(
+                    "{}.{}.{}".format(_module_name(path), cls.name, item.name)
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__"))
     assert found == set()
 
 

@@ -135,8 +135,8 @@ ACTION = "(define (domain d) (:predicates (p ?x) (q))\n  (:action a :parameters 
 PROBLEM = "(define (problem p) (:domain d)\n  (:objects a b)\n  {})"
 SYNTAX_ERRORS = [
     # the reader
-    ("domain", "", "0:0: expected '(' but found end of input"),
-    ("domain", "; only a comment\n", "0:0: expected '(' but found end of input"),
+    ("domain", "", "1:1: expected '(' but found end of input"),
+    ("domain", "; only a comment\n", "2:1: expected '(' but found end of input"),
     ("domain", "(define (domain d))\n)", "2:1: unbalanced ')'"),
     ("domain", "(define (domain d)\n  (:predicates (p)", "2:3: unbalanced '(': expected ')'"),
     ("domain", "\n  Define (domain d)", "2:3: expected '(' but found 'Define'"),
@@ -209,10 +209,11 @@ SYNTAX_ERRORS = [
     ("problem", "(define (problem p) (:domain (d)))", "1:30: expected a domain name (a symbol)"),
     ("problem", PROBLEM.format("(:objects c -)"), "3:15: expected a type name after '-'"),
     ("problem", PROBLEM.format("(:init (q) p)"), "3:14: expected an atom (a list), found 'p'"),
-    ("problem", PROBLEM.format("(:init (p ?x))"), "0:0: atom (p ?x) in init is not ground"),
+    ("problem", PROBLEM.format("(:init (p ?x))"), "3:10: atom (p ?x) in init is not ground"),
     ("problem", PROBLEM.format("(:goal)"), "3:3: ':goal' takes one formula"),
     ("problem", PROBLEM.format("(:goal (and (q)\n    (p ?x)))"),
-     "0:0: atom (p ?x) in goal is not ground"),
+     "4:5: atom (p ?x) in goal is not ground"),
+    ("problem", PROBLEM.format("(:goal (not (p ?x)))"), "3:15: atom (p ?x) in goal is not ground"),
     ("problem", PROBLEM.format("(:goal (not (p a) (p b)))"),
      "3:10: 'not' takes exactly one argument"),
     ("problem", PROBLEM.format("(:goal (and (q) (not)))"),

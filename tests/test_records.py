@@ -1,17 +1,27 @@
-"""The package's plain records are NamedTuples, not dataclasses (see
-`test_package.test_no_class_is_a_dataclass`).  Each must print as the
+"""The package's records and value types are NamedTuples, not dataclasses
+(see `test_package.test_no_class_is_a_dataclass`).  Each must print as the
 dataclass it replaced did, compare and hash by value as its field tuple,
-and refuse attribute assignment."""
+and refuse attribute assignment and deletion.  `test_value_types.py`
+checks what only the value types promise."""
 
 import pytest
 
 from plankb.bench import BenchReport, BenchRow, CompiledTask, SearchConfig, SearchStats
 from plankb.kg.axioms import AxiomViolation
 from plankb.kg.schema import OntologySchema
-from plankb.kg.store import Iri, Variable
+from plankb.kg.store import Iri, Triple, TypedLiteral, Variable
 from plankb.macros import LiftedPair, MacroSchema
 from plankb.mapper import CompetencyQuery, PlanEntry
-from plankb.pddl.ast import Atom, Literal, PredicateSchema, ProblemDef, TypeName, WellFormednessIssue
+from plankb.pddl.ast import (
+    ActionSchema,
+    Atom,
+    DomainDef,
+    Literal,
+    PredicateSchema,
+    ProblemDef,
+    TypeName,
+    WellFormednessIssue,
+)
 from plankb.select import PlannerRecord, SelectionOutcome
 from plankb.semantics import GroundAction, Plan, Template, ValidationReport
 
@@ -23,9 +33,39 @@ CLEAR = Atom("clear", ("a",))
 NOOP = GroundAction(Template("noop", (), (), (), (0, 0, 0)), ())
 TEMPLATE = Template("noop", ("?x",), ((0, "a", True),), (("clear", (0,)),), (1, 1, 1))
 STATS = SearchStats(5, 7, 9, 2, 0.5, "solved")
+X = Atom("clear", ("?x",))
+PICK = ActionSchema("pick", (("?x", "block"),), frozenset({Literal(X)}),
+                    frozenset({Atom("holding", ("?x",))}), frozenset({X}))
+PICK_TEXT = (
+    "ActionSchema(name='pick', params=(('?x', 'block'),), "
+    "precondition=frozenset({Literal(atom=Atom(predicate='clear', args=('?x',)), "
+    "negated=False)}), add=frozenset({Atom(predicate='holding', args=('?x',))}), "
+    "delete=frozenset({Atom(predicate='clear', args=('?x',))}))"
+)
 
 # name -> (record, its repr text when it was a dataclass)
 RECORDS = {
+    "Atom": (Atom("on", ("a", "b")), "Atom(predicate='on', args=('a', 'b'))"),
+    "ActionSchema": (PICK, PICK_TEXT),
+    "DomainDef": (
+        DomainDef("d", frozenset({":typing"}), (TypeName("block"),), (("t", "block"),),
+                  (PredicateSchema("clear", (("?x", "block"),)),), (PICK,)),
+        "DomainDef(name='d', requirements=frozenset({':typing'}), "
+        "types=(TypeName(name='block', parent='object'),), constants=(('t', 'block'),), "
+        "predicates=(PredicateSchema(name='clear', params=(('?x', 'block'),)),), "
+        "actions=(" + PICK_TEXT + ",))",
+    ),
+    "Iri": (Iri(EX + "s"), "Iri(value='http://example.org/s')"),
+    "TypedLiteral": (
+        TypedLiteral("3", Iri(EX + "int")),
+        "TypedLiteral(lexical='3', datatype=Iri(value='http://example.org/int'))",
+    ),
+    "Triple": (
+        Triple(Iri(EX + "s"), Iri(EX + "p"), TypedLiteral("x", Iri(EX + "str"))),
+        "Triple(subject=Iri(value='http://example.org/s'), "
+        "predicate=Iri(value='http://example.org/p'), "
+        "object=TypedLiteral(lexical='x', datatype=Iri(value='http://example.org/str')))",
+    ),
     "TypeName": (TypeName("block"), "TypeName(name='block', parent='object')"),
     "PredicateSchema": (
         PredicateSchema("clear", (("?x", "block"),)),
@@ -160,12 +200,15 @@ def test_hash_is_the_hash_of_the_field_tuple(name):
 
 @CASES
 def test_assignment_raises(name):
+    # Deleting a field or another name raises too, and every field keeps its value.
     record, _ = RECORDS[name]
-    for f in record._fields:
+    before = fields_of(record)
+    for f in record._fields + ("extra",):
         with pytest.raises(AttributeError):
             setattr(record, f, None)
-    with pytest.raises(AttributeError):
-        record.extra = None
+        with pytest.raises(AttributeError):
+            delattr(record, f)
+    assert all(a is b for a, b in zip(fields_of(record), before))
 
 
 def test_bench_reports_do_not_share_their_lists():

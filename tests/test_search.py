@@ -27,7 +27,6 @@ from plankb.pddl.ast import (
     PredicateSchema,
     ProblemDef,
     TypeName,
-    atom_key,
 )
 from plankb.semantics import Plan, applicable, ground, validate_plan
 
@@ -454,9 +453,9 @@ def walked_tasks(draw):
         if not steps:
             break
         last, state = draw(st.sampled_from(steps))
-    changed = sorted(state ^ init, key=atom_key)
+    changed = sorted(state ^ init)
     if changed:
-        atoms = draw(st.lists(st.sampled_from(sorted(last.add, key=atom_key)),
+        atoms = draw(st.lists(st.sampled_from(sorted(last.add)),
                               min_size=2, max_size=3, unique=True))
         atoms += draw(st.lists(st.sampled_from(changed), min_size=1, max_size=2, unique=True))
         goal = frozenset(Literal(a, a not in state) for a in atoms)
