@@ -74,34 +74,37 @@ class Triple(_Triple):
 Pattern = tuple  # (s, p, o): each a Node, or a Variable anywhere
 Key = tuple  # (subject id, predicate id, object id)
 
-_EMPTY: frozenset = frozenset()
 # The id of a term the graph lacks: no index has a bucket for it.
 _ABSENT = -1
 
 
 class Graph:
-    """Set of triples with subject/predicate/object indexes, stored
+    """Set of triples with subject and object indexes, stored
     dictionary-encoded.
 
     Each distinct term gets an int id the first time a triple holding it is
     stored, and keeps that id for the life of the graph: `_terms[id]` is the
     term and `_ids[term]` its id.  The triple set holds `(s, p, o)` id
-    tuples, and so do the index buckets, which are keyed by id; storing,
+    tuples and answers membership; the index buckets, keyed by subject or
+    object id, are lists of the same tuples in the order they were stored,
+    each without duplicates, as the set admits a tuple once.  Storing,
     matching and joining hash and compare ints, and terms and `Triple`s are
     built only when they leave the graph.  `kg.turtle` reads and writes the
     encoding directly.
 
-    Mutations keep all three indexes consistent; reads may be shared across
-    threads, writes need external single-writer discipline.
+    There is no predicate index: every lookup the package makes fixes a
+    subject or an object, and a list per term costs far less than a set.
+
+    Mutations keep the set and both indexes consistent; reads may be shared
+    across threads, writes need external single-writer discipline.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._terms: list[Node] = []
         self._ids: dict[Node, int] = {}
         self._triples: set[Key] = set()
-        self._by_s: dict[int, set[Key]] = {}
-        self._by_p: dict[int, set[Key]] = {}
-        self._by_o: dict[int, set[Key]] = {}
+        self._by_s: dict[int, list[Key]] = {}
+        self._by_o: dict[int, list[Key]] = {}
         self._add_all(triples)
 
     def __len__(self) -> int:
@@ -156,27 +159,22 @@ class Graph:
 
     def _add_keys(self, keys: Iterable[Key]) -> None:
         """Store id tuples whose ids are already interned."""
-        triples, by_s, by_p, by_o = self._triples, self._by_s, self._by_p, self._by_o
+        triples, by_s, by_o = self._triples, self._by_s, self._by_o
         for key in keys:
             if key in triples:
                 continue
             triples.add(key)
-            s, p, o = key
+            s, _, o = key
             bucket = by_s.get(s)
             if bucket is None:
-                by_s[s] = {key}
+                by_s[s] = [key]
             else:
-                bucket.add(key)
-            bucket = by_p.get(p)
-            if bucket is None:
-                by_p[p] = {key}
-            else:
-                bucket.add(key)
+                bucket.append(key)
             bucket = by_o.get(o)
             if bucket is None:
-                by_o[o] = {key}
+                by_o[o] = [key]
             else:
-                bucket.add(key)
+                bucket.append(key)
 
     def _decode(self, keys: Iterable[Key]):
         terms = self._terms
@@ -193,30 +191,31 @@ class Graph:
                           None if o is None else ids.get(o, _ABSENT))
 
     def _find(self, s, p, o):
-        """The id tuples matching the given ids (None = wildcard), or None
-        when all three are wildcards, as no constant narrows the candidates;
-        `_ABSENT` matches nothing.
+        """The id tuples matching the given ids (None = wildcard); `_ABSENT`
+        matches nothing.  The result is read-only and valid until the next
+        write.
 
-        One constant gives its index bucket itself, so the result is
-        read-only and valid until the next write.  Two or three constants
-        intersect their buckets, which walks the smaller set in C.
+        A constant subject or object gives its index bucket, the smaller one
+        if both are constant, filtered by the other constants; all three
+        constant is one membership test.  Only a pattern with neither a
+        subject nor an object scans the triple set.
         """
-        found = None
-        if s is not None:
-            found = self._by_s.get(s)
-            if found is None:
-                return _EMPTY
+        if s is None:
+            if o is None:
+                if p is None:
+                    return self._triples
+                return [k for k in self._triples if k[1] == p]
+            found = self._by_o.get(o, ())
+            return found if p is None else [k for k in found if k[1] == p]
+        if o is None:
+            found = self._by_s.get(s, ())
+            return found if p is None else [k for k in found if k[1] == p]
         if p is not None:
-            bucket = self._by_p.get(p)
-            if bucket is None:
-                return _EMPTY
-            found = bucket if found is None else found & bucket
-        if o is not None:
-            bucket = self._by_o.get(o)
-            if bucket is None:
-                return _EMPTY
-            found = bucket if found is None else found & bucket
-        return found
+            return [(s, p, o)] if (s, p, o) in self._triples else []
+        by_s, by_o = self._by_s.get(s, ()), self._by_o.get(o, ())
+        if len(by_s) <= len(by_o):
+            return [k for k in by_s if k[2] == o]
+        return [k for k in by_o if k[0] == s]
 
     def subjects_of_type(self, rdf_type: Iri, type_pred: Iri) -> list[Iri]:
         terms = self._terms
@@ -245,11 +244,13 @@ class Graph:
         The patterns are joined in a greedy selectivity order (Stocker et
         al., WWW 2008), not as written: first a pattern whose variables are
         all bound (at most one match per row), then one that shares a bound
-        variable, then any other; within a rank, the smallest index bucket
-        over the pattern's constants, then the written order.  The join runs
-        on ids: each constant is mapped to its id once (one the graph lacks
-        gives no rows), each pattern's constants are looked up once, and each
-        row intersects that with the index buckets of its bound values.  The
+        variable, then any other; within a rank, the smaller index bucket of
+        a constant subject or object (the whole graph if neither is
+        constant), then the written order.  The join runs on ids: each
+        constant is mapped to its id once (one the graph lacks gives no
+        rows).  A pattern that each row fixes completely is one membership
+        test per row; one with no bound variable is looked up once; any
+        other is looked up per row with the row's values.  The
         solutions of a BGP do not depend on the join order, and the final
         sort fixes the row order, so the result is that of a nested loop in
         the written order.  Only the result rows are decoded.
@@ -285,36 +286,35 @@ class Graph:
     def _join(self, patterns: list[tuple]) -> list[dict[str, int]]:
         """The solutions of patterns whose constants are ids, as maps from
         names to ids."""
-        indexes = (self._by_s, self._by_p, self._by_o)
+        triples = self._triples
         solutions: list[dict[str, int]] = [{}]
         bound: set[str] = set()
         for pattern in patterns if len(patterns) == 1 else self._join_order(patterns):
-            lookups = []  # (index, name) of variables bound by earlier patterns
+            lookups = []  # (position, name) of variables bound by earlier patterns
             fresh: dict[str, int] = {}  # name -> position of variables bound here
             repeats = []  # (position, first position) of a repeat within the pattern
             for i, t in enumerate(pattern):
                 if isinstance(t, Variable):
                     if t.name in bound:
-                        lookups.append((indexes[i], t.name))
+                        lookups.append((i, t.name))
                     elif t.name in fresh:
                         repeats.append((i, fresh[t.name]))
                     else:
                         fresh[t.name] = i
             bound.update(fresh)
-            base = self._find(*[None if isinstance(t, Variable) else t for t in pattern])
+            key = [None if isinstance(t, Variable) else t for t in pattern]
+            found = None if lookups else self._find(*key)
             new: list[dict[str, int]] = []
             for binding in solutions:
-                found = base
-                for index, name in lookups:
-                    bucket = index.get(binding[name], _EMPTY)
-                    found = bucket if found is None else bucket & found
-                if found is None:
-                    found = self._triples
+                for i, name in lookups:
+                    key[i] = binding[name]
                 if not fresh:
-                    # Every position is fixed: at most one candidate.
-                    if found:
+                    # Every position is fixed: at most one match.
+                    if tuple(key) in triples:
                         new.append(binding)
                     continue
+                if lookups:
+                    found = self._find(*key)
                 for triple in found:
                     if repeats and any(triple[i] != triple[j] for i, j in repeats):
                         continue
@@ -331,21 +331,13 @@ class Graph:
         """The greedy join order described in `query`, of encoded patterns."""
         pending = []
         for pattern in patterns:
-            s, p, o = pattern
+            s, _, o = pattern
             size = len(self._triples)
-            names = set()
-            if isinstance(s, Variable):
-                names.add(s.name)
-            else:
+            if not isinstance(s, Variable):
                 size = len(self._by_s.get(s, ()))
-            if isinstance(p, Variable):
-                names.add(p.name)
-            else:
-                size = min(size, len(self._by_p.get(p, ())))
-            if isinstance(o, Variable):
-                names.add(o.name)
-            else:
+            if not isinstance(o, Variable):
                 size = min(size, len(self._by_o.get(o, ())))
+            names = {t.name for t in pattern if isinstance(t, Variable)}
             pending.append((size, names, pattern))
         order = []
         bound: set[str] = set()

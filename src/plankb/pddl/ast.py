@@ -6,7 +6,7 @@ case-insensitive).
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .. import PlankbError
 
@@ -135,9 +135,16 @@ class DomainDef(NamedTuple):
 
     def is_subtype(self, sub: str, sup: str) -> bool:
         """True if sub is sup or a descendant of it in the type forest."""
-        if sup == OBJECT_TYPE or sub == sup:
-            return True
-        return sup in _type_ancestors(self.types).get(sub, ())
+        return self.subtype_test()(sub, sup)
+
+    def subtype_test(self) -> Callable[[str, str], bool]:
+        """`is_subtype` with the type closure looked up once, for a caller
+        that tests many pairs."""
+        ancestors = _type_ancestors(self.types)
+
+        def is_subtype(sub: str, sup: str) -> bool:
+            return sup == OBJECT_TYPE or sub == sup or sup in ancestors.get(sub, ())
+        return is_subtype
 
 
 _ANCESTORS: dict[tuple[TypeName, ...], dict[str, frozenset[str]]] = {}

@@ -6,11 +6,11 @@ import csv
 import io
 import math
 import random
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import PlankbError
 from .kg.schema import SCHEMA
-from .kg.store import Graph, Iri, TypedLiteral, Variable
+from .kg.store import Graph, Iri, Node, TypedLiteral, Variable
 
 
 class NoCandidates(PlankbError):
@@ -74,46 +74,46 @@ def relevance(solved: int, total: int) -> str:
     return "low"
 
 
-def solved_percentage(g: Graph, domain: Iri, planner: Iri) -> Optional[float]:
-    """The recorded solved percentage of a planner on a domain, if any.
-    Raises InvalidRecord, naming the relevance node and the value, on one
-    that is not a finite number literal."""
-    t = SCHEMA.prop
-    rows = g.query(
-        [
-            (planner, t("hasRelevance"), Variable("r")),
-            (Variable("r"), t("hasDomain"), domain),
-            (Variable("r"), t("hasSolvedPercentage"), Variable("pct")),
-        ],
-        select=["pct", "r"],
-    )
-    if not rows:
-        return None
-    value = rows[0]["pct"]
-    pct = None
-    if isinstance(value, TypedLiteral):
-        try:
-            pct = float(value.lexical)
-        except ValueError:
-            pass
-    if pct is None or not math.isfinite(pct):
-        raise InvalidRecord("relevance {}: hasSolvedPercentage {} is not a number".format(
-            rows[0]["r"], value))
-    return pct
-
-
 def select_ontology(
     g: Graph, domain: Iri, candidates: list[Iri]
 ) -> SelectionOutcome:
     """Pick the candidate with the best recorded solved percentage for the
-    domain; ties break on lexicographic IRI, unrecorded candidates rank last."""
+    domain; ties break on lexicographic IRI, unrecorded candidates rank last.
+
+    One query reads every planner's records for the domain.  A candidate's
+    percentage is its first row's, and a candidate whose value is not a
+    finite number literal raises InvalidRecord, naming the relevance node
+    and the value; the candidates are checked in the order given, and the
+    records of other planners are not checked."""
     if not candidates:
         raise NoCandidates("empty candidate list")
+    t = SCHEMA.prop
+    first: dict[Node, dict[str, Node]] = {}
+    for row in g.query(
+        [
+            (Variable("c"), t("hasRelevance"), Variable("r")),
+            (Variable("r"), t("hasDomain"), domain),
+            (Variable("r"), t("hasSolvedPercentage"), Variable("pct")),
+        ],
+        select=["c", "pct", "r"],
+    ):
+        first.setdefault(row["c"], row)
     scored: list[tuple[float, str, Iri]] = []
     for cand in candidates:
-        pct = solved_percentage(g, domain, cand)
-        if pct is not None:
-            scored.append((pct, cand.value, cand))
+        row = first.get(cand)
+        if row is None:
+            continue
+        value = row["pct"]
+        pct = None
+        if isinstance(value, TypedLiteral):
+            try:
+                pct = float(value.lexical)
+            except ValueError:
+                pass
+        if pct is None or not math.isfinite(pct):
+            raise InvalidRecord("relevance {}: hasSolvedPercentage {} is not a number"
+                                .format(row["r"], value))
+        scored.append((pct, cand.value, cand))
     if not scored:
         raise NoDataForDomain(
             "no candidate has a record for {}".format(domain.value)

@@ -197,13 +197,14 @@ def groundings(d: DomainDef, p: ProblemDef) -> list[tuple[Template, Iterator[tup
     """
     _check_match(d, p)
     pool = list(d.constants) + list(p.objects)
+    is_subtype = d.subtype_test()
     candidates: dict[str, list[str]] = {}  # parameter type -> sorted objects
     out = []
     for schema in d.actions:
         t = _template(schema)
         for _, ptype in schema.params:
             if ptype not in candidates:
-                candidates[ptype] = sorted(o for o, otype in pool if d.is_subtype(otype, ptype))
+                candidates[ptype] = sorted(o for o, otype in pool if is_subtype(otype, ptype))
         combos = itertools.product(*(candidates[ptype] for _, ptype in schema.params))
         out.append((t, filter(t.admits, combos) if t.equalities else combos))
     return out
@@ -298,11 +299,12 @@ def resolve_plan(d: DomainDef, p: ProblemDef, text: str) -> Plan:
     by_name: dict[str, list] = {}
     for schema in d.actions:
         by_name.setdefault(schema.name, []).insert(0, (schema, _template(schema)))
+    is_subtype = d.subtype_test()
 
     def step(name: str, objects: tuple[str, ...]) -> Optional[GroundAction]:
         for schema, t in by_name.get(name, ()):
             if len(objects) != len(schema.params) or not all(
-                any(d.is_subtype(otype, ptype) for otype in types.get(o, ()))
+                any(is_subtype(otype, ptype) for otype in types.get(o, ()))
                 for o, (_, ptype) in zip(objects, schema.params)
             ):
                 continue

@@ -1,16 +1,20 @@
 """Reference semantics that only the tests use: a checked transition,
 state-space enumeration, goal checks, the plan text writer, grounding by
-substitution into plain records and a triple-by-triple Turtle writer.  They
-share no code with `plankb.semantics` beyond `applicable`, so the grounder
-and the search are checked against an independent construction.  The
-Turtle writer shares only the term formatting of `plankb.kg.turtle`, so it
-checks the exporter's order, not its escaping."""
+substitution into plain records, a triple-by-triple Turtle writer and
+planner selection with one query per candidate.  They share no code with
+`plankb.semantics` beyond `applicable`, so the grounder and the search are
+checked against an independent construction.  The Turtle writer shares only
+the term formatting of `plankb.kg.turtle`, so it checks the exporter's
+order, not its escaping."""
 
 import itertools
+import math
 from typing import NamedTuple
 
-from plankb.kg.store import term_key
+from plankb.kg.schema import SCHEMA
+from plankb.kg.store import TypedLiteral, Variable, term_key
 from plankb.kg.turtle import PREFIXES, _format_term
+from plankb.select import InvalidRecord, NoCandidates, NoDataForDomain, SelectionOutcome
 from plankb.semantics import applicable
 
 ATOM_SETS = ("pre_pos", "pre_neg", "add", "delete")
@@ -150,3 +154,51 @@ def reference_export(g):
         lines.append("{} {} {} .".format(
             _format_term(t.subject), _format_term(t.predicate), _format_term(t.object)))
     return "\n".join(lines) + "\n"
+
+
+def solved_percentage(g, domain, planner):
+    """The recorded solved percentage of a planner on a domain, if any, read
+    with one query.  Raises InvalidRecord, naming the relevance node and the
+    value, on one that is not a finite number literal."""
+    t = SCHEMA.prop
+    rows = g.query(
+        [
+            (planner, t("hasRelevance"), Variable("r")),
+            (Variable("r"), t("hasDomain"), domain),
+            (Variable("r"), t("hasSolvedPercentage"), Variable("pct")),
+        ],
+        select=["pct", "r"],
+    )
+    if not rows:
+        return None
+    value = rows[0]["pct"]
+    pct = None
+    if isinstance(value, TypedLiteral):
+        try:
+            pct = float(value.lexical)
+        except ValueError:
+            pass
+    if pct is None or not math.isfinite(pct):
+        raise InvalidRecord("relevance {}: hasSolvedPercentage {} is not a number".format(
+            rows[0]["r"], value))
+    return pct
+
+
+def reference_select(g, domain, candidates):
+    """`select_ontology` with one `solved_percentage` query per candidate,
+    in the order given."""
+    if not candidates:
+        raise NoCandidates("empty candidate list")
+    scored = []
+    for cand in candidates:
+        pct = solved_percentage(g, domain, cand)
+        if pct is not None:
+            scored.append((pct, cand.value, cand))
+    if not scored:
+        raise NoDataForDomain("no candidate has a record for {}".format(domain.value))
+    scored.sort(key=lambda x: (-x[0], x[1]))
+    best_pct, _, best = scored[0]
+    return SelectionOutcome(
+        best, "ontology",
+        "best solved percentage {:.2f}% for {}".format(best_pct, domain.value),
+    )

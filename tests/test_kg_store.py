@@ -1,5 +1,8 @@
 """Triple store indexes and the basic-graph-pattern query engine."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from plankb.kg.store import (
     VariableInData,
     term_key,
 )
+from plankb.kg.turtle import export_turtle, import_turtle
 
 from oracles import triple_key
 
@@ -313,3 +317,63 @@ def test_update_from_a_generator_of_fresh_terms(steps):
     g = Graph().update(_fresh_triples(steps))
     assert g.triples() == one_by_one.triples()
     assert len(g) == len(one_by_one)
+
+
+# --- a hub term and the memory each stored triple costs ------------------------
+
+
+def test_lookups_through_a_hub_match_a_triple_scan():
+    """One subject with 3,000 triples over three predicates, and one object
+    shared by 3,000 subjects, half of which the hub points at."""
+    hub, shared = iri("hub"), iri("shared")
+    triples = [Triple(hub, iri("p" + str(i % 3)), iri("n" + str(i))) for i in range(3000)]
+    triples += [Triple(iri("n" + str(i)), iri("q" + str(i % 3)), shared)
+                for i in range(1500, 4500)]
+    g = Graph(triples)
+    probes = [Triple(hub, iri("p0"), iri("n6")), Triple(iri("n2000"), iri("q2"), shared),
+              Triple(hub, iri("q0"), shared), Triple(iri("absent"), iri("p1"), shared)]
+    for probe in probes:
+        for mask in range(8):
+            given_ = [v if mask >> i & 1 else None for i, v in enumerate(probe)]
+            assert match(g, *given_) == {t for t in triples if all(
+                v is None or v == w for v, w in zip(given_, t))}, given_
+    for p in [iri(name + str(k)) for name in "pq" for k in range(3)]:
+        assert g.objects(hub, p) == sorted(
+            [t.object for t in triples if t.subject == hub and t.predicate == p], key=term_key)
+        assert g.subjects_of_type(shared, p) == sorted(
+            [t.subject for t in triples if t.predicate == p and t.object == shared],
+            key=term_key)
+    # Two joins through the hub, each row a hub triple and a triple into
+    # `shared` that meet at ?x: one from the hub's side, one from the other.
+    into_shared = {}
+    for t in triples:
+        if t.object == shared:
+            into_shared.setdefault(t.subject, []).append(t)
+    meets = [(t, u) for t in triples if t.subject == hub for u in into_shared.get(t.object, ())]
+    x, p, q = Variable("x"), Variable("p"), Variable("q")
+    assert g.query([(hub, iri("p0"), x), (x, q, shared)]) == sorted(
+        ({"x": t.object, "q": u.predicate} for t, u in meets if t.predicate == iri("p0")),
+        key=lambda r: (term_key(r["q"]), term_key(r["x"])))
+    assert g.query([(x, q, shared), (hub, p, x)]) == sorted(
+        ({"x": t.object, "q": u.predicate, "p": t.predicate} for t, u in meets),
+        key=lambda r: (term_key(r["p"]), term_key(r["q"]), term_key(r["x"])))
+
+
+def test_stored_triples_cost_at_most_400_bytes_each(ipc_graph):
+    """The memory an imported graph holds per triple, terms and indexes
+    included, on the bundled corpus with the IPC results."""
+    text = export_turtle(ipc_graph)
+    # Empties the free lists, whose objects tracemalloc would not count.
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = import_turtle(text)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(g) == len(ipc_graph) > 1000
+    assert grown / len(g) <= 400

@@ -6,9 +6,12 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plankb import bundles
-from plankb.kg.store import Graph
+from plankb import PlankbError, bundles
+from plankb.kg.schema import SCHEMA, XSD_DECIMAL, XSD_STRING, plan_iri
+from plankb.kg.store import Graph, Iri, Triple, TypedLiteral
 from plankb.mapper import (
     domain_iri,
     map_ipc_results,
@@ -23,8 +26,9 @@ from plankb.select import (
     relevance,
     select_ontology,
     select_random,
-    solved_percentage,
 )
+
+from oracles import reference_select, solved_percentage
 
 IPC_CSV = bundles.data_dir() / "ipc2011.csv"
 
@@ -127,6 +131,60 @@ def test_ontology_policy_errors():
         select_ontology(g, domain_iri("x"), [])
     with pytest.raises(NoDataForDomain):
         select_ontology(g, domain_iri("x"), [planner_iri("a")])
+
+
+_PLANNERS = ("p0", "p1", "p2", "p3")
+_DOMAINS = ("d0", "d1")
+_BAD_VALUES = (
+    TypedLiteral("many", XSD_DECIMAL),
+    TypedLiteral("nan", XSD_DECIMAL),
+    TypedLiteral("-1e400", XSD_DECIMAL),
+    TypedLiteral("", XSD_STRING),
+    Iri("http://example.org/not-a-literal"),
+)
+
+
+@st.composite
+def _ipc_records(draw):
+    """A results graph with repeated records and, for some (planner,
+    domain) pairs, an extra solved percentage that is not a number."""
+    g = Graph()
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(_PLANNERS), st.sampled_from(_DOMAINS),
+        st.integers(1, 4).flatmap(lambda total: st.tuples(st.integers(0, total),
+                                                          st.just(total)))),
+        max_size=10))
+    g.update(map_ipc_results([PlannerRecord(p, d, solved, total)
+                              for p, d, (solved, total) in rows]))
+    t = SCHEMA.prop
+    for p, d, value in draw(st.lists(st.tuples(
+            st.sampled_from(_PLANNERS), st.sampled_from(_DOMAINS),
+            st.sampled_from(_BAD_VALUES)), max_size=3)):
+        rel = plan_iri("relevance-{}-{}".format(p, d))
+        g.update([Triple(planner_iri(p), t("hasRelevance"), rel),
+                  Triple(rel, t("hasDomain"), domain_iri(d)),
+                  Triple(rel, t("hasSolvedPercentage"), value)])
+    return g
+
+
+def _outcome(select, g, domain, candidates):
+    try:
+        return select(g, domain, candidates)
+    except PlankbError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ipc_records(),
+       st.sampled_from(_DOMAINS + ("nowhere",)),
+       st.lists(st.sampled_from(_PLANNERS + ("unrecorded",)), max_size=5))
+def test_ontology_policy_matches_one_query_per_candidate(g, domain, names):
+    """The choice, the rationale and each error are those of one
+    `solved_percentage` query per candidate: a bad value on a candidate
+    raises, one on any other planner does not."""
+    candidates = [planner_iri(n) for n in names]
+    assert _outcome(select_ontology, g, domain_iri(domain), candidates) == \
+        _outcome(reference_select, g, domain_iri(domain), candidates)
 
 
 # --- random policy ----------------------------------------------------------

@@ -115,6 +115,41 @@ def test_typed_grounding_respects_types():
             assert set(a.objects) <= rooms
 
 
+def test_candidates_follow_the_type_closure():
+    """Each parameter type's candidates are the objects of it and of its
+    descendants: along a three-level chain a <- b <- c, around a cycle x <->
+    y that must not loop, and for `object`, every object."""
+    types = (TypeName("a"), TypeName("b", "a"), TypeName("c", "b"),
+             TypeName("x", "y"), TypeName("y", "x"))
+    ptypes = ("object", "a", "b", "c", "x", "y")
+    schemas = tuple(ActionSchema.make("use-" + t, [("?v", t)], [], [], []) for t in ptypes)
+    d = DomainDef("closure", frozenset({":strips", ":typing"}), types,
+                  (("k", "c"),), (), schemas)
+    objects = (("oa", "a"), ("ob", "b"), ("oc", "c"), ("ox", "x"), ("oy", "y"),
+               ("oo", "object"))
+    p = ProblemDef("closure-1", "closure", objects, frozenset(), frozenset())
+    expected = {
+        "use-object": ["k", "oa", "ob", "oc", "oo", "ox", "oy"],
+        "use-a": ["k", "oa", "ob", "oc"],
+        "use-b": ["k", "ob", "oc"],
+        "use-c": ["k", "oc"],
+        "use-x": ["ox", "oy"],
+        "use-y": ["ox", "oy"],
+    }
+    found = {schema.name: [] for schema in schemas}
+    for a in ground(d, p):
+        found[a.schema].append(a.objects[0])
+    assert found == expected
+    for name, candidates in expected.items():
+        for o in ["k"] + [o for o, _ in objects]:
+            text = "({} {})\n".format(name, o)
+            if o in candidates:
+                assert format_plan(resolve_plan(d, p, text)) == text
+            else:
+                with pytest.raises(PlanParseError):
+                    resolve_plan(d, p, text)
+
+
 def test_apply_follows_strips_rule():
     d = bundles.load_domain("blocksworld")
     p = bundles.load_problems("blocksworld")[0]
