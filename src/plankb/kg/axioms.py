@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .schema import RDF_TYPE, SCHEMA, XSD_NON_NEGATIVE_INTEGER
+from .schema import RDF_TYPE, SCHEMA, XSD_NON_NEGATIVE_INTEGER, is_integer_text
 from .store import Graph, Iri, TypedLiteral
 
 
@@ -94,7 +94,7 @@ def validate_axioms(g: Graph, post_solve: bool = False) -> list[AxiomViolation]:
             ok = (
                 isinstance(cost, TypedLiteral)
                 and cost.datatype == XSD_NON_NEGATIVE_INTEGER
-                and cost.lexical.isdigit()
+                and is_integer_text(cost.lexical)
             )
             if not ok:
                 out.append(

@@ -153,5 +153,11 @@ def integer_literal(value: int) -> TypedLiteral:
     return TypedLiteral(str(value), XSD_NON_NEGATIVE_INTEGER)
 
 
+def is_integer_text(lexical: str) -> bool:
+    """Whether a literal's text is an integer as `integer_literal` writes it:
+    ASCII digits only, with no sign, space or digit separator."""
+    return lexical.isascii() and lexical.isdigit()
+
+
 def decimal_literal(value: float) -> TypedLiteral:
     return TypedLiteral(repr(float(value)), XSD_DECIMAL)

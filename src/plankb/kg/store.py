@@ -71,6 +71,17 @@ class Triple(_Triple):
         return tuple.__new__(cls, (subject, predicate, object))
 
 
+# The types of the terms a graph stores.
+_TERMS = frozenset({Iri, TypedLiteral})
+
+
+def _refusal(t) -> Exception:
+    """What `Graph.update` raises for an item that is not three terms."""
+    if isinstance(t, tuple) and any(isinstance(x, Variable) for x in t):
+        return VariableInData("stored triples must not contain variables")
+    return TypeError("expected a triple of IRIs and literals, got {!r}".format(t))
+
+
 Pattern = tuple  # (s, p, o): each a Node, or a Variable anywhere
 Key = tuple  # (subject id, predicate id, object id)
 
@@ -99,28 +110,33 @@ class Graph:
     across threads, writes need external single-writer discipline.
     """
 
-    def __init__(self, triples: Iterable[Triple] = ()):
+    def __init__(self, triples: Iterable[tuple] = ()):
         self._terms: list[Node] = []
         self._ids: dict[Node, int] = {}
         self._triples: set[Key] = set()
         self._by_s: dict[int, list[Key]] = {}
         self._by_o: dict[int, list[Key]] = {}
-        self._add_all(triples)
+        self._add_keys(self._encode(triples))
 
     def __len__(self) -> int:
         return len(self._triples)
 
-    def __contains__(self, t: Triple) -> bool:
-        if not isinstance(t, Triple):
+    def __contains__(self, t) -> bool:
+        """Whether `t` is a stored triple: a `Triple` or another 3-tuple of terms."""
+        if not (isinstance(t, tuple) and len(t) == 3
+                and all(type(x) in _TERMS for x in t)):
             return False
         ids = self._ids
-        return (ids.get(t.subject), ids.get(t.predicate), ids.get(t.object)) in self._triples
+        try:
+            return (ids.get(t[0]), ids.get(t[1]), ids.get(t[2])) in self._triples
+        except TypeError:  # a term holding an unhashable value
+            return False
 
     def triples(self) -> frozenset[Triple]:
         return frozenset(self._decode(self._triples))
 
-    def update(self, triples: Iterable[Triple]) -> "Graph":
-        self._add_all(triples)
+    def update(self, triples: Iterable[tuple]) -> "Graph":
+        self._add_keys(self._encode(triples))
         return self
 
     # --- the encoding ------------------------------------------------------
@@ -133,29 +149,35 @@ class Graph:
             terms.append(term)
         return i
 
-    def _add_all(self, triples: Iterable[Triple]) -> None:
-        """Encode and store triples.  The ids are collected first and stored
-        in one pass; on an error, those collected so far are stored, so every
-        interned term is in a stored triple, as if each were added alone."""
+    def _encode(self, triples: Iterable[tuple]):
+        """The id tuples of `(s, p, o)` tuples of terms, interning each new
+        term.  An item that is not three hashable terms raises before any of
+        its terms is interned: VariableInData if it holds a `Variable`, else
+        TypeError.  `_add_keys` stores each id tuple as it is made, so on an
+        error those before it are stored and every interned term is in a
+        stored triple, as if each triple were added alone."""
         ids, terms = self._ids, self._terms
-        keys = []
-        try:
-            for t in triples:
-                if not isinstance(t, Triple):
-                    raise TypeError("expected a Triple")
+        for t in triples:
+            try:
                 s, p, o = t
-                si = ids.setdefault(s, len(terms))
-                if si == len(terms):
-                    terms.append(s)
+            except (TypeError, ValueError):
+                s = p = o = None
+            # A type test, not a lookup, as Iri("x") == Variable("x").
+            if not (type(s) in _TERMS and type(p) in _TERMS and type(o) in _TERMS):
+                raise _refusal(t)
+            si, pi, oi = ids.get(s), ids.get(p), ids.get(o)
+            if si is None:
+                si = ids[s] = len(terms)
+                terms.append(s)
+            if pi is None:  # p may equal s, interned just above
                 pi = ids.setdefault(p, len(terms))
                 if pi == len(terms):
                     terms.append(p)
+            if oi is None:
                 oi = ids.setdefault(o, len(terms))
                 if oi == len(terms):
                     terms.append(o)
-                keys.append((si, pi, oi))
-        finally:
-            self._add_keys(keys)
+            yield si, pi, oi
 
     def _add_keys(self, keys: Iterable[Key]) -> None:
         """Store id tuples whose ids are already interned."""
@@ -277,10 +299,11 @@ class Graph:
         # variable-name order; `term_key` is one total order over all terms,
         # so comparing ranks of ids is comparing terms.
         terms = self._terms
-        used = sorted({i for row in rows for i in row}, key=lambda i: term_key(terms[i]))
-        rank = {i: r for r, i in enumerate(used)}
-        columns = sorted(range(len(variables)), key=variables.__getitem__)
-        rows.sort(key=lambda row: [rank[row[j]] for j in columns])
+        if len(rows) > 1:
+            used = sorted({i for row in rows for i in row}, key=lambda i: term_key(terms[i]))
+            rank = {i: r for r, i in enumerate(used)}
+            columns = sorted(range(len(variables)), key=variables.__getitem__)
+            rows.sort(key=lambda row: [rank[row[j]] for j in columns])
         return [dict(zip(variables, [terms[i] for i in row])) for row in rows]
 
     def _join(self, patterns: list[tuple]) -> list[dict[str, int]]:

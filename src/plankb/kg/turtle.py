@@ -12,7 +12,7 @@ from typing import Optional
 
 from .. import PlankbError
 from .schema import PLAN_NS, RDF_NS, XSD_NS, XSD_STRING
-from .store import Graph, Iri, Node, Triple, TypedLiteral, term_key
+from .store import Graph, Iri, Node, TypedLiteral, term_key
 
 PREFIXES = {
     "plan": PLAN_NS,
@@ -244,7 +244,7 @@ def _import_lines(text: str) -> Optional[Graph]:
 
 
 def _import_tokens(text: str) -> Graph:
-    triples: list[Triple] = []
+    triples: list[tuple] = []
     prefixes: dict[str, str] = {}
     rdf_type = Iri(RDF_NS + "type")
     tokens = list(_tokenize(text))
@@ -300,5 +300,5 @@ def _import_tokens(text: str) -> Graph:
         if kind != "dot":
             raise TurtleSyntaxError("expected '.' after triple", line, col)
         i += 1
-        triples.append(Triple(subject, predicate, obj))
+        triples.append((subject, predicate, obj))
     return Graph(triples)

@@ -8,8 +8,10 @@ from typing import Iterable, NamedTuple, Optional
 from urllib.parse import unquote
 
 from . import PlankbError
-from .kg.schema import RDF_TYPE, SCHEMA, integer_literal, plan_iri, string_literal
-from .kg.store import Graph, Iri, Triple, TypedLiteral, Variable
+from .kg.schema import (
+    RDF_TYPE, SCHEMA, integer_literal, is_integer_text, plan_iri, string_literal,
+)
+from .kg.store import Graph, Iri, TypedLiteral
 from .mapper import MappingError, UnknownDomain, action_iri
 from .pddl.ast import ActionSchema, Atom, DomainDef, Literal, EQUALITY_PREDICATE
 
@@ -93,45 +95,52 @@ Step = tuple[str, tuple[str, ...]]  # (action name, argument objects)
 
 def plan_step_sequences(g: Graph, domain: Iri) -> dict[Iri, list[Step]]:
     """Ordered steps per stored plan of a domain, read from each step's
-    index and `(name arg ...)` text.  Raises MappingError, naming the step
-    node and the value, on an index that is not an integer literal or a
-    text that is not a literal naming an action."""
-    t = SCHEMA.prop
-    rows = g.query(
-        [
-            (domain, t("hasProblem"), Variable("p")),
-            (Variable("p"), t("hasPlan"), Variable("plan")),
-            (Variable("plan"), t("hasActionStep"), Variable("st")),
-            (Variable("st"), t("hasStepIndex"), Variable("i")),
-            (Variable("st"), t("hasActionName"), Variable("txt")),
-        ],
-        select=["plan", "i", "txt", "st"],
-    )
-    plans: dict[Iri, list[tuple[int, str, Step]]] = {}
-    for row in rows:
-        index, text = row["i"], row["txt"]
-        try:
-            idx = int(index.lexical) if isinstance(index, TypedLiteral) else None
-        except ValueError:
-            idx = None
-        if idx is None:
-            raise MappingError("step {}: hasStepIndex {} is not an integer".format(
-                row["st"], index))
-        parts = (text.lexical.strip().lstrip("(").rstrip(")").split()
-                 if isinstance(text, TypedLiteral) else None)
-        if not parts:
-            raise MappingError("step {}: hasActionName {} names no action".format(
-                row["st"], text))
-        plans.setdefault(row["plan"], []).append(
-            (idx, text.lexical, (parts[0], tuple(parts[1:]))))
-    return {
-        plan: [step for _, _, step in sorted(steps)] for plan, steps in plans.items()
-    }
+    index and `(name arg ...)` text in one walk down the subject index, on
+    ids: domain, `hasProblem`, `hasPlan`, `hasActionStep`, then each step's
+    `hasStepIndex` and `hasActionName`.  A step gives one entry per (index,
+    text) pair, and a plan two problems have lists its steps twice, as the
+    rows of the five-pattern query do.  Raises MappingError, naming the step
+    node and the value, on an index that is not an integer literal (ASCII
+    digits, as `integer_literal` writes it) or a text that is not a literal
+    naming an action; of several, on the first the walk meets, which follows
+    each node's triples in the order they were stored."""
+    ids, terms, find = g._ids, g._terms, g._find
+    start = ids.get(domain)
+    props = [ids.get(SCHEMA.prop(name)) for name in
+             ("hasProblem", "hasPlan", "hasActionStep", "hasStepIndex", "hasActionName")]
+    if start is None or None in props:
+        return {}
+    has_problem, has_plan, has_step, has_index, has_name = props
+    rows: dict[int, list[tuple[int, int, int]]] = {}  # plan -> (index, text, step)
+    for _, _, problem in find(start, has_problem, None):
+        for _, _, plan in find(problem, has_plan, None):
+            found = rows.setdefault(plan, [])
+            for _, _, step in find(plan, has_step, None):
+                texts = find(step, has_name, None)
+                found += [(i, k[2], step) for _, _, i in find(step, has_index, None)
+                          for k in texts]
+    plans: dict[Iri, list[Step]] = {}
+    for plan, found in rows.items():
+        steps = []
+        for i, n, step in found:
+            index, text = terms[i], terms[n]
+            if not (isinstance(index, TypedLiteral) and is_integer_text(index.lexical)):
+                raise MappingError("step {}: hasStepIndex {} is not an integer".format(
+                    terms[step], index))
+            parts = (text.lexical.strip().lstrip("(").rstrip(")").split()
+                     if isinstance(text, TypedLiteral) else None)
+            if not parts:
+                raise MappingError("step {}: hasActionName {} names no action".format(
+                    terms[step], text))
+            steps.append((int(index.lexical), text.lexical, (parts[0], tuple(parts[1:]))))
+        if steps:
+            plans[terms[plan]] = [step for _, _, step in sorted(steps)]
+    return plans
 
 
 def mine_pairs(g: Graph, domain: Iri) -> list[LiftedPair]:
     """All adjacent action pairs across stored plans, lifted and ranked by
-    corpus-global frequency (then lexicographic name pair)."""
+    corpus-global frequency, then names, pattern and first arity."""
     plans = plan_step_sequences(g, domain)
     if not plans:
         raise NoPlansForDomain("no plans stored for {}".format(domain.value))
@@ -141,7 +150,7 @@ def mine_pairs(g: Graph, domain: Iri) -> list[LiftedPair]:
             pair = lift_pair(n1, a1, n2, a2)
             counts[pair] = counts.get(pair, 0) + 1
     ranked = [pair.with_frequency(n) for pair, n in counts.items()]
-    ranked.sort(key=lambda p: (-p.frequency, p.first, p.second, p.pattern))
+    ranked.sort(key=lambda p: (-p.frequency, p.first, p.second, p.pattern, p.first_arity))
     return ranked
 
 
@@ -295,20 +304,20 @@ def augment_domain(d: DomainDef, macros: Iterable[MacroSchema], k: int) -> Domai
 def store_macros(g: Graph, domain: Iri, macros: Iterable[MacroSchema]) -> Graph:
     t = SCHEMA.prop
     c = SCHEMA.cls
-    if Triple(domain, RDF_TYPE, c("PlanningDomain")) not in g:
+    if (domain, RDF_TYPE, c("PlanningDomain")) not in g:
         raise UnknownDomain("domain {} is not mapped".format(domain.value))
     # The IRI holds the domain name percent-encoded; plan_iri encodes it again.
     domain_name = unquote(domain.value.rsplit("#", 1)[-1].removeprefix("domain-"))
-    out: list[Triple] = []
+    out: list[tuple] = []
     for m in macros:
         M = plan_iri("macro-{}-{}".format(domain_name, m.name))
         out += (
-            Triple(M, RDF_TYPE, c("MacroAction")),
-            Triple(domain, t("hasMacro"), M),
-            Triple(M, t("hasFirstAction"), action_iri(domain_name, m.first)),
-            Triple(M, t("hasSecondAction"), action_iri(domain_name, m.second)),
-            Triple(M, t("hasFrequency"), integer_literal(m.frequency)),
-            Triple(M, t("hasActionName"), string_literal(m.name)),
+            (M, RDF_TYPE, c("MacroAction")),
+            (domain, t("hasMacro"), M),
+            (M, t("hasFirstAction"), action_iri(domain_name, m.first)),
+            (M, t("hasSecondAction"), action_iri(domain_name, m.second)),
+            (M, t("hasFrequency"), integer_literal(m.frequency)),
+            (M, t("hasActionName"), string_literal(m.name)),
         )
     return g.update(out)
 

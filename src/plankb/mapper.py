@@ -17,7 +17,7 @@ from .kg.schema import (
     plan_iri,
     string_literal,
 )
-from .kg.store import Graph, Iri, Triple, Variable
+from .kg.store import Graph, Iri, Variable
 from .pddl.ast import DomainDef, ProblemDef
 from .pddl.validate import validate_domain
 from .select import PlannerRecord, relevance
@@ -89,11 +89,12 @@ def _local(iri: Iri) -> str:
 
 # --- PDDL → triples --------------------------------------------------------
 #
-# Each mapper returns a list that may hold a triple more than once; the graph
-# keeps one copy, so no triple is hashed before `Graph.update` sees it.
+# Each mapper returns a list of plain `(s, p, o)` tuples that may hold a triple
+# more than once; `Graph.update` checks each term as it stores them and keeps
+# one copy, so no triple is hashed or checked before the graph sees it.
 
 
-def map_domain(d: DomainDef) -> list[Triple]:
+def map_domain(d: DomainDef) -> list[tuple]:
     """The triples of a well-formed domain, possibly with repeats.  Raises
     MappingError on a domain that `validate_domain` finds fault with."""
     issues = validate_domain(d)
@@ -104,12 +105,11 @@ def map_domain(d: DomainDef) -> list[Triple]:
     t = SCHEMA.prop
     c = SCHEMA.cls
     D = domain_iri(d.name)
-    out: list[Triple] = [Triple(D, RDF_TYPE, c("PlanningDomain"))]
+    out: list[tuple] = [(D, RDF_TYPE, c("PlanningDomain"))]
 
     for req in sorted(d.requirements):
         R = requirement_iri(req)
-        out.append(Triple(R, RDF_TYPE, c("DomainRequirement")))
-        out.append(Triple(D, t("hasRequirement"), R))
+        out += [(R, RDF_TYPE, c("DomainRequirement")), (D, t("hasRequirement"), R)]
 
     used_types = {typ for p in d.predicates for _, typ in p.params}
     used_types |= {typ for a in d.actions for _, typ in a.params}
@@ -117,78 +117,66 @@ def map_domain(d: DomainDef) -> list[Triple]:
     used_types |= {typ for _, typ in d.constants}
     for typ in sorted(used_types):
         T = type_iri(d.name, typ)
-        out.append(Triple(T, RDF_TYPE, c("ParameterType")))
-        out.append(Triple(D, t("hasParameterType"), T))
+        out += [(T, RDF_TYPE, c("ParameterType")), (D, t("hasParameterType"), T)]
 
     for pred in d.predicates:
         P = predicate_iri(d.name, pred.name)
-        out.append(Triple(P, RDF_TYPE, c("DomainPredicate")))
-        out.append(Triple(D, t("hasPredicate"), P))
+        out += [(P, RDF_TYPE, c("DomainPredicate")), (D, t("hasPredicate"), P)]
 
     for cname, ctype in d.constants:
         C = constant_iri(d.name, cname)
-        out.append(Triple(C, RDF_TYPE, c("DomainConstant")))
-        out.append(Triple(D, t("hasConstant"), C))
-        out.append(Triple(C, t("hasParameterType"), type_iri(d.name, ctype)))
+        out += [(C, RDF_TYPE, c("DomainConstant")), (D, t("hasConstant"), C),
+                (C, t("hasParameterType"), type_iri(d.name, ctype))]
 
     for a in d.actions:
         A = action_iri(d.name, a.name)
-        out.append(Triple(A, RDF_TYPE, c("Action")))
-        out.append(Triple(D, t("hasAction"), A))
-        out.append(Triple(A, t("hasActionName"), string_literal(a.name)))
+        out += [(A, RDF_TYPE, c("Action")), (D, t("hasAction"), A),
+                (A, t("hasActionName"), string_literal(a.name))]
 
         for i, (var, vtype) in enumerate(a.params):
             PM = plan_iri(
                 "parameter-{}-{}-{}-{}".format(d.name, a.name, i, var.lstrip("?"))
             )
-            out.append(Triple(PM, RDF_TYPE, c("Parameter")))
-            out.append(Triple(A, t("hasParameter"), PM))
-            out.append(Triple(PM, t("hasParameterType"), type_iri(d.name, vtype)))
+            out += [(PM, RDF_TYPE, c("Parameter")), (A, t("hasParameter"), PM),
+                    (PM, t("hasParameterType"), type_iri(d.name, vtype))]
 
         if a.precondition:
             PC = plan_iri("precondition-{}-{}".format(d.name, a.name))
-            out.append(Triple(PC, RDF_TYPE, c("ActionPrecondition")))
-            out.append(Triple(A, t("hasPrecondition"), PC))
+            out += [(PC, RDF_TYPE, c("ActionPrecondition")), (A, t("hasPrecondition"), PC)]
             for lit in a.precondition:
-                out.append(Triple(PC, t("hasStateFact"), string_literal(str(lit))))
+                out.append((PC, t("hasStateFact"), string_literal(str(lit))))
                 if lit.atom.predicate != "=":
-                    out.append(
-                        Triple(PC, t("hasPredicate"),
-                               predicate_iri(d.name, lit.atom.predicate))
-                    )
+                    out.append((PC, t("hasPredicate"),
+                                predicate_iri(d.name, lit.atom.predicate)))
 
         if a.add:
             E = plan_iri("effect-{}-{}-add".format(d.name, a.name))
-            out.append(Triple(E, RDF_TYPE, c("ActionEffect")))
-            out.append(Triple(A, t("hasEffect"), E))
+            out += [(E, RDF_TYPE, c("ActionEffect")), (A, t("hasEffect"), E)]
             for atom in a.add:
-                out.append(Triple(E, t("addsPredicate"),
-                               predicate_iri(d.name, atom.predicate)))
-                out.append(Triple(E, t("hasStateFact"), string_literal(str(atom))))
+                out += [(E, t("addsPredicate"), predicate_iri(d.name, atom.predicate)),
+                        (E, t("hasStateFact"), string_literal(str(atom)))]
         if a.delete:
             E = plan_iri("effect-{}-{}-del".format(d.name, a.name))
-            out.append(Triple(E, RDF_TYPE, c("ActionEffect")))
-            out.append(Triple(A, t("hasEffect"), E))
+            out += [(E, RDF_TYPE, c("ActionEffect")), (A, t("hasEffect"), E)]
             for atom in a.delete:
-                out.append(Triple(E, t("deletesPredicate"),
-                               predicate_iri(d.name, atom.predicate)))
-                out.append(Triple(E, t("hasStateFact"), string_literal(str(atom))))
+                out += [(E, t("deletesPredicate"), predicate_iri(d.name, atom.predicate)),
+                        (E, t("hasStateFact"), string_literal(str(atom)))]
     return out
 
 
-def map_problem(p: ProblemDef, g: Graph) -> list[Triple]:
+def map_problem(p: ProblemDef, g: Graph) -> list[tuple]:
     """The triples of a problem, possibly with repeats.  Raises
     UnknownDomain unless the problem's domain is mapped in `g`."""
     t = SCHEMA.prop
     c = SCHEMA.cls
     D = domain_iri(p.domain_name)
-    if Triple(D, RDF_TYPE, c("PlanningDomain")) not in g:
+    if (D, RDF_TYPE, c("PlanningDomain")) not in g:
         raise UnknownDomain("domain '{}' is not mapped".format(p.domain_name))
     PR = problem_iri(p.domain_name, p.name)
-    out: list[Triple] = [
-        Triple(PR, RDF_TYPE, c("PlanningProblem")),
-        Triple(PR, t("hasDomain"), D),
-        Triple(D, t("hasProblem"), PR),
+    out: list[tuple] = [
+        (PR, RDF_TYPE, c("PlanningProblem")),
+        (PR, t("hasDomain"), D),
+        (D, t("hasProblem"), PR),
     ]
     # The terms that the steps of a loop share are made once.
     problem_object, has_object = c("ProblemObject"), t("hasObject")
@@ -196,27 +184,22 @@ def map_problem(p: ProblemDef, g: Graph) -> list[Triple]:
     types = {typ: type_iri(p.domain_name, typ) for typ in {typ for _, typ in p.objects}}
     for oname, otype in p.objects:
         O = plan_iri("object-{}-{}-{}".format(p.domain_name, p.name, oname))
-        out += (
-            Triple(O, RDF_TYPE, problem_object),
-            Triple(PR, has_object, O),
-            Triple(O, has_type, types[otype]),
-        )
+        out += [(O, RDF_TYPE, problem_object), (PR, has_object, O),
+                (O, has_type, types[otype])]
 
     IS = plan_iri("init-{}-{}".format(p.domain_name, p.name))
-    out.append(Triple(IS, RDF_TYPE, c("InitialState")))
-    out.append(Triple(IS, RDF_TYPE, c("State")))
-    out.append(Triple(PR, t("hasInitialState"), IS))
-    out += [Triple(IS, has_fact, string_literal(str(atom))) for atom in p.init]
+    out += [(IS, RDF_TYPE, c("InitialState")), (IS, RDF_TYPE, c("State")),
+            (PR, t("hasInitialState"), IS)]
+    out += [(IS, has_fact, string_literal(str(atom))) for atom in p.init]
 
     GS = plan_iri("goal-{}-{}".format(p.domain_name, p.name))
-    out.append(Triple(GS, RDF_TYPE, c("GoalState")))
-    out.append(Triple(GS, RDF_TYPE, c("State")))
-    out.append(Triple(PR, t("hasGoalState"), GS))
-    out += [Triple(GS, has_fact, string_literal(str(lit))) for lit in p.goal]
+    out += [(GS, RDF_TYPE, c("GoalState")), (GS, RDF_TYPE, c("State")),
+            (PR, t("hasGoalState"), GS)]
+    out += [(GS, has_fact, string_literal(str(lit))) for lit in p.goal]
     return out
 
 
-def map_plan(plan: Plan, problem: Iri, planner: Iri) -> list[Triple]:
+def map_plan(plan: Plan, problem: Iri, planner: Iri) -> list[tuple]:
     """The triples of a plan of `problem` made by `planner`, possibly with
     repeats."""
     import hashlib  # here, not at the top: it loads OpenSSL, which only build-kg needs
@@ -227,25 +210,22 @@ def map_plan(plan: Plan, problem: Iri, planner: Iri) -> list[Triple]:
     digest = hashlib.sha1("".join(names).encode()).hexdigest()[:8]
     # The locals of `problem` and `planner` are escaped already.
     PL = Iri(PLAN_NS + "plan-{}-{}-{}".format(_local(problem), _local(planner), digest))
-    out: list[Triple] = [
-        Triple(PL, RDF_TYPE, c("Plan")),
-        Triple(problem, t("hasPlan"), PL),
-        Triple(PL, t("hasPlanCost"), integer_literal(plan.cost)),
-        Triple(PL, t("isGeneratedBy"), planner),
-        Triple(planner, RDF_TYPE, c("Planner")),
+    out: list[tuple] = [
+        (PL, RDF_TYPE, c("Plan")),
+        (problem, t("hasPlan"), PL),
+        (PL, t("hasPlanCost"), integer_literal(plan.cost)),
+        (PL, t("isGeneratedBy"), planner),
+        (planner, RDF_TYPE, c("Planner")),
     ]
     has_step, has_index, has_name = t("hasActionStep"), t("hasStepIndex"), t("hasActionName")
     for i, name in enumerate(names):
         ST = Iri("{}-step-{}".format(PL.value, i))
-        out += (
-            Triple(PL, has_step, ST),
-            Triple(ST, has_index, integer_literal(i)),
-            Triple(ST, has_name, string_literal(name)),
-        )
+        out += [(PL, has_step, ST), (ST, has_index, integer_literal(i)),
+                (ST, has_name, string_literal(name))]
     return out
 
 
-def describe_planner(name: str) -> list[Triple]:
+def describe_planner(name: str) -> list[tuple]:
     """Type a planner node as a satisficing STRIPS planner.
 
     Plans reference planners via isGeneratedBy; a typed planner additionally
@@ -258,14 +238,13 @@ def describe_planner(name: str) -> list[Triple]:
     c = SCHEMA.cls
     PN = planner_iri(name)
     PT = planner_type_iri("satisficing")
-    out: list[Triple] = [
-        Triple(PN, RDF_TYPE, c("Planner")),
-        Triple(PT, RDF_TYPE, c("PlannerType")),
-        Triple(PN, t("ofPlannerType"), PT),
+    out: list[tuple] = [
+        (PN, RDF_TYPE, c("Planner")),
+        (PT, RDF_TYPE, c("PlannerType")),
+        (PN, t("ofPlannerType"), PT),
     ]
     R = requirement_iri(":strips")
-    out.append(Triple(R, RDF_TYPE, c("DomainRequirement")))
-    out.append(Triple(PN, t("solvesRequirement"), R))
+    out += [(R, RDF_TYPE, c("DomainRequirement")), (PN, t("solvesRequirement"), R)]
     return out
 
 
@@ -274,7 +253,7 @@ def describe_planner(name: str) -> list[Triple]:
 
 def map_ipc_results(
     rows: Iterable[PlannerRecord], planner_type: str = "optimal"
-) -> list[Triple]:
+) -> list[tuple]:
     """The triples of IPC result rows, possibly with repeats: each row
     types its planner and the requirements again, and the graph keeps one
     copy."""
@@ -283,28 +262,20 @@ def map_ipc_results(
     # as PlanningDomain would trip the domain axioms.
     t = SCHEMA.prop
     c = SCHEMA.cls
-    out: list[Triple] = []
+    out: list[tuple] = []
     PT = planner_type_iri(planner_type)
-    out.append(Triple(PT, RDF_TYPE, c("PlannerType")))
+    out.append((PT, RDF_TYPE, c("PlannerType")))
     for row in rows:
         PN = planner_iri(row.planner)
-        out.append(Triple(PN, RDF_TYPE, c("Planner")))
-        out.append(Triple(PN, t("ofPlannerType"), PT))
+        out += [(PN, RDF_TYPE, c("Planner")), (PN, t("ofPlannerType"), PT)]
         for req in (":strips", ":typing"):
             R = requirement_iri(req)
-            out.append(Triple(R, RDF_TYPE, c("DomainRequirement")))
-            out.append(Triple(PN, t("solvesRequirement"), R))
+            out += [(R, RDF_TYPE, c("DomainRequirement")), (PN, t("solvesRequirement"), R)]
         REL = plan_iri("relevance-{}-{}".format(row.planner, row.domain))
-        out.append(Triple(PN, t("hasRelevance"), REL))
-        out.append(Triple(REL, t("hasDomain"), domain_iri(row.domain)))
-        out.append(
-            Triple(REL, t("hasSolvedPercentage"),
-                   decimal_literal(100.0 * row.solved / row.total))
-        )
-        out.append(
-            Triple(REL, t("hasRelevanceTier"),
-                   string_literal(relevance(row.solved, row.total)))
-        )
+        pct, tier = 100.0 * row.solved / row.total, relevance(row.solved, row.total)
+        out += [(PN, t("hasRelevance"), REL), (REL, t("hasDomain"), domain_iri(row.domain)),
+                (REL, t("hasSolvedPercentage"), decimal_literal(pct)),
+                (REL, t("hasRelevanceTier"), string_literal(tier))]
     return out
 
 

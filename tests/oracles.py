@@ -1,7 +1,8 @@
 """Reference semantics that only the tests use: a checked transition,
 state-space enumeration, goal checks, the plan text writer, grounding by
-substitution into plain records, a triple-by-triple Turtle writer and
-planner selection with one query per candidate.  They share no code with
+substitution into plain records, a triple-by-triple Turtle writer,
+planner selection with one query per candidate and plan steps read with one
+five-pattern query.  They share no code with
 `plankb.semantics` beyond `applicable`, so the grounder and the search are
 checked against an independent construction.  The Turtle writer shares only
 the term formatting of `plankb.kg.turtle`, so it checks the exporter's
@@ -14,6 +15,7 @@ from typing import NamedTuple
 from plankb.kg.schema import SCHEMA
 from plankb.kg.store import TypedLiteral, Variable, term_key
 from plankb.kg.turtle import PREFIXES, _format_term
+from plankb.mapper import MappingError
 from plankb.select import InvalidRecord, NoCandidates, NoDataForDomain, SelectionOutcome
 from plankb.semantics import applicable
 
@@ -202,3 +204,35 @@ def reference_select(g, domain, candidates):
         best, "ontology",
         "best solved percentage {:.2f}% for {}".format(best_pct, domain.value),
     )
+
+
+def reference_plan_steps(g, domain):
+    """`plan_step_sequences` as one query: the steps of each plan of a
+    domain from the rows of a five-pattern BGP, checked row by row in the
+    query's order.  An index must be a literal of ASCII digits."""
+    t = SCHEMA.prop
+    rows = g.query(
+        [
+            (domain, t("hasProblem"), Variable("p")),
+            (Variable("p"), t("hasPlan"), Variable("plan")),
+            (Variable("plan"), t("hasActionStep"), Variable("st")),
+            (Variable("st"), t("hasStepIndex"), Variable("i")),
+            (Variable("st"), t("hasActionName"), Variable("txt")),
+        ],
+        select=["plan", "i", "txt", "st"],
+    )
+    plans = {}
+    for row in rows:
+        index, text = row["i"], row["txt"]
+        if not (isinstance(index, TypedLiteral) and index.lexical.isascii()
+                and index.lexical.isdigit()):
+            raise MappingError("step {}: hasStepIndex {} is not an integer".format(
+                row["st"], index))
+        parts = (text.lexical.strip().lstrip("(").rstrip(")").split()
+                 if isinstance(text, TypedLiteral) else None)
+        if not parts:
+            raise MappingError("step {}: hasActionName {} names no action".format(
+                row["st"], text))
+        plans.setdefault(row["plan"], []).append(
+            (int(index.lexical), text.lexical, (parts[0], tuple(parts[1:]))))
+    return {plan: [step for _, _, step in sorted(steps)] for plan, steps in plans.items()}

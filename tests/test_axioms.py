@@ -7,11 +7,12 @@ from plankb.kg.axioms import validate_axioms
 from plankb.kg.schema import (
     RDF_TYPE,
     SCHEMA,
+    XSD_NON_NEGATIVE_INTEGER,
     decimal_literal,
     integer_literal,
     plan_iri,
 )
-from plankb.kg.store import Graph, Iri, Triple
+from plankb.kg.store import Graph, Iri, Triple, TypedLiteral
 
 
 def cls(name):
@@ -163,6 +164,26 @@ def test_axiom_11_two_costs():
         + valid_planner()
     )
     assert violated(g) == [11]
+
+
+# Each passes `str.isdigit` or `int`, but `integer_literal` writes none of them.
+NOT_ASCII_DIGITS = ["\u00b2", " 7", "+7", "1_0", "\u0663"]
+
+
+@pytest.mark.parametrize("lexical", NOT_ASCII_DIGITS)
+def test_axiom_11_cost_of_ascii_digits_only(lexical):
+    cost = TypedLiteral(lexical, XSD_NON_NEGATIVE_INTEGER)
+    g = Graph(
+        [
+            typed("plan-1", "Plan"),
+            Triple(node("plan-1"), prop("hasPlanCost"), cost),
+            Triple(node("plan-1"), prop("isGeneratedBy"), node("planner-x")),
+        ]
+        + valid_planner()
+    )
+    assert [str(v) for v in validate_axioms(g)] == [
+        "axiom 11: {} -- hasPlanCost must be a non-negative integer, found {}".format(
+            node("plan-1").value, cost)]
 
 
 def test_axiom_12_plan_without_generator():

@@ -114,6 +114,53 @@ def test_variables_rejected_in_data():
         Triple(iri("a"), iri("b"), Variable("x"))
 
 
+def test_plain_tuples_of_terms_are_members():
+    g = Graph(FAMILY)
+    for t in FAMILY:
+        assert tuple(t) in g and type(tuple(t)) is tuple
+    assert (iri("bob"), iri("parent"), iri("alice")) not in g
+    s, p, o = FAMILY[0]
+    # Iri("x") == Variable("x"), but a variable is not a term.
+    for other in [(Variable(s.value), p, o), (s, p), (s, p, o, o), [s, p, o], (s, p, o.value),
+                  ([], [], []), ({}, p, o), (s, p, TypedLiteral("1", [])), "abc", None, 5,
+                  {s: p}]:
+        assert other not in g
+
+
+@pytest.mark.parametrize("bad,error", [
+    (Variable("x"), VariableInData),
+    (EX + "x", TypeError),
+    (None, TypeError),
+    (5, TypeError),
+    (TypedLiteral("1", []), TypeError),
+])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_refused_triple_leaves_the_graph_unchanged(bad, error, position):
+    """A triple with a bad term is refused before any of its new terms is
+    interned; the triples before it in the same update are stored."""
+    g = Graph(FAMILY)
+    before = (len(g), list(g._terms), export_turtle(g))
+    refused = [iri("new-s"), iri("new-p"), iri("new-o")]
+    refused[position] = bad
+    with pytest.raises(error):
+        g.update([tuple(refused)])
+    assert (len(g), list(g._terms), export_turtle(g)) == before
+    good = (iri("good"), iri("parent"), lit(3))
+    with pytest.raises(error):
+        g.update(iter([good, tuple(refused), FAMILY[0]]))
+    expected = Graph(FAMILY + [good])
+    assert (len(g), g._terms, export_turtle(g)) == (
+        len(expected), expected._terms, export_turtle(expected))
+
+
+@pytest.mark.parametrize("item", [(iri("a"), iri("b")), None, iri("a"), "abc"])
+def test_update_refuses_what_is_not_a_triple(item):
+    g = Graph(FAMILY)
+    with pytest.raises(TypeError):
+        g.update([item])
+    assert g.triples() == frozenset(FAMILY)
+
+
 def test_grandparent_join_matches_oracle():
     g = Graph(FAMILY)
     patterns = [
@@ -284,10 +331,11 @@ def test_encoded_graph_matches_a_set_of_triples(ops):
             {t.subject for t in model if t.predicate == p and t.object == o}, key=term_key)
         assert g.objects(s, p) == sorted(
             [t.object for t in model if t.subject == s and t.predicate == p], key=term_key)
-    # A non-Triple is never in the graph, even a tuple of stored terms or
-    # of ids, or a term's text.
+    # A plain tuple of terms is in the graph as its Triple is; a tuple of
+    # ids, a term's text or anything else that is not three terms never is.
     t = next(iter(model), FAMILY[0])
-    for other in [(0, 0, 0), (0, 1, 2), (t.subject, t.predicate, t.object), None, EX + "a"]:
+    assert ((t.subject, t.predicate, t.object) in g) == (t in model)
+    for other in [(0, 0, 0), (0, 1, 2), None, EX + "a"]:
         assert other not in g
 
 

@@ -1,12 +1,17 @@
 """Macro mining, chaining checks, composition, and domain injection."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plankb import bundles
-from plankb.kg.schema import RDF_TYPE, SCHEMA
-from plankb.kg.store import Graph, Variable
+from plankb.kg.schema import (
+    RDF_TYPE, SCHEMA, XSD_NON_NEGATIVE_INTEGER, plan_iri, string_literal,
+)
+from plankb.kg.store import Graph, TypedLiteral, Variable
 from plankb.macros import (
     LiftedPair,
     NoPlansForDomain,
@@ -19,14 +24,15 @@ from plankb.macros import (
     load_report,
     mine_macros,
     mine_pairs,
+    plan_step_sequences,
     report_lines,
     store_macros,
 )
-from plankb.mapper import action_iri, domain_iri
+from plankb.mapper import MappingError, action_iri, domain_iri
 from plankb.pddl.ast import Atom, Literal
 from plankb.semantics import applicable, ground
 
-from oracles import apply_action, instantiate, reachable_states
+from oracles import apply_action, instantiate, reachable_states, reference_plan_steps
 
 
 # --- lifting ----------------------------------------------------------------
@@ -89,6 +95,104 @@ def test_mine_pairs_ranked_by_frequency(bw_graph):
 def test_mine_pairs_requires_plans():
     with pytest.raises(NoPlansForDomain):
         mine_pairs(Graph(), domain_iri("blocksworld"))
+
+
+# --- the step walk against the five-pattern query ---------------------------
+
+PROP = SCHEMA.prop
+D, OTHER = domain_iri("d"), domain_iri("other")
+
+
+def index(lexical):
+    return TypedLiteral(lexical, XSD_NON_NEGATIVE_INTEGER)
+
+
+# Each passes `str.isdigit` or `int`, but `integer_literal` writes none of them.
+NOT_ASCII_DIGITS = ["\u00b2", " 7", "+7", "1_0", "\u0663"]
+BAD_INDEXES = [index(x) for x in NOT_ASCII_DIGITS + ["x", "-1", ""]] + [
+    string_literal("x"), plan_iri("x")]
+BAD_NAMES = [string_literal(x) for x in ["", "()", " ( ) "]] + [plan_iri("x")]
+
+
+def one_step_graph(step_index, name=string_literal("(a x)")):
+    plan, step = plan_iri("plan"), plan_iri("step")
+    return Graph([
+        (D, PROP("hasProblem"), plan_iri("p")),
+        (plan_iri("p"), PROP("hasPlan"), plan),
+        (plan, PROP("hasActionStep"), step),
+        (step, PROP("hasStepIndex"), step_index),
+        (step, PROP("hasActionName"), name),
+    ])
+
+
+@pytest.mark.parametrize("lexical", NOT_ASCII_DIGITS)
+def test_step_index_of_ascii_digits_only(lexical):
+    g = one_step_graph(index(lexical))
+    with pytest.raises(MappingError) as exc:
+        plan_step_sequences(g, D)
+    assert str(exc.value) == "step {}: hasStepIndex {} is not an integer".format(
+        plan_iri("step"), index(lexical))
+
+
+def test_step_index_of_ascii_digits_reads():
+    for lexical in ("0", "12", "007"):
+        assert plan_step_sequences(one_step_graph(index(lexical)), D) == {
+            plan_iri("plan"): [("a", ("x",))]}
+
+
+@st.composite
+def step_graphs(draw):
+    """The triples of plans under two domains: a problem may hang under
+    either domain or both, a plan under one problem or several, and a step
+    under several plans, with zero, one or two of each of its indexes and
+    names; at most one value is bad.  Small pools make values repeat."""
+    triples = []
+    problems = [plan_iri("problem-{}".format(i)) for i in range(draw(st.integers(1, 3)))]
+    for problem in problems:
+        for domain in draw(st.lists(st.sampled_from([D, OTHER]), min_size=1, unique=True)):
+            triples.append((domain, PROP("hasProblem"), problem))
+    steps = [plan_iri("step-{}".format(i)) for i in range(5)]
+    for i in range(draw(st.integers(1, 4))):
+        plan = plan_iri("plan-{}".format(i))
+        for problem in draw(st.lists(st.sampled_from(problems), min_size=1, unique=True)):
+            triples.append((problem, PROP("hasPlan"), plan))
+        for step in draw(st.lists(st.sampled_from(steps), max_size=4, unique=True)):
+            triples.append((plan, PROP("hasActionStep"), step))
+    for step in steps:
+        for lexical in draw(st.lists(st.sampled_from("01239"), max_size=2, unique=True)):
+            triples.append((step, PROP("hasStepIndex"), index(lexical)))
+        names = ["(a x)", "(a y)", "(b x y)", " b ", "(a x"]
+        for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+            triples.append((step, PROP("hasActionName"), string_literal(name)))
+    bad = draw(st.none() | st.tuples(st.sampled_from(steps), st.sampled_from(
+        [("hasStepIndex", v) for v in BAD_INDEXES] + [("hasActionName", v) for v in BAD_NAMES])))
+    if bad:
+        step, (name, value) = bad
+        triples.append((step, PROP(name), value))
+    return Graph(draw(st.permutations(triples)))
+
+
+def outcome(read, g):
+    try:
+        return read(g, D)
+    except MappingError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_graphs())
+def test_step_walk_matches_the_query_oracle(g):
+    expected = outcome(reference_plan_steps, g)
+    assert outcome(plan_step_sequences, g) == expected
+    if isinstance(expected, str) or not expected:
+        return
+    # mine_pairs ranks by a total order, so its list does not depend on the
+    # order in which the plans are read.
+    counts = Counter(lift_pair(n1, a1, n2, a2) for steps in expected.values()
+                     for (n1, a1), (n2, a2) in zip(steps, steps[1:]))
+    assert mine_pairs(g, D) == sorted(
+        (pair.with_frequency(n) for pair, n in counts.items()),
+        key=lambda p: (-p.frequency, p.first, p.second, p.pattern, p.first_arity))
 
 
 # --- chaining filter on the canonical pair tables ---------------------------
