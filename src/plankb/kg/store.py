@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .. import PlankbError
@@ -9,6 +10,10 @@ from .. import PlankbError
 
 class VariableInData(PlankbError):
     pass
+
+
+class UnwritableTerm(PlankbError):
+    """A term that `kg.turtle` cannot write."""
 
 
 class _Iri(NamedTuple):
@@ -75,11 +80,27 @@ class Triple(_Triple):
 _TERMS = frozenset({Iri, TypedLiteral})
 
 
+# One character of an IRI between '<' and '>': what Turtle's IRIREF allows
+# there (no control character or space), less any other white space.  The
+# graph, the Turtle tokenizer and the line reader all test IRIs with it, so
+# every IRI the graph holds or the reader takes, the writer can write.
+_IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\\s]'
+_IRIREF_BODY = re.compile(_IRI_CHAR + "+")
+
+
+def _writable(term: Node) -> bool:
+    """Whether `kg.turtle` can write a term of one of the `_TERMS` types."""
+    if type(term) is Iri:
+        value = term.value
+        return type(value) is str and _IRIREF_BODY.fullmatch(value) is not None
+    return type(term.lexical) is str and type(term.datatype) is Iri and _writable(term.datatype)
+
+
 def _refusal(t) -> Exception:
-    """What `Graph.update` raises for an item that is not three terms."""
+    """What `Graph.update` raises for an item that is not (IRI, IRI, term)."""
     if isinstance(t, tuple) and any(isinstance(x, Variable) for x in t):
         return VariableInData("stored triples must not contain variables")
-    return TypeError("expected a triple of IRIs and literals, got {!r}".format(t))
+    return TypeError("expected an IRI, an IRI and an IRI or literal, got {!r}".format(t))
 
 
 Pattern = tuple  # (s, p, o): each a Node, or a Variable anywhere
@@ -101,7 +122,7 @@ class Graph:
     each without duplicates, as the set admits a tuple once.  Storing,
     matching and joining hash and compare ints, and terms and `Triple`s are
     built only when they leave the graph.  `kg.turtle` reads and writes the
-    encoding directly.
+    encoding directly, and `update` stores only triples it can write.
 
     There is no predicate index: every lookup the package makes fixes a
     subject or an object, and a list per term costs far less than a set.
@@ -151,11 +172,12 @@ class Graph:
 
     def _encode(self, triples: Iterable[tuple]):
         """The id tuples of `(s, p, o)` tuples of terms, interning each new
-        term.  An item that is not three hashable terms raises before any of
-        its terms is interned: VariableInData if it holds a `Variable`, else
-        TypeError.  `_add_keys` stores each id tuple as it is made, so on an
-        error those before it are stored and every interned term is in a
-        stored triple, as if each triple were added alone."""
+        term.  An item raises before any of its terms is interned:
+        VariableInData if it holds a `Variable`, TypeError if it is not an
+        IRI, an IRI and a hashable term, UnwritableTerm if `kg.turtle` cannot
+        write a new term of it.  `_add_keys` stores each id tuple as it is
+        made, so on an error those before it are stored and every interned
+        term is in a stored triple, as if each triple were added alone."""
         ids, terms = self._ids, self._terms
         for t in triples:
             try:
@@ -163,9 +185,12 @@ class Graph:
             except (TypeError, ValueError):
                 s = p = o = None
             # A type test, not a lookup, as Iri("x") == Variable("x").
-            if not (type(s) in _TERMS and type(p) in _TERMS and type(o) in _TERMS):
+            if not (type(s) is Iri and type(p) is Iri and type(o) in _TERMS):
                 raise _refusal(t)
             si, pi, oi = ids.get(s), ids.get(p), ids.get(o)
+            if (si is None and not _writable(s) or pi is None and not _writable(p)
+                    or oi is None and not _writable(o)):
+                raise UnwritableTerm("cannot write a term of {!r} in Turtle".format(t))
             if si is None:
                 si = ids[s] = len(terms)
                 terms.append(s)
@@ -279,26 +304,33 @@ class Graph:
         """
         if not patterns:
             raise ValueError("query needs at least one pattern")
+        ids = self._ids
+        names: dict[str, None] = {}  # the variables, in order of first appearance
+        encoded = []
         for pattern in patterns:
             if len(pattern) != 3:
                 raise ValueError("pattern must be a (s, p, o) triple")
-        variables = list(dict.fromkeys(
-            t.name for pattern in patterns for t in pattern if isinstance(t, Variable)
-        ))
-        ids = self._ids
-        solutions = self._join([
-            tuple([t if isinstance(t, Variable) else ids.get(t, _ABSENT) for t in pattern])
-            for pattern in patterns
-        ])
-        if select is not None:
-            variables = [v for v in dict.fromkeys(select) if v in variables]
+            encoded.append(tuple([t if isinstance(t, Variable) else ids.get(t, _ABSENT)
+                                  for t in pattern]))
+            names.update((t.name, None) for t in pattern if isinstance(t, Variable))
+        solutions = self._join(encoded)
+        variables = list(names if select is None
+                         else [v for v in dict.fromkeys(select) if v in names])
+        terms = self._terms
+        if len(variables) == 1:
+            # One column: its terms sort alone, with no ranks or row keys.
+            name = variables[0]
+            column = [b[name] for b in solutions]
+            values = [terms[i] for i in (dict.fromkeys(column) if distinct else column)]
+            if len(values) > 1:
+                values.sort(key=term_key)
+            return [{name: v} for v in values]
         rows = [tuple([b[v] for v in variables]) for b in solutions]
         if distinct:
             rows = list(dict.fromkeys(rows))
         # Every row binds every variable, so rows compare by their values in
         # variable-name order; `term_key` is one total order over all terms,
         # so comparing ranks of ids is comparing terms.
-        terms = self._terms
         if len(rows) > 1:
             used = sorted({i for row in rows for i in row}, key=lambda i: term_key(terms[i]))
             rank = {i: r for r, i in enumerate(used)}

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .. import PlankbError
 from .schema import PLAN_NS, RDF_NS, XSD_NS, XSD_STRING
-from .store import Graph, Iri, Node, TypedLiteral, term_key
+from .store import _IRI_CHAR, _IRIREF_BODY, Graph, Iri, Node, TypedLiteral, term_key
 
 PREFIXES = {
     "plan": PLAN_NS,
@@ -23,12 +23,6 @@ PREFIXES = {
 # A local name that ends in '.' is not a Turtle PN_LOCAL; such IRIs are
 # written in full.
 _SAFE_LOCAL = re.compile(r"^[A-Za-z_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
-# One character of an IRI between '<' and '>': what Turtle's IRIREF allows
-# there (no control character or space), less any other white space.  The
-# tokenizer, the line reader and the writer all use it, so every IRI the
-# reader takes, the writer can write.
-_IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\\s]'
-_IRIREF_BODY = re.compile(_IRI_CHAR + "+")
 
 
 class TurtleSyntaxError(PlankbError):
@@ -63,8 +57,6 @@ def _format_iri(iri: Iri) -> str:
             local = iri.value[len(ns):]
             if _SAFE_LOCAL.match(local):
                 return "{}:{}".format(prefix, local)
-    if not _IRIREF_BODY.fullmatch(iri.value):
-        raise ValueError("cannot write {!r} as a Turtle IRI".format(iri.value))
     return "<{}>".format(iri.value)
 
 
@@ -79,8 +71,7 @@ def _format_term(term: Node) -> str:
 def export_turtle(g: Graph) -> str:
     """One `@prefix` line per namespace, a blank line, then one `S P O .`
     line per triple, ordered by the `term_key`s of its subject, predicate
-    and object.  Raises ValueError on an IRI that Turtle cannot hold (see
-    `plan_iri` for names that always fit)."""
+    and object.  It cannot fail: the graph holds only terms Turtle can write."""
     lines = [
         "@prefix {}: <{}> .".format(p, ns) for p, ns in sorted(PREFIXES.items())
     ]

@@ -254,28 +254,31 @@ def describe_planner(name: str) -> list[tuple]:
 def map_ipc_results(
     rows: Iterable[PlannerRecord], planner_type: str = "optimal"
 ) -> list[tuple]:
-    """The triples of IPC result rows, possibly with repeats: each row
-    types its planner and the requirements again, and the graph keeps one
-    copy."""
+    """The triples of IPC result rows: the planner type, each planner at its
+    first row, the requirements if there is any row, and each row's
+    relevance node, so only rows that repeat a node repeat a triple."""
     # Domain nodes referenced here are deliberately left untyped: IPC result
     # tables name domains whose PDDL may never be ingested, and typing them
     # as PlanningDomain would trip the domain axioms.
     t = SCHEMA.prop
     c = SCHEMA.cls
-    out: list[tuple] = []
     PT = planner_type_iri(planner_type)
-    out.append((PT, RDF_TYPE, c("PlannerType")))
+    requirements = [requirement_iri(req) for req in (":strips", ":typing")]
+    out: list[tuple] = [(PT, RDF_TYPE, c("PlannerType"))]
+    planners: dict[str, Iri] = {}
     for row in rows:
-        PN = planner_iri(row.planner)
-        out += [(PN, RDF_TYPE, c("Planner")), (PN, t("ofPlannerType"), PT)]
-        for req in (":strips", ":typing"):
-            R = requirement_iri(req)
-            out += [(R, RDF_TYPE, c("DomainRequirement")), (PN, t("solvesRequirement"), R)]
+        PN = planners.get(row.planner)
+        if PN is None:
+            PN = planners[row.planner] = planner_iri(row.planner)
+            out += [(PN, RDF_TYPE, c("Planner")), (PN, t("ofPlannerType"), PT)]
+            out += [(PN, t("solvesRequirement"), R) for R in requirements]
         REL = plan_iri("relevance-{}-{}".format(row.planner, row.domain))
         pct, tier = 100.0 * row.solved / row.total, relevance(row.solved, row.total)
         out += [(PN, t("hasRelevance"), REL), (REL, t("hasDomain"), domain_iri(row.domain)),
                 (REL, t("hasSolvedPercentage"), decimal_literal(pct)),
                 (REL, t("hasRelevanceTier"), string_literal(tier))]
+    if planners:
+        out += [(R, RDF_TYPE, c("DomainRequirement")) for R in requirements]
     return out
 
 

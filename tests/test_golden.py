@@ -1,8 +1,9 @@
 """Golden output of the CLI pipeline on the bundled corpus.
 
 For each bundled domain, the commands a user runs (`build-kg --plans`,
-`ingest-ipc`, `mine-macros` as JSON and with `--store`, `augment`, `bench`
-as CSV, and `solve` under every algorithm on every problem) must print and
+`ingest-ipc`, `query` C1–C10 as JSON on the graph those two write,
+`mine-macros` as JSON and with `--store`, `augment`, `bench` as CSV, and
+`solve` under every algorithm on every problem) must print and
 write the same bytes as when the digests below were recorded, under two
 string hash seeds.  A digest covers a command's exit code, stdout, stderr
 and the file it writes; `bench` drops its time column, the one value that
@@ -24,6 +25,8 @@ from pathlib import Path
 from plankb import bundles
 from plankb.bench import ALGORITHMS
 from plankb.cli import main
+from plankb.mapper import COMPETENCY_QUERIES
+from plankb.select import read_ipc_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DOMAINS = ("blocksworld", "driverlog", "gripper")
@@ -33,6 +36,26 @@ GOLDEN = {
         "5976b465c8c6b71a09459b29f681bc74ebf6368572d173b65129481e59703558",
     "blocksworld ingest-ipc":
         "9ab8bdcb211c6f01f0f8389cfae2d1e7bdf7eeb53187569307377cab70407a6d",
+    "blocksworld query C1":
+        "676afc05001a8eba2df5915da457890e76fe2b7ae5e713aa6ba45049e3972559",
+    "blocksworld query C2":
+        "4610ce801b3070372510cc9e88b476aa3860072ba8bcc1612da7883a3d2a5613",
+    "blocksworld query C3":
+        "94f853d5f607fa5150e9afdca076dc507a4a0e17d58afed047bcb26e55955ee3",
+    "blocksworld query C4":
+        "a807b4f9fea80604207c0d87f28baf82152f6c3d507946bbb6076e2249987612",
+    "blocksworld query C5":
+        "a011ea4c7774619d0ff1921f0ebe986dea240823efb14065766b08d46a287b5a",
+    "blocksworld query C6":
+        "2caff16f8a9bc1d3e2c58dfdef401e7fc33a73edb7a3991ea7eee71683de7dcd",
+    "blocksworld query C7":
+        "a3c5f9dc31204c02fe21a1a2f11c5021b1d98aa18a47e197bb57a794d9b296ad",
+    "blocksworld query C8":
+        "4265f142bf0a3127f75d298a166788dc7c9bb6ddff66fc9679541e165f6a6146",
+    "blocksworld query C9":
+        "21c8dd85e7bd577949a028f8f7c31a2471634b64b1a304c95c2214a566c2d993",
+    "blocksworld query C10":
+        "75ff68c0c482943d2debbfedfd9b2811b3ef1d3fe88f9ac93c47027d90945b3d",
     "blocksworld mine-macros json":
         "fafba2833d103ea16ba4de1216a078be1f006868b08ac4d23143589f5bd223e3",
     "blocksworld mine-macros store":
@@ -105,6 +128,26 @@ GOLDEN = {
         "9f1beef50bd19ba55c9f62650980043f64786f4b68224e6702a71f5433224508",
     "driverlog ingest-ipc":
         "b279f81bf9032701352fd2aed54782a31422c8599e54e06833e608f89471d0bc",
+    "driverlog query C1":
+        "676afc05001a8eba2df5915da457890e76fe2b7ae5e713aa6ba45049e3972559",
+    "driverlog query C2":
+        "4610ce801b3070372510cc9e88b476aa3860072ba8bcc1612da7883a3d2a5613",
+    "driverlog query C3":
+        "6f3c3311e353edca35ac1824af86f3cc68f8d6d24cf1dead005392b0ed3bc398",
+    "driverlog query C4":
+        "ab4922a8838443c589d856e7421b8774607254c2b628149a4a8f8af5a192483a",
+    "driverlog query C5":
+        "21c8dd85e7bd577949a028f8f7c31a2471634b64b1a304c95c2214a566c2d993",
+    "driverlog query C6":
+        "217ae3a71b04704deb522fb0609d143dd71029711d6c89d32e3bf8aaafd94ea2",
+    "driverlog query C7":
+        "d577c746ea142402f0bed2e843d9e2ae2344044243b9c2a3d2b81359cb704c55",
+    "driverlog query C8":
+        "4265f142bf0a3127f75d298a166788dc7c9bb6ddff66fc9679541e165f6a6146",
+    "driverlog query C9":
+        "21c8dd85e7bd577949a028f8f7c31a2471634b64b1a304c95c2214a566c2d993",
+    "driverlog query C10":
+        "5f09118ecabf14bbafee06e679995dc1bcd476188d6a973d5614e76600e5ff0c",
     "driverlog mine-macros json":
         "945f9dea92d95f850518b0b15cc3268009067bacb07cc7d891c15f3eb5e19e56",
     "driverlog mine-macros store":
@@ -135,6 +178,26 @@ GOLDEN = {
         "f7bd30c027bb10cfeb684d4a671a4b1e2ffec0fb9ac4751ec82511b63ca9372a",
     "gripper ingest-ipc":
         "115959865b199f68f92b9aae5755cdd423d2c91bcc1caf9f620235d6c3c0917a",
+    "gripper query C1":
+        "676afc05001a8eba2df5915da457890e76fe2b7ae5e713aa6ba45049e3972559",
+    "gripper query C2":
+        "4610ce801b3070372510cc9e88b476aa3860072ba8bcc1612da7883a3d2a5613",
+    "gripper query C3":
+        "1a9c106d2b5a0ae3c9e7bc0151a453f327123dd9486d119b14d3e3cd5d2b0ddd",
+    "gripper query C4":
+        "8444b1260644df8fdb094124e64fb1ea082e03f56a55a7963971416a45782ab1",
+    "gripper query C5":
+        "21c8dd85e7bd577949a028f8f7c31a2471634b64b1a304c95c2214a566c2d993",
+    "gripper query C6":
+        "9f4088ae559a8fa86bb0e731296d12133c2fc136fd31ac0bcb990c746b0a08bd",
+    "gripper query C7":
+        "148b2ae6c015a2ab27e5e1661317dfb83bb03232b28a944bcfafc08ea570c1d8",
+    "gripper query C8":
+        "4265f142bf0a3127f75d298a166788dc7c9bb6ddff66fc9679541e165f6a6146",
+    "gripper query C9":
+        "21c8dd85e7bd577949a028f8f7c31a2471634b64b1a304c95c2214a566c2d993",
+    "gripper query C10":
+        "e152eedd7caf9036f0aa3774db5cd1cbac072b047ed7994e3a2219302ab3b92a",
     "gripper mine-macros json":
         "1ca3d2ad37ae033e238214b6a7de19fce8dc09593bb956663caa3eb8b16316ad",
     "gripper mine-macros store":
@@ -196,6 +259,19 @@ def run_corpus(work: Path) -> dict:
         run(name + " build-kg", ["build-kg", domain, *problems,
                                  "--plans", str(data / "plans" / name), "-o", graph], graph)
         run(name + " ingest-ipc", ["ingest-ipc", str(data / "ipc2011.csv"), "-o", graph], graph)
+        # The query arguments name what the graph holds: the bundle's first
+        # problem, one of its initial facts and the domain's first action,
+        # and the planner and domain of the first IPC row.
+        problem = bundles.load_problems(name)[0]
+        ipc = read_ipc_csv((data / "ipc2011.csv").read_text())[0]
+        args = {"planner": ipc.planner, "domain": name, "problem": problem.name,
+                "fact": min(str(atom) for atom in problem.init),
+                "action": bundles.load_domain(name).actions[0].name}
+        for qid, spec in COMPETENCY_QUERIES.items():
+            # C2 reads a relevance tier, which only the IPC domains have.
+            given = dict(args, domain=ipc.domain) if qid == "C2" else args
+            run("{} query {}".format(name, qid), ["query", graph, "--id", qid, "--format", "json"]
+                + [a for key in spec.parameters for a in ("--arg", "{}={}".format(key, given[key]))])
         mine = ["mine-macros", graph, "--domain", name, "--domain-file", domain]
         report = run(name + " mine-macros json", mine + ["--format", "json"])
         (work / macros).write_text(report)

@@ -13,6 +13,7 @@ from plankb.kg.store import (
     Iri,
     Triple,
     TypedLiteral,
+    UnwritableTerm,
     Variable,
     VariableInData,
     term_key,
@@ -133,11 +134,17 @@ def test_plain_tuples_of_terms_are_members():
     (None, TypeError),
     (5, TypeError),
     (TypedLiteral("1", []), TypeError),
+    (Iri(EX + "a b"), UnwritableTerm),
+    (TypedLiteral("1", EX + "int"), UnwritableTerm),
+    (TypedLiteral(5, iri("int")), UnwritableTerm),
+    (TypedLiteral("1", Iri(EX + "a b")), UnwritableTerm),
 ])
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_refused_triple_leaves_the_graph_unchanged(bad, error, position):
     """A triple with a bad term is refused before any of its new terms is
     interned; the triples before it in the same update are stored."""
+    if position < 2 and type(bad) is TypedLiteral:
+        error = TypeError  # only an IRI is a subject or a predicate
     g = Graph(FAMILY)
     before = (len(g), list(g._terms), export_turtle(g))
     refused = [iri("new-s"), iri("new-p"), iri("new-o")]
@@ -153,7 +160,8 @@ def test_refused_triple_leaves_the_graph_unchanged(bad, error, position):
         len(expected), expected._terms, export_turtle(expected))
 
 
-@pytest.mark.parametrize("item", [(iri("a"), iri("b")), None, iri("a"), "abc"])
+@pytest.mark.parametrize("item", [(iri("a"), iri("b")), None, iri("a"), "abc",
+                                  (lit(1), iri("b"), iri("c")), (iri("a"), lit(1), iri("c"))])
 def test_update_refuses_what_is_not_a_triple(item):
     g = Graph(FAMILY)
     with pytest.raises(TypeError):
@@ -231,14 +239,16 @@ def test_malformed_pattern_rejected_before_any_join():
 _variables = [Variable(v) for v in "xyzw"]
 _subjects_or_vars = st.sampled_from([iri(x) for x in "abcd"] + _variables * 2 + [lit(1)])
 _predicates_or_vars = st.sampled_from([iri("p"), iri("q")] + _variables + [iri("a")])
-_objects_or_vars = st.sampled_from(
-    [iri(x) for x in "abcd"] + [lit(1), lit(2)] + _variables * 2
-)
+# Literals of two datatypes, one lexical form in both, so that results mix
+# IRIs and literals whose order `term_key` sets by kind, then datatype, then
+# lexical form.
+_literals = [lit(1), lit(2), TypedLiteral("1", Iri(XSD_NS + "string"))]
+_objects_or_vars = st.sampled_from([iri(x) for x in "abcd"] + _literals + _variables * 2)
 _bgp_triples = st.builds(
     Triple,
     st.sampled_from([iri(x) for x in "abcd"]),
     st.sampled_from([iri("p"), iri("q")]),
-    st.sampled_from([iri(x) for x in "abcd"] + [lit(1), lit(2)]),
+    st.sampled_from([iri(x) for x in "abcd"] + _literals),
 )
 
 

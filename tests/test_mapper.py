@@ -98,11 +98,13 @@ def test_map_problem_states(bw_graph):
 def test_mapped_repeats_are_stored_once():
     rows = [PlannerRecord("lama", "d1", 3, 4), PlannerRecord("lama", "d2", 1, 4)]
     mapped = map_ipc_results(rows)
-    # Each row types the planner again; the graph keeps one copy.
-    assert len(mapped) > len(set(mapped))
-    g = Graph(mapped)
+    # Two rows of one planner type it once, with the triples of each row.
+    assert len(mapped) == len(set(mapped))
+    assert set(mapped) == set(map_ipc_results(rows[:1])) | set(map_ipc_results(rows[1:]))
+    # The graph keeps one copy of a triple given twice.
+    g = Graph(mapped + mapped)
     assert g.triples() == set(mapped)
-    assert len(g) == len(set(mapped))
+    assert len(g) == len(mapped)
 
 
 def test_plan_iris_content_addressed(bw_bundle):
