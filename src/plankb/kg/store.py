@@ -82,18 +82,24 @@ _TERMS = frozenset({Iri, TypedLiteral})
 
 # One character of an IRI between '<' and '>': what Turtle's IRIREF allows
 # there (no control character or space), less any other white space.  The
-# graph, the Turtle tokenizer and the line reader all test IRIs with it, so
-# every IRI the graph holds or the reader takes, the writer can write.
+# graph and the Turtle reader and tokenizer all test IRIs with it, so every
+# IRI the graph holds or the reader takes, the writer can write.
 _IRI_CHAR = r'[^\x00-\x20<>"{}|^`\\\s]'
 _IRIREF_BODY = re.compile(_IRI_CHAR + "+")
 
 
-def _writable(term: Node) -> bool:
-    """Whether `kg.turtle` can write a term of one of the `_TERMS` types."""
+def _writable(term: Node, datatypes: set) -> bool:
+    """Whether `kg.turtle` can write a term of one of the `_TERMS` types.
+    A datatype found writable joins `datatypes` and is not checked again."""
     if type(term) is Iri:
         value = term.value
         return type(value) is str and _IRIREF_BODY.fullmatch(value) is not None
-    return type(term.lexical) is str and type(term.datatype) is Iri and _writable(term.datatype)
+    dt = term.datatype
+    if type(term.lexical) is not str or type(dt) is not Iri:
+        return False
+    if dt not in datatypes and _writable(dt, datatypes):
+        datatypes.add(dt)
+    return dt in datatypes
 
 
 def _refusal(t) -> Exception:
@@ -179,6 +185,7 @@ class Graph:
         made, so on an error those before it are stored and every interned
         term is in a stored triple, as if each triple were added alone."""
         ids, terms = self._ids, self._terms
+        datatypes: set[Iri] = set()
         for t in triples:
             try:
                 s, p, o = t
@@ -188,8 +195,9 @@ class Graph:
             if not (type(s) is Iri and type(p) is Iri and type(o) in _TERMS):
                 raise _refusal(t)
             si, pi, oi = ids.get(s), ids.get(p), ids.get(o)
-            if (si is None and not _writable(s) or pi is None and not _writable(p)
-                    or oi is None and not _writable(o)):
+            if (si is None and not _writable(s, datatypes)
+                    or pi is None and not _writable(p, datatypes)
+                    or oi is None and not _writable(o, datatypes)):
                 raise UnwritableTerm("cannot write a term of {!r} in Turtle".format(t))
             if si is None:
                 si = ids[s] = len(terms)

@@ -1,17 +1,17 @@
 """Turtle subset: @prefix declarations, prefixed names, plain and typed
 literals, one triple per statement.  No blank nodes or collections.
 
-`import_turtle` reads the exporter's layout, one statement per line, with
-one regex match per line; any other text goes through the tokenizer, which
-also gives every syntax error its line and column."""
+`import_turtle` reads any layout with one regex match per statement and no
+positions; only text it refuses goes through the tokenizer, which gives the
+syntax error its line and column."""
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import NoReturn
 
 from .. import PlankbError
-from .schema import PLAN_NS, RDF_NS, XSD_NS, XSD_STRING
+from .schema import PLAN_NS, RDF_NS, RDF_TYPE, XSD_NS, XSD_STRING
 from .store import _IRI_CHAR, _IRIREF_BODY, Graph, Iri, Node, TypedLiteral, term_key
 
 PREFIXES = {
@@ -109,7 +109,7 @@ _TOKEN = r"""
 
 
 def _tokenize(text: str):
-    # Compiled on first use, as `_STATEMENT` is: most imports never get here.
+    # Compiled on first use: only text that `import_turtle` refuses gets here.
     match = re.compile(_TOKEN, re.VERBOSE).match
     line, col = 1, 1
     pos = 0
@@ -142,17 +142,23 @@ def _tokenize(text: str):
     yield "eof", "", line, col
 
 
-# One line of the exporter's layout: a blank line, an @prefix declaration,
-# or a triple whose terms are separated by blanks.  Each name must be
-# followed by a blank, so the regex cannot end a name earlier than the
-# tokenizer does.
-_IRI = '<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z_][A-Za-z0-9_.-]*'
+# The tokens of `_TOKEN`, cut where the tokenizer cuts them.  A comment
+# ends only at the line end, so that a failed match cannot read on inside it.
+_COMMENT = r'\#[^\r\n]*(?![^\r\n])'
+# Blanks, then blanks and comments only where a '#' follows: a branch that
+# starts with '#' fails faster than a repeat.
+_GAP = r'[ \t\r\n]*(?:' + _COMMENT + r'(?:[ \t\r\n]|' + _COMMENT + ')*|)'
+# An IRI in full or a prefixed name, which ends only where [A-Za-z0-9_.-]
+# stops, or, with no local part, where no local part can start.
+_NAME = (r'<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*:'
+         r'(?:[A-Za-z_][A-Za-z0-9_.-]*(?![A-Za-z0-9_.-])|(?![A-Za-z_]))')
+# Blanks and comments, then an @prefix declaration set apart from its name,
+# a triple with `a` only as its verb, or the end.
 _STATEMENT = (
-    r'(?:@prefix[ \t]+([A-Za-z_][A-Za-z0-9_.-]*):[ \t]+<(' + _IRI_CHAR + r'*)>'
-    r'|(' + _IRI + r')[ \t]+(' + _IRI + r')[ \t]+'
-    r'(?:(' + _IRI + r')|("(?:[^"\\\r\n]|\\[^\r\n])*")(?:\^\^(' + _IRI + r'))?))'
-    r'[ \t]+\.[ \t]*(?:\r\n?|\n|\Z)'
-    r'|[ \t]*(?:\r\n?|\n|\Z)'
+    _GAP + r'(?:(?:@prefix(?=[ \t\r\n#])' + _GAP + r'([A-Za-z_][A-Za-z0-9_.-]*):'
+    + _GAP + '<(' + _IRI_CHAR + r'*)>|(' + _NAME + ')' + _GAP + '(' + _NAME + r'|a(?=\s))'
+    + _GAP + '(?:(' + _NAME + r')|"([^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*)"'
+    r'(?:' + _GAP + r'\^\^' + _GAP + '(' + _NAME + '))?))' + _GAP + r'\.(?=\s|\Z)|\Z)'
 )
 
 
@@ -160,16 +166,9 @@ def import_turtle(text: str) -> Graph:
     """Parse the Turtle subset into a new graph.
 
     Raises TurtleSyntaxError, with the line and column, on text outside the
-    subset or a prefixed name whose prefix is not declared before it.
+    subset, a prefixed name whose prefix is not declared before it, or a
+    name for an empty IRI.
     """
-    g = _import_lines(text)
-    return _import_tokens(text) if g is None else g
-
-
-def _import_lines(text: str) -> Optional[Graph]:
-    """The graph of text in the exporter's layout, or None for any other
-    text, which `_import_tokens` then parses.  Accepts only text that
-    `_import_tokens` reads to the same graph."""
     g = Graph()
     intern = g._intern
     prefixes: dict[str, str] = {}
@@ -179,18 +178,16 @@ def _import_lines(text: str) -> Optional[Graph]:
     literals: dict[tuple, int] = {}
     keys = []
 
-    def resolve(name: str) -> Optional[Iri]:
+    def resolve(name: str) -> Iri:
         if name[0] == "<":
             return Iri(name[1:-1])
+        if name == "a":
+            return RDF_TYPE
         prefix, _, local = name.partition(":")
         ns = prefixes.get(prefix)
-        return None if ns is None else Iri(ns + local)
-
-    def iri(name: str) -> Optional[int]:
-        found = resolve(name)
-        if found is not None:
-            found = iris[name] = intern(found)
-        return found
+        if ns is None or not ns + local:
+            _locate_error(text)
+        return Iri(ns + local)
 
     # Compiled on first use and then taken from re's cache, so that a CLI
     # command that reads no Turtle does not pay for it.
@@ -199,7 +196,7 @@ def _import_lines(text: str) -> Optional[Graph]:
     while pos < end:
         m = match(text, pos)
         if m is None:
-            return None
+            _locate_error(text)
         pos = m.end()
         prefix, ns, s, p, o, lexical, dt = m.groups()
         if s is None:
@@ -211,85 +208,79 @@ def _import_lines(text: str) -> Optional[Graph]:
             continue
         subject = iris.get(s)
         if subject is None:
-            subject = iri(s)
+            subject = iris[s] = intern(resolve(s))
         predicate = iris.get(p)
         if predicate is None:
-            predicate = iri(p)
+            predicate = iris[p] = intern(resolve(p))
         if o is not None:
             obj = iris.get(o)
             if obj is None:
-                obj = iri(o)
+                obj = iris[o] = intern(resolve(o))
         else:
             obj = literals.get((lexical, dt))
             if obj is None:
                 datatype = XSD_STRING if dt is None else resolve(dt)
-                if datatype is None:
-                    return None
-                obj = literals[lexical, dt] = intern(
-                    TypedLiteral(_unescape(lexical[1:-1]), datatype))
-        if subject is None or predicate is None or obj is None:
-            return None
+                obj = literals[lexical, dt] = intern(TypedLiteral(_unescape(lexical), datatype))
         keys.append((subject, predicate, obj))
     g._add_keys(keys)
     return g
 
 
-def _import_tokens(text: str) -> Graph:
-    triples: list[tuple] = []
-    prefixes: dict[str, str] = {}
-    rdf_type = Iri(RDF_NS + "type")
+def _locate_error(text: str) -> NoReturn:
+    """Raise the TurtleSyntaxError of text that `import_turtle` refused, at
+    the first token that breaks the subset or holds a name that does not
+    resolve.  It reads no term; a tokenizer error comes first."""
     tokens = list(_tokenize(text))
+    prefixes: dict[str, str] = {}
     i = 0
 
-    def iri(kind: str, value: str, line: int, col: int) -> Iri:
-        if kind == "iriref":
-            full = value[1:-1]
-        else:
-            prefix, _, local = value.partition(":")
-            if prefix not in prefixes:
-                raise TurtleSyntaxError("undeclared prefix '{}'".format(prefix), line, col)
-            full = prefixes[prefix] + local
-        if not full:
-            raise TurtleSyntaxError("empty IRI", line, col)
-        return Iri(full)
-
-    def term_at(j: int) -> tuple[Node, int]:
+    def term_at(j: int) -> tuple[str, int]:
+        """The kind of the term at token `j` ("iri", "a" or "literal") and
+        the index after it; raises on a name that does not resolve."""
         kind, value, line, col = tokens[j]
         if kind == "iriref" or kind == "pname":
-            return iri(kind, value, line, col), j + 1
+            full = value[1:-1]
+            if kind == "pname":
+                prefix, _, local = value.partition(":")
+                if prefix not in prefixes:
+                    raise TurtleSyntaxError("undeclared prefix '{}'".format(prefix), line, col)
+                full = prefixes[prefix] + local
+            if not full:
+                raise TurtleSyntaxError("empty IRI", line, col)
+            return "iri", j + 1
         if kind == "kw_a":
-            return rdf_type, j + 1
+            return "a", j + 1
         if kind == "literal":
-            lexical = _unescape(value[1:-1])
-            if j + 1 < len(tokens) and tokens[j + 1][0] == "dcaret":
-                dt_kind, dt_value, dt_line, dt_col = tokens[j + 2]
-                if dt_kind != "iriref" and dt_kind != "pname":
-                    raise TurtleSyntaxError("expected datatype IRI", dt_line, dt_col)
-                return TypedLiteral(lexical, iri(*tokens[j + 2])), j + 3
-            return TypedLiteral(lexical, XSD_STRING), j + 1
+            if tokens[j + 1][0] != "dcaret":
+                return "literal", j + 1
+            if tokens[j + 2][0] != "iriref" and tokens[j + 2][0] != "pname":
+                raise TurtleSyntaxError("expected datatype IRI", *tokens[j + 2][2:])
+            return "literal", term_at(j + 2)[1]
         raise TurtleSyntaxError("expected an IRI or literal", line, col)
 
     while tokens[i][0] != "eof":
-        kind, value, line, col = tokens[i]
+        kind, _, line, col = tokens[i]
         if kind == "prefixdecl":
-            if tokens[i + 1][0] != "pname" or tokens[i + 2][0] != "iriref":
+            # The name must be apart from "@prefix" and end in ':'.
+            name_kind, name, name_line, name_col = tokens[i + 1]
+            if (name_kind != "pname" or name[-1] != ":" or (name_line, name_col) == (line, col + 7)
+                    or tokens[i + 2][0] != "iriref"):
                 raise TurtleSyntaxError("malformed @prefix declaration", line, col)
-            prefix = tokens[i + 1][1].rstrip(":")
-            prefixes[prefix] = tokens[i + 2][1][1:-1]
+            prefixes[name[:-1]] = tokens[i + 2][1][1:-1]
             if tokens[i + 3][0] != "dot":
                 raise TurtleSyntaxError("expected '.' after @prefix", line, col)
             i += 4
             continue
         subject, i = term_at(i)
-        if not isinstance(subject, Iri):
+        if subject != "iri":
             raise TurtleSyntaxError("subject must be an IRI", line, col)
         predicate, i = term_at(i)
-        if not isinstance(predicate, Iri):
+        if predicate == "literal":
             raise TurtleSyntaxError("predicate must be an IRI", line, col)
-        obj, i = term_at(i)
-        kind, _, line, col = tokens[i]
-        if kind != "dot":
-            raise TurtleSyntaxError("expected '.' after triple", line, col)
-        i += 1
-        triples.append((subject, predicate, obj))
-    return Graph(triples)
+        obj, j = term_at(i)
+        if obj == "a":
+            raise TurtleSyntaxError("expected an IRI or literal", *tokens[i][2:])
+        if tokens[j][0] != "dot":
+            raise TurtleSyntaxError("expected '.' after triple", *tokens[j][2:])
+        i = j + 1
+    raise AssertionError("import_turtle refused Turtle that its tokenizer reads")

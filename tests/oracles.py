@@ -1,20 +1,22 @@
 """Reference semantics that only the tests use: a checked transition,
 state-space enumeration, goal checks, the plan text writer, grounding by
-substitution into plain records, a triple-by-triple Turtle writer,
+substitution into plain records, a triple-by-triple Turtle writer, a
+Turtle reader that builds its triples from the tokenizer's tokens,
 planner selection with one query per candidate and plan steps read with one
 five-pattern query.  They share no code with
 `plankb.semantics` beyond `applicable`, so the grounder and the search are
 checked against an independent construction.  The Turtle writer shares only
 the term formatting of `plankb.kg.turtle`, so it checks the exporter's
-order, not its escaping."""
+order, not its escaping; the Turtle reader shares its tokenizer and
+unescaping, so it checks the grammar and the graph of `import_turtle`."""
 
 import itertools
 import math
 from typing import NamedTuple
 
-from plankb.kg.schema import SCHEMA
-from plankb.kg.store import TypedLiteral, Variable, term_key
-from plankb.kg.turtle import PREFIXES, _format_term
+from plankb.kg.schema import RDF_NS, SCHEMA, XSD_STRING
+from plankb.kg.store import Graph, Iri, Node, TypedLiteral, Variable, term_key
+from plankb.kg.turtle import PREFIXES, TurtleSyntaxError, _format_term, _tokenize, _unescape
 from plankb.mapper import MappingError
 from plankb.select import InvalidRecord, NoCandidates, NoDataForDomain, SelectionOutcome
 from plankb.semantics import applicable
@@ -156,6 +158,74 @@ def reference_export(g):
         lines.append("{} {} {} .".format(
             _format_term(t.subject), _format_term(t.predicate), _format_term(t.object)))
     return "\n".join(lines) + "\n"
+
+
+def reference_import_turtle(text: str) -> Graph:
+    """The graph `import_turtle` must read, built from the tokens of the
+    whole text, or the TurtleSyntaxError it must raise."""
+    triples: list[tuple] = []
+    prefixes: dict[str, str] = {}
+    rdf_type = Iri(RDF_NS + "type")
+    tokens = list(_tokenize(text))
+    i = 0
+
+    def iri(kind: str, value: str, line: int, col: int) -> Iri:
+        if kind == "iriref":
+            full = value[1:-1]
+        else:
+            prefix, _, local = value.partition(":")
+            if prefix not in prefixes:
+                raise TurtleSyntaxError("undeclared prefix '{}'".format(prefix), line, col)
+            full = prefixes[prefix] + local
+        if not full:
+            raise TurtleSyntaxError("empty IRI", line, col)
+        return Iri(full)
+
+    def term_at(j: int) -> tuple[Node, int]:
+        kind, value, line, col = tokens[j]
+        if kind == "iriref" or kind == "pname":
+            return iri(kind, value, line, col), j + 1
+        if kind == "kw_a":
+            return rdf_type, j + 1
+        if kind == "literal":
+            lexical = _unescape(value[1:-1])
+            if j + 1 < len(tokens) and tokens[j + 1][0] == "dcaret":
+                dt_kind, dt_value, dt_line, dt_col = tokens[j + 2]
+                if dt_kind != "iriref" and dt_kind != "pname":
+                    raise TurtleSyntaxError("expected datatype IRI", dt_line, dt_col)
+                return TypedLiteral(lexical, iri(*tokens[j + 2])), j + 3
+            return TypedLiteral(lexical, XSD_STRING), j + 1
+        raise TurtleSyntaxError("expected an IRI or literal", line, col)
+
+    while tokens[i][0] != "eof":
+        kind, value, line, col = tokens[i]
+        if kind == "prefixdecl":
+            # The declared name ends in ':' and does not touch "@prefix".
+            if (tokens[i + 1][0] != "pname" or tokens[i + 2][0] != "iriref"
+                    or not tokens[i + 1][1].endswith(":") or tokens[i + 1][2:] == (line, col + 7)):
+                raise TurtleSyntaxError("malformed @prefix declaration", line, col)
+            prefix = tokens[i + 1][1].rstrip(":")
+            prefixes[prefix] = tokens[i + 2][1][1:-1]
+            if tokens[i + 3][0] != "dot":
+                raise TurtleSyntaxError("expected '.' after @prefix", line, col)
+            i += 4
+            continue
+        subject, i = term_at(i)
+        # `a` is rdf:type only as the verb.
+        if not isinstance(subject, Iri) or kind == "kw_a":
+            raise TurtleSyntaxError("subject must be an IRI", line, col)
+        predicate, i = term_at(i)
+        if not isinstance(predicate, Iri):
+            raise TurtleSyntaxError("predicate must be an IRI", line, col)
+        if tokens[i][0] == "kw_a":
+            raise TurtleSyntaxError("expected an IRI or literal", *tokens[i][2:])
+        obj, i = term_at(i)
+        kind, _, line, col = tokens[i]
+        if kind != "dot":
+            raise TurtleSyntaxError("expected '.' after triple", line, col)
+        i += 1
+        triples.append((subject, predicate, obj))
+    return Graph(triples)
 
 
 def solved_percentage(g, domain, planner):

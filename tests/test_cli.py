@@ -360,6 +360,7 @@ SELECT = ["select-planner", "bad.ttl", "--domain", "elevators", "--policy", "ont
     (["query", "g.ttl", "--id", "C1"], {"g.ttl": "<> <{0}p> <{0}o> .\n".format(EX)}, 1),
     (["query", "g.ttl", "--id", "C1"],
      {"g.ttl": "@prefix p: <> .\np: <{0}p> <{0}o> .\n".format(EX)}, 1),
+    (["query", "g.ttl", "--id", "C1"], {"g.ttl": "@prefix p: <> .\np: <x> <y> .\n"}, 1),
     (["ingest-ipc", data("ipc2011.csv"), "-o", "g.ttl"],
      {"g.ttl": "<{0}\x01> <{0}p> <{0}o> .\n".format(EX)}, 1),
     (["parse", "d.pddl"], {"d.pddl": b"(define (domain \xff))"}, 1),
