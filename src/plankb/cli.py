@@ -18,7 +18,7 @@ from .kg.turtle import export_turtle, import_turtle
 from .macros import (
     MacroSchema,
     augment_domain,
-    compose,
+    compose_chained,
     dump_report,
     load_report,
     mine_pairs,
@@ -157,8 +157,7 @@ def cmd_select_planner(args) -> int:
 def _load_macros(domain, path: str) -> list[MacroSchema]:
     """The chainable pairs of a mine-macros JSON report, composed."""
     pairs = load_report(read_input(_resolve(path)), path)
-    macros = [compose(domain, p) for p in pairs]
-    return [m for m in macros if m is not None]
+    return [m for _, m in compose_chained(domain, pairs)]
 
 
 def cmd_mine_macros(args) -> int:
@@ -168,10 +167,10 @@ def cmd_mine_macros(args) -> int:
     pairs = mine_pairs(g, domain_iri(args.domain))
     if args.domain_file:
         domain = parse_domain(read_input(_resolve(args.domain_file)))
-        macros = [compose(domain, p) for p in pairs]
-        pairs = [p for p, m in zip(pairs, macros) if m is not None]
+        chained = compose_chained(domain, pairs)
+        pairs = [p for p, _ in chained]
         if args.store:
-            store_macros(g, domain_iri(args.domain), [m for m in macros if m is not None])
+            store_macros(g, domain_iri(args.domain), [m for _, m in chained])
             _save_graph(g, args.graph)
     if args.format == "json":
         print(dump_report(pairs))

@@ -274,9 +274,10 @@ def _locate_error(text: str) -> NoReturn:
         subject, i = term_at(i)
         if subject != "iri":
             raise TurtleSyntaxError("subject must be an IRI", line, col)
+        at = tokens[i][2:]
         predicate, i = term_at(i)
         if predicate == "literal":
-            raise TurtleSyntaxError("predicate must be an IRI", line, col)
+            raise TurtleSyntaxError("predicate must be an IRI", *at)
         obj, j = term_at(i)
         if obj == "a":
             raise TurtleSyntaxError("expected an IRI or literal", *tokens[i][2:])

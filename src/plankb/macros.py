@@ -272,17 +272,23 @@ def chain_filter(d: DomainDef, p: LiftedPair) -> bool:
     return compose(d, p) is not None
 
 
+def compose_chained(
+    d: DomainDef, pairs: Iterable[LiftedPair]
+) -> list[tuple[LiftedPair, MacroSchema]]:
+    """Each pair that chains in `d`, with its macro, in the order given; each
+    pair is unified once.  Raises UnknownSchema on a pair that names an
+    action `d` lacks or whose pattern does not fit the arities, and
+    TypeConflict on one whose shared slots have unrelated types: such a pair
+    shows that `d` is not the domain the pairs were mined in."""
+    return [(p, m) for p in pairs if (m := compose(d, p)) is not None]
+
+
 def mine_macros(g: Graph, d: DomainDef, domain: Iri) -> list[MacroSchema]:
-    """Mine and compose, keeping the mined ranking of the pairs that chain."""
-    macros = []
-    for pair in mine_pairs(g, domain):
-        try:
-            macro = compose(d, pair)
-        except (UnknownSchema, TypeConflict):
-            continue
-        if macro is not None:
-            macros.append(macro)
-    return macros
+    """The macros of the mined pairs that chain in `d`, in the mined
+    ranking.  A pair that `d` cannot compose raises UnknownSchema or
+    TypeConflict (see `compose_chained`), the error that `mine-macros
+    --domain-file` reports."""
+    return [m for _, m in compose_chained(d, mine_pairs(g, domain))]
 
 
 def augment_domain(d: DomainDef, macros: Iterable[MacroSchema], k: int) -> DomainDef:

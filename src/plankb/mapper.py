@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import PlankbError
 from .kg.schema import (
@@ -286,99 +286,72 @@ def map_ipc_results(
 
 
 class CompetencyQuery(NamedTuple):
+    """A named query: `patterns` maps its arguments, in `parameters` order,
+    to triple patterns whose rows hold the `select` variables, once each when
+    `distinct`; a `count` query returns the number of rows."""
+
     id: str
     parameters: tuple[str, ...]
     description: str
+    patterns: Callable[..., list]
+    select: tuple[str, ...]
+    distinct: bool = False
     count: bool = False
 
 
-COMPETENCY_QUERIES: dict[str, CompetencyQuery] = {
-    q.id: q
-    for q in (
-        CompetencyQuery("C1", (), "distinct planner types in use"),
-        CompetencyQuery("C2", ("planner", "domain"),
-                        "relevance tier of a planner for a domain"),
-        CompetencyQuery("C3", ("domain",), "actions of a domain"),
-        CompetencyQuery("C4", ("domain", "fact"),
-                        "problems whose initial state contains a fact"),
-        CompetencyQuery("C5", ("domain",), "requirements of a domain"),
-        CompetencyQuery("C6", ("domain", "problem"),
-                        "plan costs recorded for a problem"),
-        CompetencyQuery("C7", ("domain", "action"),
-                        "number of parameters of an action", count=True),
-        CompetencyQuery("C8", ("planner",), "type of a planner"),
-        CompetencyQuery("C9", ("planner",), "requirements a planner supports"),
-        CompetencyQuery("C10", ("domain",), "distinct parameter types of a domain"),
-    )
-}
+_p, _c, _v = SCHEMA.prop, SCHEMA.cls, Variable
+
+COMPETENCY_QUERIES: dict[str, CompetencyQuery] = {q.id: q for q in (
+    CompetencyQuery("C1", (), "distinct planner types in use",
+                    lambda: [(_v("t"), RDF_TYPE, _c("PlannerType"))], ("t",), distinct=True),
+    CompetencyQuery("C2", ("planner", "domain"), "relevance tier of a planner for a domain",
+                    lambda planner, domain: [
+                        (planner_iri(planner), _p("hasRelevance"), _v("r")),
+                        (_v("r"), _p("hasDomain"), domain_iri(domain)),
+                        (_v("r"), _p("hasRelevanceTier"), _v("tier"))],
+                    ("tier",), distinct=True),
+    CompetencyQuery("C3", ("domain",), "actions of a domain",
+                    lambda domain: [(domain_iri(domain), _p("hasAction"), _v("a"))], ("a",)),
+    CompetencyQuery("C4", ("domain", "fact"), "problems whose initial state contains a fact",
+                    lambda domain, fact: [
+                        (domain_iri(domain), _p("hasProblem"), _v("p")),
+                        (_v("p"), _p("hasInitialState"), _v("s")),
+                        (_v("s"), _p("hasStateFact"), string_literal(fact))],
+                    ("p",), distinct=True),
+    CompetencyQuery("C5", ("domain",), "requirements of a domain",
+                    lambda domain: [(domain_iri(domain), _p("hasRequirement"), _v("r"))],
+                    ("r",)),
+    CompetencyQuery("C6", ("domain", "problem"), "plan costs recorded for a problem",
+                    lambda domain, problem: [
+                        (problem_iri(domain, problem), _p("hasPlan"), _v("pl")),
+                        (_v("pl"), _p("hasPlanCost"), _v("cost"))],
+                    ("pl", "cost")),
+    CompetencyQuery("C7", ("domain", "action"), "number of parameters of an action",
+                    lambda domain, action: [
+                        (action_iri(domain, action), _p("hasParameter"), _v("p"))],
+                    ("p",), distinct=True, count=True),
+    CompetencyQuery("C8", ("planner",), "type of a planner",
+                    lambda planner: [(planner_iri(planner), _p("ofPlannerType"), _v("t"))],
+                    ("t",)),
+    CompetencyQuery("C9", ("planner",), "requirements a planner supports",
+                    lambda planner: [(planner_iri(planner), _p("solvesRequirement"), _v("r"))],
+                    ("r",)),
+    CompetencyQuery("C10", ("domain",), "distinct parameter types of a domain",
+                    lambda domain: [(domain_iri(domain), _p("hasParameterType"), _v("t"))],
+                    ("t",), distinct=True),
+)}
 
 
-def competency_patterns(qid: str, args: dict[str, str]) -> tuple[list, list[str], bool]:
-    """Build (patterns, selected variables, distinct) for a query id."""
-    t = SCHEMA.prop
-    c = SCHEMA.cls
-    v = Variable
+def competency_patterns(qid: str, args: dict[str, str]) -> tuple[list, tuple[str, ...], bool]:
+    """(patterns, selected variables, distinct) of a query and its arguments.
+    Raises UnknownQueryId on an unknown id or an argument that is missing."""
     spec = COMPETENCY_QUERIES.get(qid)
     if spec is None:
         raise UnknownQueryId("no competency query '{}'".format(qid))
     missing = [p for p in spec.parameters if p not in args]
     if missing:
-        raise UnknownQueryId(
-            "query {} needs arguments: {}".format(qid, ", ".join(missing))
-        )
-
-    if qid == "C1":
-        return [(v("t"), RDF_TYPE, c("PlannerType"))], ["t"], True
-    if qid == "C2":
-        return (
-            [
-                (planner_iri(args["planner"]), t("hasRelevance"), v("r")),
-                (v("r"), t("hasDomain"), domain_iri(args["domain"])),
-                (v("r"), t("hasRelevanceTier"), v("tier")),
-            ],
-            ["tier"],
-            True,
-        )
-    if qid == "C3":
-        return [(domain_iri(args["domain"]), t("hasAction"), v("a"))], ["a"], False
-    if qid == "C4":
-        return (
-            [
-                (domain_iri(args["domain"]), t("hasProblem"), v("p")),
-                (v("p"), t("hasInitialState"), v("s")),
-                (v("s"), t("hasStateFact"), string_literal(args["fact"])),
-            ],
-            ["p"],
-            True,
-        )
-    if qid == "C5":
-        return [(domain_iri(args["domain"]), t("hasRequirement"), v("r"))], ["r"], False
-    if qid == "C6":
-        return (
-            [
-                (problem_iri(args["domain"], args["problem"]), t("hasPlan"), v("pl")),
-                (v("pl"), t("hasPlanCost"), v("cost")),
-            ],
-            ["pl", "cost"],
-            False,
-        )
-    if qid == "C7":
-        return (
-            [(action_iri(args["domain"], args["action"]), t("hasParameter"), v("p"))],
-            ["p"],
-            True,
-        )
-    if qid == "C8":
-        return [(planner_iri(args["planner"]), t("ofPlannerType"), v("t"))], ["t"], False
-    if qid == "C9":
-        return [(planner_iri(args["planner"]), t("solvesRequirement"), v("r"))], ["r"], False
-    if qid == "C10":
-        return (
-            [(domain_iri(args["domain"]), t("hasParameterType"), v("t"))],
-            ["t"],
-            True,
-        )
-    raise UnknownQueryId(qid)
+        raise UnknownQueryId("query {} needs arguments: {}".format(qid, ", ".join(missing)))
+    return spec.patterns(*[args[p] for p in spec.parameters]), spec.select, spec.distinct
 
 
 def run_competency(g: Graph, qid: str, args: Optional[dict[str, str]] = None):
@@ -388,9 +361,8 @@ def run_competency(g: Graph, qid: str, args: Optional[dict[str, str]] = None):
     engine's deterministic order.
     """
     patterns, select, distinct = competency_patterns(qid, args or {})
-    if COMPETENCY_QUERIES[qid].count:
-        return len(g.query(patterns, select=select, distinct=distinct))
-    return g.query(patterns, select=select, distinct=distinct)
+    rows = g.query(patterns, select=select, distinct=distinct)
+    return len(rows) if COMPETENCY_QUERIES[qid].count else rows
 
 
 # --- bundles ---------------------------------------------------------------

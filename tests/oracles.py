@@ -214,9 +214,10 @@ def reference_import_turtle(text: str) -> Graph:
         # `a` is rdf:type only as the verb.
         if not isinstance(subject, Iri) or kind == "kw_a":
             raise TurtleSyntaxError("subject must be an IRI", line, col)
+        at = tokens[i][2:]
         predicate, i = term_at(i)
         if not isinstance(predicate, Iri):
-            raise TurtleSyntaxError("predicate must be an IRI", line, col)
+            raise TurtleSyntaxError("predicate must be an IRI", *at)
         if tokens[i][0] == "kw_a":
             raise TurtleSyntaxError("expected an IRI or literal", *tokens[i][2:])
         obj, i = term_at(i)

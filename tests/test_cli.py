@@ -15,6 +15,7 @@ from plankb.cli import main
 from plankb.kg.turtle import import_turtle
 from plankb.mapper import COMPETENCY_QUERIES
 from plankb.pddl.parser import parse_domain
+from test_macros import CLASHING_TYPES_DOMAIN
 
 
 def data(name):
@@ -223,6 +224,20 @@ def test_store_flag_persists_macros(bw_ttl, capsys):
     assert g.objects(domain_iri("blocksworld"), SCHEMA.prop("hasMacro"))
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["query", "bw.ttl", "--id", "C3"], "query C3 needs arguments: domain"),
+    (["mine-macros", "bw.ttl", "--domain", "blocksworld",
+      "--domain-file", data("domains/gripper.pddl")],
+     "action 'pick-up' not in domain 'gripper'"),
+    (["mine-macros", "bw.ttl", "--domain", "blocksworld", "--domain-file", "typed.pddl"],
+     "cannot unify types 'block' and 'ball' in pair pick-up*stack"),
+])
+def test_refused_command_prints_the_error(bw_ttl, workspace, capsys, argv, message):
+    (workspace / "typed.pddl").write_text(CLASHING_TYPES_DOMAIN)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: {}\n".format(message)
+
+
 def test_mine_macros_and_augment_unify_each_pair_once(bw_ttl, workspace, capsys,
                                                      monkeypatch):
     from plankb import macros
@@ -352,6 +367,7 @@ SELECT = ["select-planner", "bad.ttl", "--domain", "elevators", "--policy", "ont
       "-o", "out.pddl"], {"m.json": macro_report([0, 0, 1], frequency=-2)}, 1),
     (["build-kg", BW_DOMAIN, BW_PROBLEM, "--plans", "plans", "-o", "out.ttl"],
      {"plans/bw-p01.bfs.plan": "(fly a)\n"}, 1),
+    (["query", "bw.ttl", "--id", "C3"], {}, 1),
     (["query", "bw.ttl", "--id", "C1", "--arg", "domain=nosuch"], {}, 2),
     (["query", "bw.ttl", "--id", "C2", "--arg", "planner=x", "--arg", "domain=y",
       "--arg", "extra=z"], {}, 2),

@@ -15,6 +15,7 @@ from plankb.kg.store import Graph, TypedLiteral, Variable
 from plankb.macros import (
     LiftedPair,
     NoPlansForDomain,
+    TypeConflict,
     UnknownSchema,
     augment_domain,
     chain_filter,
@@ -30,6 +31,7 @@ from plankb.macros import (
 )
 from plankb.mapper import MappingError, action_iri, domain_iri
 from plankb.pddl.ast import Atom, Literal
+from plankb.pddl.parser import parse_domain
 from plankb.semantics import applicable, ground
 
 from oracles import apply_action, instantiate, reachable_states, reference_plan_steps
@@ -393,6 +395,31 @@ def test_mine_macros_unifies_each_pair_once(bw_graph, monkeypatch):
     assert unified == pairs
     assert [(m.first, m.second) for m in mined] == [
         (p.first, p.second) for p in pairs if chain_filter(d, p)]
+
+
+# Blocksworld with typed parameters, where stack takes a ball on a block.
+CLASHING_TYPES_DOMAIN = """(define (domain blocksworld)
+  (:requirements :strips :typing)
+  (:types block ball)
+  (:predicates (on ?x ?y) (ontable ?x) (clear ?x) (handempty) (holding ?x))
+  (:action pick-up :parameters (?x - block) :precondition (clear ?x) :effect (holding ?x))
+  (:action put-down :parameters (?x - block) :precondition (holding ?x) :effect (ontable ?x))
+  (:action stack :parameters (?x - ball ?y - block) :precondition (holding ?x)
+    :effect (on ?x ?y))
+  (:action unstack :parameters (?x - block ?y - block) :precondition (on ?x ?y)
+    :effect (holding ?x)))
+"""
+
+
+def test_mine_macros_refuses_pairs_the_domain_cannot_compose(bw_graph):
+    # A blocksworld graph read against another domain is an error, not an
+    # empty list, as it is for `mine-macros --domain-file`.
+    with pytest.raises(UnknownSchema) as err:
+        mine_macros(bw_graph, bundles.load_domain("gripper"), domain_iri("blocksworld"))
+    assert str(err.value) == "action 'pick-up' not in domain 'gripper'"
+    with pytest.raises(TypeConflict) as err:
+        mine_macros(bw_graph, parse_domain(CLASHING_TYPES_DOMAIN), domain_iri("blocksworld"))
+    assert str(err.value) == "cannot unify types 'block' and 'ball' in pair pick-up*stack"
 
 
 # --- injection and storage --------------------------------------------------

@@ -1,5 +1,7 @@
 """PDDL-to-graph mapping and the competency queries."""
 
+import inspect
+
 import pytest
 
 from plankb import bundles
@@ -124,10 +126,16 @@ def test_registry_covers_c1_to_c10():
 
 
 def test_missing_argument_rejected():
-    with pytest.raises(UnknownQueryId):
-        competency_patterns("C3", {})
-    with pytest.raises(UnknownQueryId):
-        competency_patterns("C99", {})
+    # Missing arguments are named in the order of the query's parameters.
+    for qid, args, message in [
+        ("C99", {}, "no competency query 'C99'"),
+        ("C3", {}, "query C3 needs arguments: domain"),
+        ("C2", {}, "query C2 needs arguments: planner, domain"),
+        ("C2", {"domain": "blocksworld"}, "query C2 needs arguments: planner"),
+    ]:
+        with pytest.raises(UnknownQueryId) as err:
+            competency_patterns(qid, args)
+        assert str(err.value) == message
 
 
 def run_oracle(g, qid, args):
@@ -150,6 +158,18 @@ GOLDEN_ARGS = {
     "C9": {"planner": "bfs"},
     "C10": {"domain": "blocksworld"},
 }
+
+
+@pytest.mark.parametrize("qid", sorted(COMPETENCY_QUERIES))
+def test_query_entry_is_consistent(qid):
+    """An entry's patterns take exactly its parameters, and each selected
+    name is a variable of the patterns they give."""
+    spec = COMPETENCY_QUERIES[qid]
+    assert tuple(inspect.signature(spec.patterns).parameters) == spec.parameters
+    assert tuple(GOLDEN_ARGS[qid]) == spec.parameters
+    patterns = spec.patterns(*GOLDEN_ARGS[qid].values())
+    variables = {t.name for pattern in patterns for t in pattern if isinstance(t, Variable)}
+    assert spec.select and set(spec.select) <= variables
 
 
 @pytest.mark.parametrize("qid", sorted(GOLDEN_ARGS))

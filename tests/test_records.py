@@ -123,10 +123,12 @@ RECORDS = {
         "atoms=(('clear', (0,)),), ends=(1, 1, 1))",
     ),
     "CompetencyQuery": (
+        # A lambda's repr holds its address; a class's does not.
         CompetencyQuery("C7", ("domain", "action"), "number of parameters of an action",
-                        count=True),
+                        tuple, ("p",), distinct=True, count=True),
         "CompetencyQuery(id='C7', parameters=('domain', 'action'), "
-        "description='number of parameters of an action', count=True)",
+        "description='number of parameters of an action', patterns=<class 'tuple'>, "
+        "select=('p',), distinct=True, count=True)",
     ),
     "PlanEntry": (
         PlanEntry("p01", "bfs", Plan(())),

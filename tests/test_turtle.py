@@ -186,7 +186,7 @@ _REFUSED = [
     ("@prefix p: <x> .\n<s> <p> q:o .", "2:9: undeclared prefix 'q'"),
     ('<s> <p> "v"^^"w" .', "1:14: expected datatype IRI"),
     ("<s> <p> <o> . <s> .", "1:19: expected an IRI or literal"),
-    ('<s> "p" <o> .', "1:1: predicate must be an IRI"),
+    ('<s> "p" <o> .', "1:5: predicate must be an IRI"),
     ("<s> <p> <o> <q> .", "1:13: expected '.' after triple"),
     ("@prefix p: <x>", "1:1: expected '.' after @prefix"),
 ]
