@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import heapq
 import time
 from collections import Counter, deque
 from functools import reduce
-from itertools import chain, count, filterfalse, repeat
-from operator import and_, invert, or_
+from itertools import chain, repeat
+from operator import and_, invert, itemgetter, or_
 from typing import Iterable, NamedTuple, Optional
 
 from .macros import MacroSchema, augment_domain
@@ -50,7 +49,7 @@ class SearchStats(NamedTuple):
     status: str = "solved"  # "solved" | "exhausted" | "limit"
 
 
-#: One compiled action: (grounding index, pre, neg, keep, add) masks.
+#: One compiled action: (grounding index, pre | neg, pre, keep, add) masks.
 Op = tuple[int, int, int, int, int]
 
 
@@ -60,13 +59,15 @@ class CompiledTask(NamedTuple):
     Every ground atom that occurs in the initial state, the goal, or an
     action's preconditions or effects owns one bit, `atoms[b]` being the
     (predicate, args) of bit b, and a state is the int whose set bits are
-    the atoms true in it (closed world).  Action i applies in state s when
-    ``s & pre == pre and not s & neg`` and leads to ``(s & keep) | add``,
-    where ``keep`` is the complement of its delete mask.  The goal holds
-    when ``s & goal_pos == goal_pos and not s & goal_neg``, and goal-count
-    is ``(goal_pos & ~s).bit_count() + (goal_neg & s).bit_count()``.  No
-    action makes more than `goal_gain` goal literals true, so no step
-    lowers goal-count by more.
+    the atoms true in it (closed world).  An op ``(i, test, pre, keep,
+    add)`` is action i: ``pre`` and ``neg`` are its positive and negative
+    precondition masks and ``test`` is ``pre | neg``, so it applies in state
+    s when ``s & test == pre``, and leads to ``(s & keep) | add``, where
+    ``keep`` is the complement of its delete mask.  The goal holds when
+    ``s & goal_pos == goal_pos and not s & goal_neg``, and goal-count is
+    ``(goal_pos & ~s).bit_count() + (goal_neg & s).bit_count()``.  No action
+    makes more than `goal_gain` goal literals true, so no step lowers
+    goal-count by more.
 
     Action i is `groundings[i]`, a (template, combo) pair from
     `semantics.groundings` in `ground`'s order; `action(i)` instantiates
@@ -75,11 +76,14 @@ class CompiledTask(NamedTuple):
     Successor generator: each action with a positive precondition sits in the
     bucket of exactly one of its precondition bits, so a state's candidates
     are the buckets of its true bits plus `unkeyed`, the actions with no
-    positive precondition.  The key is the precondition atom least likely to
-    be true: first one that init lacks and no action adds (the action can
-    never apply), else one some action adds or deletes, else one that stays
-    true; among equals, the atom the fewest actions need, then the least
-    (predicate, args).
+    positive precondition.  A bucket is (need, ops), `need` the AND of its
+    ops' positive preconditions, so a state that lacks an atom of `need`
+    skips the whole bucket with one test.  The key is the precondition atom
+    least likely to be true: first one that init lacks and no action adds
+    (the action can never apply), else one some action adds or deletes, else
+    one that stays true; among equals, the atom the fewest actions need,
+    then the least (predicate, args).  An action that needs an atom both
+    true and false can never apply and is in no bucket.
     """
 
     groundings: tuple[tuple[Template, tuple[str, ...]], ...]
@@ -88,12 +92,26 @@ class CompiledTask(NamedTuple):
     goal_pos: int
     goal_neg: int
     goal_gain: int  # the most goal literals one action makes true; at least 1
-    buckets: tuple[tuple[Op, ...], ...]  # indexed by key bit position
+    buckets: tuple[tuple[int, tuple[Op, ...]], ...]  # (need, ops) by key bit position
     keys: int  # the bits whose bucket is not empty
     unkeyed: tuple[Op, ...]
 
     def action(self, i: int) -> GroundAction:
         return GroundAction(*self.groundings[i])
+
+
+class _Bits(dict):
+    """Atom -> bit position, numbering an atom on its first lookup;
+    ``masks[b]`` is ``1 << b``."""
+
+    def __init__(self):
+        super().__init__()
+        self.masks: list[int] = []
+
+    def __missing__(self, atom) -> int:
+        b = self[atom] = len(self.masks)
+        self.masks.append(1 << b)
+        return b
 
 
 def _or_columns(columns: list[list[int]], n: int) -> list[int]:
@@ -115,12 +133,13 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
     ground atom of every binding and its bit (each distinct atom numbered
     once), then per role the OR of those bits across the role's atoms.
     """
-    index: dict[tuple[str, tuple[str, ...]], int] = {}
+    index = _Bits()
+    masks = index.masks
 
     def mask(atoms: Iterable[Atom]) -> int:
         m = 0
         for x in atoms:
-            m |= 1 << index.setdefault(x, len(index))
+            m |= masks[index[x]]
         return m
 
     init = mask(p.init)
@@ -129,6 +148,7 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
     refs: list[tuple[Template, tuple[str, ...]]] = []
     ops: list[Op] = []
     pre_bits: list[tuple[int, ...]] = []  # the distinct positive-precondition bits
+    clashes: list[int] = []  # non-zero where an action needs an atom true and false
     added, kept = 0, -1
     for t, combos in groundings(d, p):
         combos = list(combos)
@@ -142,24 +162,18 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
                 args = zip(*[params[x] if type(x) is int else repeat(x, n) for x in spec])
             else:
                 args = repeat((), n)
-            atoms = list(zip(repeat(predicate, n), args))
-            new = filterfalse(index.__contains__, dict.fromkeys(atoms))
-            index.update(zip(new, count(len(index))))
-            bits = list(map(index.__getitem__, atoms))
+            bits = list(map(index.__getitem__, zip(repeat(predicate, n), args)))
             bit_columns.append(bits)
-            mask_columns.append(list(map((1).__lshift__, bits)))
+            mask_columns.append(list(map(masks.__getitem__, bits)))
         i, j, m = t.ends
+        pre = _or_columns(mask_columns[:i], n)
         add = _or_columns(mask_columns[j:m], n)
         # keep = ~(delete & ~add): an atom both added and deleted stays.
         keep = list(map(or_, map(invert, _or_columns(mask_columns[m:], n)), add))
         added, kept = reduce(or_, add, added), reduce(and_, keep, kept)
-        ops.extend(zip(
-            range(len(refs), len(refs) + n),
-            _or_columns(mask_columns[:i], n),
-            _or_columns(mask_columns[i:j], n),
-            keep,
-            add,
-        ))
+        neg = _or_columns(mask_columns[i:j], n)
+        ops.extend(zip(range(len(refs), len(refs) + n), map(or_, pre, neg), pre, keep, add))
+        clashes.extend(map(and_, pre, neg))
         refs.extend(zip(repeat(t, n), combos))
         rows = list(zip(*bit_columns[:i])) if i else [()] * n
         if len({predicate for predicate, _ in t.atoms[:i]}) < i:
@@ -170,23 +184,28 @@ def compile_task(d: DomainDef, p: ProblemDef) -> CompiledTask:
     goal_gain = max([1] + [(goal_pos & add).bit_count() + (goal_neg & ~keep).bit_count()
                            for _, _, _, keep, add in ops])
     needed_by = Counter(chain.from_iterable(pre_bits))
-    rank = [
-        (0 if never >> b & 1 else 2 if always >> b & 1 else 1, needed_by[b], atom)
-        for b, atom in enumerate(index)
-    ]
-    buckets: list[list[Op]] = [[] for _ in index]
+    atoms = tuple(index)
+    # Each bit's place in the key order, so that keys compare as ints.
+    rank = [0] * len(atoms)
+    for r, b in enumerate(sorted(range(len(atoms)), key=lambda b: (
+            0 if never & masks[b] else 2 if always & masks[b] else 1, needed_by[b], atoms[b]))):
+        rank[b] = r
+    buckets: list[list[Op]] = [[] for _ in masks]
     keys = 0
     unkeyed = []
-    for op, bs in zip(ops, pre_bits):
+    for op, bs, clash in zip(ops, pre_bits, clashes):
+        if clash:
+            continue
         if bs:
             key = min(bs, key=rank.__getitem__)
             buckets[key].append(op)
-            keys |= 1 << key
+            keys |= masks[key]
         else:
             unkeyed.append(op)
     return CompiledTask(
-        tuple(refs), tuple(index), init, goal_pos, goal_neg, goal_gain,
-        tuple(map(tuple, buckets)), keys, tuple(unkeyed),
+        tuple(refs), atoms, init, goal_pos, goal_neg, goal_gain,
+        tuple((reduce(and_, map(itemgetter(2), b), -1), tuple(b)) for b in buckets),
+        keys, tuple(unkeyed),
     )
 
 
@@ -209,98 +228,110 @@ def search(
     and match the plain scan over every ground action in order.  `start` is
     the `time.monotonic()` reading that `wall_time` and `max_seconds` count
     from.
+
+    The frontier holds one FIFO of bare states per int priority: h for
+    greedy, 0 for breadth-first, and for A* ``f * hbound + h`` (h < hbound),
+    so that A* reads h and g back from the priority of the state it pops.
     """
     clock = time.monotonic
     breadth_first = cfg.algorithm == "breadth-first"
     greedy = cfg.algorithm == "greedy-best-first"
     a_star = not (breadth_first or greedy)
-    count_goals = cfg.heuristic == "goal-count"
+    count_goals = cfg.heuristic == "goal-count" and not breadth_first
     gain = task.goal_gain if a_star else 1
     goal_pos, goal_neg = task.goal_pos, task.goal_neg
     buckets, keys, unkeyed = task.buckets, task.keys, task.unkeyed
+    nops = len(task.groundings)
     max_expansions, deadline = cfg.max_expansions, start + cfg.max_seconds
-    # A* orders by (f, h); h < hbound, so f * hbound + h gives the same
-    # order as one int.
     hbound = goal_pos.bit_count() + goal_neg.bit_count() + 1
 
     s = task.init
-    # state -> (predecessor, action index); also the set of seen states.
-    parent: dict[int, Optional[tuple[int, int]]] = {s: None}
-    depth = 0
+    # state -> its predecessor's expansion index * nops + the action index;
+    # also the set of seen states.
+    parent: dict[int, Optional[int]] = {s: None}
+    closed: list[int] = []  # the expanded states, in expansion order
     best = {s: 0}  # A* only: state -> the least g it was pushed with
-    # The heap holds (priority, generation index, state, depth) entries.
-    # Breadth-first would push them in (depth, generation index) order, as
-    # depth never decreases, so a FIFO queue of bare states pops what the
-    # heap would; it keeps no depth.
-    if breadth_first:
-        frontier = deque([s])
-        popleft, append = frontier.popleft, frontier.append
-    else:
-        # The root is popped first, so its priority is never compared.
-        frontier = [(0, 0, s, depth)]
-        heappush, heappop = heapq.heappush, heapq.heappop
-    # evaluated, the root aside, doubles as the generation index.
+    # priority -> its FIFO, dropped when it empties, so that memory does not
+    # grow with the priority range; no priority held is below `low`.  The
+    # root's priority 0 reads back as g = h = 0.
+    frontier = {0: deque([s])}
+    low = 0
+    g = 0  # A*'s successor g; it stays 0 for the others, whose zero-h priority is 0
     expanded = generated = evaluated = 0
     status = "exhausted"
     while frontier:
         if clock() > deadline:
             status = "limit"
             break
-        if breadth_first:
-            s = popleft()
-        else:
-            _, _, s, depth = heappop(frontier)
-            if a_star and depth > best[s]:
+        fifo = frontier.get(low)
+        while fifo is None:
+            low += 1
+            fifo = frontier.get(low)
+        s = fifo.popleft()
+        if not fifo:
+            del frontier[low]
+        if a_star:
+            h = low % hbound
+            g = low // hbound - h
+            if g > best[s]:
                 continue
+            g += 1
+            unseen = g + 1  # what best.get gives a state never pushed: more than g
         if s & goal_pos == goal_pos and not s & goal_neg:
             status = "solved"
             break
         if expanded >= max_expansions:
             status = "limit"
             break
+        link = expanded * nops
+        closed.append(s)
         expanded += 1
         # Most tasks have no unkeyed action: skip the comprehension's call.
-        applicable = [op for op in unkeyed if not s & op[2]] if unkeyed else []
+        # An unkeyed op's pre is 0, so it applies where no bit of neg is true.
+        applicable = [op for op in unkeyed if not s & op[1]] if unkeyed else []
         rest = s & keys
         while rest:
-            low = rest & -rest
-            for op in buckets[low.bit_length() - 1]:
-                pre = op[1]
-                if s & pre == pre and not s & op[2]:
-                    applicable.append(op)
-            rest ^= low
+            bit = rest & -rest
+            need, ops = buckets[bit.bit_length() - 1]
+            if s & need == need:
+                for op in ops:
+                    if s & op[1] == op[2]:
+                        applicable.append(op)
+            rest ^= bit
         applicable.sort()
-        depth += 1
         for i, _, _, keep, add in applicable:
             succ = s & keep | add
             generated += 1
-            if succ in parent and (not a_star or best[succ] <= depth):
+            if a_star:
+                if best.get(succ, unseen) <= g:
+                    continue
+                best[succ] = g
+            elif succ in parent:
                 continue
-            parent[succ] = (s, i)
+            parent[succ] = link + i
             evaluated += 1
-            if breadth_first:
-                append(succ)
-            else:
-                h = (
-                    ((goal_pos & ~succ).bit_count() + (goal_neg & succ).bit_count()
+            if count_goals:
+                h = ((goal_pos & ~succ).bit_count() + (goal_neg & succ).bit_count()
                      + gain - 1) // gain
-                    if count_goals else 0
-                )
-                if greedy:
-                    key = h
-                else:
-                    best[succ] = depth
-                    key = (depth + h) * hbound + h
-                heappush(frontier, (key, evaluated, succ, depth))
+                key = (g + h) * hbound + h if a_star else h
+            else:
+                key = g * hbound
+            fifo = frontier.get(key)
+            if fifo is None:
+                frontier[key] = deque((succ,))
+                if key < low:
+                    low = key
+            else:
+                fifo.append(succ)
 
     plan = None
     if status == "solved":
         steps = []
         link = parent[s]
         while link is not None:
-            s, i = link
+            k, i = divmod(link, nops)
             steps.append(task.action(i))
-            link = parent[s]
+            link = parent[closed[k]]
         steps.reverse()
         plan = Plan(tuple(steps))
     return plan, SearchStats(

@@ -101,10 +101,10 @@ _TOKEN = r"""
   | (?P<iriref><""" + _IRI_CHAR + r"""*>)
   | (?P<literal>"(?:[^"\\\r\n]|\\[^\r\n])*")
   | (?P<dcaret>\^\^)
-  | (?P<dot>\.(?=\s|$))
+  | (?P<dot>\.)
   | (?P<prefixdecl>@prefix)
-  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*?:[A-Za-z_][A-Za-z0-9_.-]*|[A-Za-z_][A-Za-z0-9_.-]*:)
-  | (?P<kw_a>a(?=\s))
+  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:(?:[A-Za-z_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
+  | (?P<kw_a>a(?![A-Za-z0-9_-]))
     """
 
 
@@ -148,17 +148,21 @@ _COMMENT = r'\#[^\r\n]*(?![^\r\n])'
 # Blanks, then blanks and comments only where a '#' follows: a branch that
 # starts with '#' fails faster than a repeat.
 _GAP = r'[ \t\r\n]*(?:' + _COMMENT + r'(?:[ \t\r\n]|' + _COMMENT + ')*|)'
-# An IRI in full or a prefixed name, which ends only where [A-Za-z0-9_.-]
-# stops, or, with no local part, where no local part can start.
-_NAME = (r'<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*:'
-         r'(?:[A-Za-z_][A-Za-z0-9_.-]*(?![A-Za-z0-9_.-])|(?![A-Za-z_]))')
+# An IRI in full or a prefixed name.  A local part ends where the tokenizer
+# ends it, at the last character of its run of [A-Za-z0-9_.-] that is not
+# '.', so that dots after it end the statement; the first branch, the same
+# for a local part with no '.', is the exporter's common case and the
+# fastest.  With no local part, the name ends where no local part can start.
+_NAME = (r'<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*:(?:[A-Za-z_][A-Za-z0-9_-]*'
+         r'(?![A-Za-z0-9_.-])|[A-Za-z_][A-Za-z0-9_.-]*(?<!\.)(?!\.*[A-Za-z0-9_-])|(?![A-Za-z_]))')
 # Blanks and comments, then an @prefix declaration set apart from its name,
 # a triple with `a` only as its verb, or the end.
 _STATEMENT = (
     _GAP + r'(?:(?:@prefix(?=[ \t\r\n#])' + _GAP + r'([A-Za-z_][A-Za-z0-9_.-]*):'
-    + _GAP + '<(' + _IRI_CHAR + r'*)>|(' + _NAME + ')' + _GAP + '(' + _NAME + r'|a(?=\s))'
+    + _GAP + '<(' + _IRI_CHAR + r'*)>|(' + _NAME + ')'
+    + _GAP + '(' + _NAME + r'|a(?![A-Za-z0-9_-]))'
     + _GAP + '(?:(' + _NAME + r')|"([^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*)"'
-    r'(?:' + _GAP + r'\^\^' + _GAP + '(' + _NAME + '))?))' + _GAP + r'\.(?=\s|\Z)|\Z)'
+    r'(?:' + _GAP + r'\^\^' + _GAP + '(' + _NAME + '))?))' + _GAP + r'\.|\Z)'
 )
 
 

@@ -159,11 +159,11 @@ RECORDS = {
         "wall_time=0.5, status='solved')",
     ),
     "CompiledTask": (
-        CompiledTask(((TEMPLATE, ("b",)),), (("clear", ("b",)),), 0, 1, 0, 1, ((),), 0, ()),
+        CompiledTask(((TEMPLATE, ("b",)),), (("clear", ("b",)),), 0, 1, 0, 1, ((-1, ()),), 0, ()),
         "CompiledTask(groundings=((Template(name='noop', variables=('?x',), "
         "equalities=((0, 'a', True),), atoms=(('clear', (0,)),), "
         "ends=(1, 1, 1)), ('b',)),), atoms=(('clear', ('b',)),), init=0, "
-        "goal_pos=1, goal_neg=0, goal_gain=1, buckets=((),), keys=0, unkeyed=())",
+        "goal_pos=1, goal_neg=0, goal_gain=1, buckets=((-1, ()),), keys=0, unkeyed=())",
     ),
     "BenchRow": (
         BenchRow("p01", "macro", STATS),

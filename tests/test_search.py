@@ -1,8 +1,10 @@
 """Instrumented forward search: optimality, counters, determinism, limits."""
 
 import collections
+import gc
 import heapq
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -356,8 +358,86 @@ def test_compiled_task_masks():
     assert task.goal_pos == 0 and task.goal_neg.bit_count() == 1
     # restore-power is the only action with no positive precondition.
     assert [task.action(op[0]).name for op in task.unkeyed] == ["(restore-power)"]
-    keyed = sorted(op[0] for bucket in task.buckets for op in bucket)
+    keyed = sorted(op[0] for _, bucket in task.buckets for op in bucket)
     assert keyed == sorted(set(range(len(actions))) - {op[0] for op in task.unkeyed})
+    # An op is (index, pre | neg, pre, keep, add), and a bucket (need, ops),
+    # need being the AND of its ops' positive preconditions.
+    for need, bucket in task.buckets:
+        assert all(op[2] & ~op[1] == 0 and need & ~op[2] == 0 for op in bucket)
+
+
+# (impossible) needs (q) and (not (q)), and (move ?x ?x) needs (at ?x) and
+# (not (at ?x)): neither can ever apply.  (impossible) would make both goal
+# literals true at once.
+CLASH_DOMAIN = """
+(define (domain clash)
+  (:requirements :strips :typing :negative-preconditions)
+  (:types spot)
+  (:predicates (at ?x - spot) (q) (g1) (g2))
+  (:action impossible :parameters () :precondition (and (q) (not (q)))
+    :effect (and (g1) (g2)))
+  (:action move :parameters (?x ?y - spot) :precondition (and (at ?x) (not (at ?y)))
+    :effect (and (at ?y) (not (at ?x)) (q)))
+  (:action finish :parameters (?x - spot) :precondition (and (q) (at ?x)) :effect (g1))
+  (:action last :parameters () :precondition (g1) :effect (g2)))
+"""
+
+CLASH_PROBLEM = """
+(define (problem clash-1) (:domain clash)
+  (:objects a b - spot)
+  (:init (at a))
+  (:goal (and (g1) (g2))))
+"""
+
+
+def test_an_action_with_contradictory_preconditions_is_in_no_bucket():
+    d = parse_domain(CLASH_DOMAIN)
+    p = parse_problem(CLASH_PROBLEM, d)
+    task = compile_task(d, p)
+    listed = {op[0] for _, bucket in task.buckets for op in bucket}
+    listed |= {op[0] for op in task.unkeyed}
+    left_out = [task.action(i).name for i in range(len(task.groundings)) if i not in listed]
+    assert left_out == ["(impossible)", "(move a a)", "(move b b)"]
+    # goal_gain still counts every ground action, (impossible) included.
+    assert task.goal_gain == 2
+    for cfg in ALL_CONFIGS:
+        plan, stats = assert_matches_reference(d, p, cfg)
+        assert stats.status == "solved"
+        assert not {a.name for a in plan.steps} & set(left_out)
+
+
+def test_a_star_frontier_memory_does_not_grow_with_the_priority_range():
+    """A chain of 1,000 steps whose goal also holds 50 atoms true from the
+    start: hbound is 52, so A* priorities reach about 52,000.  A frontier
+    with one FIFO per priority in the range would hold tens of thousands of
+    them; the search must hold only the ones in use."""
+    chain = [Atom("s{}".format(k), ()) for k in range(1001)]
+    facts = [Atom("t{}".format(k), ()) for k in range(50)]
+    actions = tuple(
+        ActionSchema.make("step{}".format(k), (), [Literal(chain[k])], [chain[k + 1]], [chain[k]])
+        for k in range(1000)
+    )
+    d = DomainDef("chain", frozenset({":strips"}), (), (),
+                  tuple(PredicateSchema(a.predicate, ()) for a in chain + facts), actions)
+    p = ProblemDef("chain-1", "chain", (), frozenset([chain[0]] + facts),
+                   frozenset(Literal(a) for a in [chain[-1]] + facts))
+    task = compile_task(d, p)
+    assert task.goal_pos.bit_count() + 1 == 52
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        plan, stats = search(task, SearchConfig(algorithm="a-star", heuristic="goal-count"),
+                             time.monotonic())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert stats.status == "solved" and stats.plan_cost == 1000
+    assert peak < 2_000_000
 
 
 # --- compiled tasks on random STRIPS tasks ----------------------------------
@@ -482,12 +562,16 @@ def test_compiled_masks_equal_the_ground_actions(task):
     assert compiled.init == mask(p.init)
     assert compiled.goal_pos == mask(lit.atom for lit in p.goal if not lit.negated)
     assert compiled.goal_neg == mask(lit.atom for lit in p.goal if lit.negated)
-    ops = sorted([op for bucket in compiled.buckets for op in bucket] + list(compiled.unkeyed))
-    assert [op[0] for op in ops] == list(range(len(actions)))
-    for (i, pre, neg, keep, add), a in zip(ops, actions):
-        assert snapshot(compiled.action(i)) == a
-        assert (pre, neg, keep, add) == (
-            mask(a.pre_pos), mask(a.pre_neg), ~mask(a.delete), mask(a.add))
+    assert [snapshot(compiled.action(i)) for i in range(len(actions))] == actions
+    # Every action that can apply is one op, in a bucket or unkeyed; one that
+    # needs an atom both true and false is in neither.
+    ops = sorted([op for _, bucket in compiled.buckets for op in bucket] + list(compiled.unkeyed))
+    assert [op[0] for op in ops] == [
+        i for i, a in enumerate(actions) if not a.pre_pos & a.pre_neg]
+    for i, test, pre, keep, add in ops:
+        a = actions[i]
+        assert (test, pre, keep, add) == (
+            mask(a.pre_pos | a.pre_neg), mask(a.pre_pos), ~mask(a.delete), mask(a.add))
     # The key of each action: its precondition atom that is never true, else
     # one that changes, else one that stays true; then the one the fewest
     # actions need, then the least (predicate, args).
@@ -500,9 +584,11 @@ def test_compiled_masks_equal_the_ground_actions(task):
         kind = 0 if not b & (compiled.init | added) else 2 if b & compiled.init & ~deleted else 1
         return kind, needed[x], (x.predicate, x.args)
 
-    for b, bucket in enumerate(compiled.buckets):
+    for b, (need, bucket) in enumerate(compiled.buckets):
         assert bool(bucket) == bool(compiled.keys >> b & 1)
         assert all(bit[min(actions[op[0]].pre_pos, key=rank)] == 1 << b for op in bucket)
+        if bucket:
+            assert need == mask(frozenset.intersection(*(actions[op[0]].pre_pos for op in bucket)))
     assert all(not actions[op[0]].pre_pos for op in compiled.unkeyed)
 
 

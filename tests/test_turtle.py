@@ -169,6 +169,31 @@ def test_repeated_names_share_one_iri():
     assert len({id(t.subject) for t in triples}) == len({id(t.object) for t in triples}) == 1
 
 
+# Turtle that needs no blank after '.' or `a`, and a prefixed name whose
+# local part would end in '.', which ends the statement instead.
+_S, _P, _O, _T = (Iri("http://" + c) for c in "spot")
+_TIGHT = [
+    ("<http://s> <http://p> <http://o>.<http://t> <http://p> <http://o> .",
+     {Triple(_S, _P, _O), Triple(_T, _P, _O)}),
+    ('<http://s> <http://p> "x".#c', {Triple(_S, _P, string_literal("x"))}),
+    ("<http://s> a<http://o> .", {Triple(_S, RDF_TYPE, _O)}),
+    ("<http://s> a#c\n<http://o> .", {Triple(_S, RDF_TYPE, _O)}),
+    ("@prefix ex: <http://x/> .\nex:s ex:p ex:o.",
+     {Triple(Iri("http://x/s"), Iri("http://x/p"), Iri("http://x/o"))}),
+    # `a` followed by name characters, or a ':', starts a prefixed name.
+    ("@prefix a: <http://a/> . @prefix ab: <http://ab/> . @prefix a.b: <http://a.b/> .\n"
+     "a:b ab:c a.b:c.\na:x.y a:b ab:.",
+     {Triple(Iri("http://a/b"), Iri("http://ab/c"), Iri("http://a.b/c")),
+      Triple(Iri("http://a/x.y"), Iri("http://a/b"), Iri("http://ab/"))}),
+]
+
+
+@pytest.mark.parametrize("text,triples", _TIGHT)
+def test_no_blank_needed_after_a_dot_or_a(text, triples):
+    assert _parsed(import_turtle, text) == ("graph", triples)
+    assert _parsed(reference_import_turtle, text) == ("graph", triples)
+
+
 # --- the reader against the tokenizer ----------------------------------------
 
 # Texts outside the subset that the exporter never writes, each with the
@@ -223,6 +248,8 @@ _LINE_EDITS = [
     lambda line: line.replace("> ", ">", 1),
     lambda line: line.replace("<", "<>", 1),
     lambda line: line.replace(" ", " a ", 1),
+    lambda line: line.replace(" ", " a", 1),                      # `a` with no blank after
+    lambda line: line + "plan:s a plan:o.",                        # no blank after '.'
     lambda line: line.replace(" ", "\n# c\n", 1),
     lambda line: "# " + line.replace(" ", "\n", 2),             # comment on part of it
     lambda line: line + "\r",
@@ -242,6 +269,7 @@ _EXTRA_LINES = [
     '<{0}s> <{0}p> "x".'.format(EX),
     "plan:s. plan:p plan:o. .",
     "plan:s plan:p plan:o.",
+    "plan:s a<{0}o>.<{0}s> a#c\nplan:o.".format(EX),
     "# @prefix ex: <{}> .".format(EX),
 ]
 # Statements are joined by one of these; the characters edited in are
