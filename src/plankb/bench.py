@@ -9,9 +9,10 @@ from itertools import chain, repeat
 from operator import and_, invert, itemgetter, or_
 from typing import Iterable, NamedTuple, Optional
 
-from .macros import MacroSchema, augment_domain
+from . import PlankbError
+from .macros import MacroSchema, augment_domain, expand_plan
 from .pddl.ast import Atom, DomainDef, ProblemDef
-from .semantics import GroundAction, Plan, Template, groundings
+from .semantics import GroundAction, Plan, Template, groundings, validate_plan
 
 ALGORITHMS = ("breadth-first", "greedy-best-first", "a-star")
 HEURISTICS = ("goal-count", "zero")
@@ -352,6 +353,10 @@ def solve(
 # --- macro benchmark -------------------------------------------------------
 
 
+class InvalidMacroPlan(PlankbError):
+    """An expanded macro plan that fails in the original domain."""
+
+
 class BenchRow(NamedTuple):
     problem: str
     variant: str  # "original" | "macro"
@@ -435,13 +440,22 @@ def bench_compare(
     cfg: SearchConfig = SearchConfig(),
     k: int = 2,
 ) -> BenchReport:
-    """Solve each problem in the original and macro-augmented domain."""
+    """Solve each problem in the original and macro-augmented domain.  A
+    macro plan is expanded into the steps of d (`macros.expand_plan`), so
+    that its cost counts them, and validated there; one that fails, a
+    defect in `compose` or `augment_domain`, raises InvalidMacroPlan."""
     macros = list(macros)
     augmented = augment_domain(d, macros, k)
     report = BenchReport()
     for p in problems:
         for variant, dom in (("original", d), ("macro", augmented)):
-            _, stats = solve(dom, p, cfg)
+            plan, stats = solve(dom, p, cfg)
+            if variant == "macro" and plan is not None:
+                plan = expand_plan(d, augmented, macros, plan)
+                if not (check := validate_plan(d, p, plan)):
+                    raise InvalidMacroPlan("{}: the expanded macro plan fails in domain '{}': {}"
+                                           .format(p.name, d.name, check.reason))
+                stats = stats._replace(plan_cost=plan.cost)
             report.rows.append(BenchRow(p.name, variant, stats))
     return report
 

@@ -103,7 +103,7 @@ _TOKEN = r"""
   | (?P<dcaret>\^\^)
   | (?P<dot>\.)
   | (?P<prefixdecl>@prefix)
-  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:(?:[A-Za-z_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
+  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*(?<!\.):(?:[A-Za-z_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
   | (?P<kw_a>a(?![A-Za-z0-9_-]))
     """
 
@@ -153,12 +153,14 @@ _GAP = r'[ \t\r\n]*(?:' + _COMMENT + r'(?:[ \t\r\n]|' + _COMMENT + ')*|)'
 # '.', so that dots after it end the statement; the first branch, the same
 # for a local part with no '.', is the exporter's common case and the
 # fastest.  With no local part, the name ends where no local part can start.
-_NAME = (r'<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*:(?:[A-Za-z_][A-Za-z0-9_-]*'
+# A prefix, here, in @prefix and in the tokenizer's `pname`, does not end in
+# '.' (Turtle's PN_PREFIX).
+_NAME = (r'<' + _IRI_CHAR + r'+>|[A-Za-z_][A-Za-z0-9_.-]*(?<!\.):(?:[A-Za-z_][A-Za-z0-9_-]*'
          r'(?![A-Za-z0-9_.-])|[A-Za-z_][A-Za-z0-9_.-]*(?<!\.)(?!\.*[A-Za-z0-9_-])|(?![A-Za-z_]))')
 # Blanks and comments, then an @prefix declaration set apart from its name,
 # a triple with `a` only as its verb, or the end.
 _STATEMENT = (
-    _GAP + r'(?:(?:@prefix(?=[ \t\r\n#])' + _GAP + r'([A-Za-z_][A-Za-z0-9_.-]*):'
+    _GAP + r'(?:(?:@prefix(?=[ \t\r\n#])' + _GAP + r'([A-Za-z_][A-Za-z0-9_.-]*(?<!\.)):'
     + _GAP + '<(' + _IRI_CHAR + r'*)>|(' + _NAME + ')'
     + _GAP + '(' + _NAME + r'|a(?![A-Za-z0-9_-]))'
     + _GAP + '(?:(' + _NAME + r')|"([^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*)"'

@@ -4,6 +4,7 @@ precondition chaining checks, pairwise composition, and domain injection."""
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 from urllib.parse import unquote
 
@@ -14,6 +15,7 @@ from .kg.schema import (
 from .kg.store import Graph, Iri, TypedLiteral
 from .mapper import MappingError, UnknownDomain, action_iri
 from .pddl.ast import ActionSchema, Atom, DomainDef, Literal, EQUALITY_PREDICATE
+from .semantics import GroundAction, Plan, _template
 
 
 class UnknownSchema(PlankbError):
@@ -232,8 +234,13 @@ def compose(d: DomainDef, p: LiftedPair) -> Optional[MacroSchema]:
     does not chain: the first action establishes none of the second's
     precondition or destroys some of the rest.
 
-    pre = pre1 ∪ (pre2 \\ add1); add = add2 ∪ (add1 \\ del2);
+    pre = pre1 ∪ (pre2 \\ add1) ∪ neq; add = add2 ∪ (add1 \\ del2);
     del = (del1 ∪ del2) \\ add.
+
+    neq is `(not (= ?u ?v))` for each two parameters, or a parameter and a
+    constant either action names, whose types can share an object: the
+    pattern's distinct ids were distinct objects.  Distinct lifted atoms are
+    then distinct ground atoms, so the macro applies only where its steps do.
     """
     a1, a2, params, sub1, sub2 = _unify(d, p)
     add1 = {a.substitute(sub1) for a in a1.add}
@@ -249,6 +256,13 @@ def compose(d: DomainDef, p: LiftedPair) -> Optional[MacroSchema]:
     pre |= {Literal(a) for a in pre2_pos - add1}
     pre |= {Literal(a, negated=True) for a in pre2_neg}
     pre |= pre2_eq
+    ctypes = dict(d.constants)
+    named = {x for a in chain([l.atom for l in pre], add1, add2, del1, del2) for x in a.args}
+    typed = params + tuple((c, ctypes[c]) for c in sorted(named & ctypes.keys()))
+    is_subtype = d.subtype_test()
+    pre |= {Literal(Atom(EQUALITY_PREDICATE, (u, v)), negated=True)
+            for i, (u, tu) in enumerate(params) for v, tv in typed[i + 1:]
+            if is_subtype(tu, tv) or is_subtype(tv, tu)}
 
     add = add2 | (add1 - del2)
     delete = (del1 | del2) - add
@@ -293,8 +307,12 @@ def mine_macros(g: Graph, d: DomainDef, domain: Iri) -> list[MacroSchema]:
 
 def augment_domain(d: DomainDef, macros: Iterable[MacroSchema], k: int) -> DomainDef:
     """Append the top-k macros as ordinary actions; originals are retained so
-    every plan valid in d stays valid."""
+    every plan valid in d stays valid.  Declares `:equality` when a macro's
+    precondition holds an equality literal."""
     chosen = list(macros)[: max(k, 0)]
+    requirements = d.requirements
+    if any(l.atom.predicate == EQUALITY_PREDICATE for m in chosen for l in m.precondition):
+        requirements |= {":equality"}
     used = {a.name for a in d.actions}
     new_actions = list(d.actions)
     for m in chosen:
@@ -302,9 +320,28 @@ def augment_domain(d: DomainDef, macros: Iterable[MacroSchema], k: int) -> Domai
         used.add(name)
         new_actions.append(m.to_action_schema(name))
     return DomainDef(
-        d.name, d.requirements, d.types, d.constants, d.predicates,
+        d.name, requirements, d.types, d.constants, d.predicates,
         tuple(new_actions),
     )
+
+
+def expand_plan(d: DomainDef, augmented: DomainDef, macros: Iterable[MacroSchema],
+                plan: Plan) -> Plan:
+    """A plan over `augmented`, which is `augment_domain(d, macros, k)`, in
+    the steps of d: each macro step becomes its two actions, bound through
+    the macro's `first_args` and `second_args`."""
+    by_name = dict(zip([a.name for a in augmented.actions[len(d.actions):]], macros))
+    actions = d.action_map()
+    steps = []
+    for step in plan.steps:
+        m = by_name.get(step.schema)
+        if m is None:
+            steps.append(step)
+            continue
+        binding = dict(step.binding)
+        steps += [GroundAction(_template(actions[name]), tuple(binding[v] for v in args))
+                  for name, args in ((m.first, m.first_args), (m.second, m.second_args))]
+    return Plan(tuple(steps))
 
 
 def store_macros(g: Graph, domain: Iri, macros: Iterable[MacroSchema]) -> Graph:

@@ -61,9 +61,9 @@ GOLDEN = {
     "blocksworld mine-macros store":
         "e388ad923cf46690a51194b9d7e628bce69cb1f81f21079348c6451da1359fc1",
     "blocksworld augment":
-        "0bc6f36be2607f5aecad81b273c5d2da2cd3c7931a1079fddd741b9f16ec7814",
+        "ea6adccff67824a6f24a11281cbab6bd0dbd48d112b2304cbdeef62a78dbcb92",
     "blocksworld bench":
-        "4de7645a39e1c66691d36a36f0194845b4e68bb9f312e624738d73a5be339b61",
+        "2ab450b0fef1be94e76100dfe17de9d9fb5919756c247eb616fcbdf33859c4ac",
     "bw-p01 solve breadth-first":
         "f0c7626ceaafd10be57edfe6584a2404e3feeff08782862b9a7a130054b9f68a",
     "bw-p01 solve greedy-best-first":
@@ -153,9 +153,9 @@ GOLDEN = {
     "driverlog mine-macros store":
         "bd0ffd769af652944c59b246661a2671c64bbf12fc96e0dcd2eea6e9d4fa8568",
     "driverlog augment":
-        "df2b4c93a2b36da2ec294e1feab037ef2b9c664d936da962a9cb07622caccabe",
+        "b1758827be86a484fc8af99dc8e0e5f7747d45aa0e513ce98b2f74e67d9d62ca",
     "driverlog bench":
-        "e8a51379fc1b41de805810d29c57dbbd679612cb6f8d3aef75fbeca7ad33c782",
+        "ed9bd683f2c6903f851a63d5731d91a9f26a8fd6d8fabbcdf3ead890f393708b",
     "dl-p01 solve breadth-first":
         "3aabcf922f9cf5aca8ecee0cdce5e046f734c9a00be28533f82623dd54463c2f",
     "dl-p01 solve greedy-best-first":
@@ -203,9 +203,9 @@ GOLDEN = {
     "gripper mine-macros store":
         "62f747f4d1502767412a7e963ee77adeb64640e99d6075a8bfc50f50fab400d3",
     "gripper augment":
-        "69cd1fa5ee97b000f5a2bb10fd98af5bfb14ab1525818dce3f9499c1eae780fe",
+        "99c24405f5c3d9321264320b4880f1909c0df3f27199edac2eabfe65b3c984a1",
     "gripper bench":
-        "4c10ed19feb2ad00d84612afe86c32c546fff327415d336ae1a86f14f5dcb7f5",
+        "1adc83922a54cd8663f62bb1370ae2fcde9a9a9616b15d6096953ffa34fcb9ca",
     "gr-p01 solve breadth-first":
         "638a044e5f7c650999ee9c8143a4a13a0603e79485b62ea5e6f242da61b86d55",
     "gr-p01 solve greedy-best-first":

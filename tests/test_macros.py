@@ -35,6 +35,7 @@ from plankb.pddl.parser import parse_domain
 from plankb.semantics import applicable, ground
 
 from oracles import apply_action, instantiate, reachable_states, reference_plan_steps
+from test_search import strips_tasks
 
 
 # --- lifting ----------------------------------------------------------------
@@ -282,6 +283,7 @@ def test_compose_pickup_stack_algebra():
         Literal(Atom("ontable", (x,))),
         Literal(Atom("handempty", ())),
         Literal(Atom("clear", (y,))),
+        Literal(Atom("=", (x, y)), negated=True),
     })
     assert m.add == frozenset({
         Atom("on", (x, y)), Atom("clear", (x,)), Atom("handempty", ()),
@@ -313,7 +315,7 @@ def test_compose_unifies_types_to_more_specific():
 # --- ground equivalence sweeps ---------------------------------------------
 
 
-def grounded_pair(d, m, objects, binding):
+def grounded_pair(d, m, binding):
     """Ground the macro's two constituent actions under a macro binding."""
     a1 = d.action_map()[m.first]
     a2 = d.action_map()[m.second]
@@ -323,20 +325,18 @@ def grounded_pair(d, m, objects, binding):
     return instantiate(a1, b1), instantiate(a2, b2)
 
 
-def consistent(g1, g2):
-    """Ground-level chaining: g1 feeds g2 and destroys nothing it needs."""
-    if not (g1.add & g2.pre_pos):
-        return False
-    if (g2.pre_pos - g1.add) & g1.delete:
-        return False
-    if g2.pre_neg & g1.add:
-        return False
-    return True
+def assert_steps_compose(s, gm, g1, g2):
+    """In state s, where gm applies, g1 then g2 apply and reach gm's state."""
+    assert applicable(s, g1)
+    mid = apply_action(s, g1)
+    assert applicable(mid, g2)
+    assert apply_action(mid, g2) == apply_action(s, gm)
 
 
 def sweep_equivalence(d, p, macros):
-    """apply(s, macro) must equal applying the two actions in sequence, for
-    every reachable state and every consistent grounding."""
+    """Wherever a ground macro applies, for every binding of its parameters
+    and every reachable state, its two steps apply in sequence and reach
+    the state it reaches."""
     states = reachable_states(frozenset(p.init), ground(d, p))
     pool = list(d.constants) + list(p.objects)
     checked = 0
@@ -349,17 +349,14 @@ def sweep_equivalence(d, p, macros):
         for combo in itertools.product(*names):
             binding = dict(zip(schema.variables, combo))
             gm = instantiate(schema, binding)
-            g1, g2 = grounded_pair(d, m, combo, binding)
-            if gm is None or g1 is None or g2 is None:
+            if gm is None:
                 continue
-            if not consistent(g1, g2):
-                continue
+            g1, g2 = grounded_pair(d, m, binding)
+            # The macro's equality literals include those of its steps.
+            assert g1 is not None and g2 is not None
             for s in states:
                 if applicable(s, gm):
-                    assert applicable(s, g1)
-                    mid = apply_action(s, g1)
-                    assert applicable(mid, g2)
-                    assert apply_action(mid, g2) == apply_action(s, gm)
+                    assert_steps_compose(s, gm, g1, g2)
                     checked += 1
     return checked
 
@@ -381,6 +378,59 @@ def test_gripper_macro_equivalence(gripper_bundle, gripper_graph):
     assert macros
     two_ball = next(p for p in problems if p.name == "gr-p01")
     assert sweep_equivalence(d, two_ball, macros) > 0
+
+
+def patterns(n):
+    """Every pattern of n slots: ids in order of first appearance."""
+    out = [()]
+    for _ in range(n):
+        out = [q + (i,) for q in out for i in range(len(set(q)) + 1)]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(strips_tasks())
+def test_each_ground_macro_is_the_composition_of_its_steps(task):
+    """For every pair of a task's actions under every pattern, on every
+    state where a ground action of its macro applies, the two steps apply
+    in sequence and reach the state it reaches.  The atoms that neither the
+    macro nor its steps name play no part, so the states are the macro's
+    positive precondition plus each subset of the other atoms named."""
+    d, p = task
+    for first, second in itertools.product(d.actions, repeat=2):
+        for pattern in patterns(len(first.params) + len(second.params)):
+            try:
+                m = compose(d, LiftedPair(first.name, second.name, pattern, len(first.params)))
+            except TypeConflict:
+                continue
+            if m is None:
+                continue
+            augmented = augment_domain(d, [m], 1)
+            name = augmented.actions[-1].name
+            for gm in ground(augmented, p):
+                if gm.schema != name or gm.pre_pos & gm.pre_neg:
+                    continue
+                g1, g2 = grounded_pair(d, m, gm.binding)
+                assert g1 is not None and g2 is not None
+                named = set().union(*(getattr(a, f) for a in (gm, g1, g2)
+                                      for f in ("pre_pos", "pre_neg", "add", "delete")))
+                free = sorted(named - gm.pre_pos - gm.pre_neg)
+                for k in range(len(free) + 1):
+                    for extra in itertools.combinations(free, k):
+                        assert_steps_compose(gm.pre_pos | frozenset(extra), gm, g1, g2)
+
+
+def test_a_macro_grounds_only_where_its_steps_apply(bw_bundle, bw_graph):
+    """The bw-p10 witness: `stack b a` deletes (clear a), so `pick-up a`
+    cannot follow it, and no ground stack_pick-up names one block twice."""
+    d, problems, _ = bw_bundle
+    augmented = augment_domain(d, mine_macros(bw_graph, d, domain_iri("blocksworld")), 2)
+    assert [a.name for a in augmented.actions[len(d.actions):]] == [
+        "pick-up_stack", "stack_pick-up"]
+    assert ":equality" in augmented.requirements
+    names = {a.name for a in ground(augmented, next(p for p in problems if p.name == "bw-p10"))}
+    assert "(stack_pick-up b a c)" in names
+    assert "(stack_pick-up b a a)" not in names
 
 
 def test_mine_macros_unifies_each_pair_once(bw_graph, monkeypatch):

@@ -12,13 +12,16 @@ from hypothesis import strategies as st
 
 from plankb import bundles
 from plankb.bench import (
+    ALGORITHMS,
     BenchReport,
+    InvalidMacroPlan,
     SearchConfig,
     bench_compare,
     compile_task,
     search,
     solve,
 )
+from plankb.macros import augment_domain, expand_plan, mine_macros
 from plankb.mapper import domain_iri
 from plankb.pddl.parser import parse_domain, parse_problem
 from plankb.pddl.ast import (
@@ -184,8 +187,6 @@ def test_bad_config_rejected():
 
 
 def test_bench_compare_aggregates(bw_bundle, bw_graph):
-    from plankb.macros import mine_macros
-
     d, problems, _ = bw_bundle
     macros = mine_macros(bw_graph, d, domain_iri("blocksworld"))
     cfg = SearchConfig(algorithm="greedy-best-first", heuristic="goal-count")
@@ -202,6 +203,46 @@ def test_bench_compare_aggregates(bw_bundle, bw_graph):
     assert len(lines) == 1 + len(report.rows)
     table = report.format_table()
     assert "mean" in table
+
+
+@pytest.mark.parametrize("fixture,name", [
+    ("bw", "blocksworld"), ("gripper", "gripper"), ("driverlog", "driverlog")])
+def test_every_macro_plan_expands_to_a_valid_plan(fixture, name, request):
+    """Under every algorithm, each macro-domain plan expands into steps of
+    the original domain that solve the problem there, and `bench` reports
+    their count as its cost; under breadth-first, which is optimal, never
+    fewer than the original row's."""
+    d, problems, _ = request.getfixturevalue(fixture + "_bundle")
+    macros = mine_macros(request.getfixturevalue(fixture + "_graph"), d, domain_iri(name))
+    augmented = augment_domain(d, macros, 2)
+    for algorithm in ALGORITHMS:
+        cfg = SearchConfig(algorithm=algorithm)
+        report = bench_compare(d, macros, problems, cfg, k=2)
+        cost = {(r.problem, r.variant): r.stats.plan_cost for r in report.rows}
+        for p in problems:
+            plan, _ = solve(augmented, p, cfg)
+            expanded = expand_plan(d, augmented, macros, plan)
+            assert {a.schema for a in expanded.steps} <= {a.name for a in d.actions}
+            assert validate_plan(d, p, expanded).valid, (algorithm, p.name)
+            assert cost[p.name, "macro"] == expanded.cost
+            if algorithm == "breadth-first":
+                assert expanded.cost >= cost[p.name, "original"]
+
+
+def test_bench_refuses_a_macro_plan_that_fails_in_the_original_domain(bw_bundle, bw_graph):
+    """Without its inequality literals, stack_pick-up grounds (stack_pick-up
+    b a a), which breadth-first takes on bw-p10, though `pick-up a` cannot
+    follow `stack b a`."""
+    d, problems, _ = bw_bundle
+    unsound = [m._replace(precondition=frozenset(
+        lit for lit in m.precondition if lit.atom.predicate != "="))
+        for m in mine_macros(bw_graph, d, domain_iri("blocksworld"))]
+    p10 = [p for p in problems if p.name == "bw-p10"]
+    with pytest.raises(InvalidMacroPlan) as err:
+        bench_compare(d, unsound, p10, SearchConfig(algorithm="breadth-first"), k=2)
+    assert str(err.value) == (
+        "bw-p10: the expanded macro plan fails in domain 'blocksworld': "
+        "step 4 (pick-up a): precondition (clear a) fails")
 
 
 def test_bench_report_empty_mean():
@@ -455,7 +496,9 @@ def strips_tasks(draw):
     """A small typed STRIPS task with constants, `=` and `not =`, negative
     preconditions, an initial state and a goal that it does not satisfy.
     The last action adds (p1 ?x0) and deletes (p1 ?x1): one atom wherever
-    ?x0 and ?x1 are bound alike."""
+    ?x0 and ?x1 are bound alike.  About one action in four needs an atom
+    and the negation of an atom of the same predicate, so that some of its
+    ground actions need one atom true and false."""
 
     def atom(terms):
         pred = draw(st.sampled_from(_PREDICATES))
@@ -465,6 +508,12 @@ def strips_tasks(draw):
         terms = [v for v, _ in params] + ["c1"]
         n = draw(st.integers(0, 2))
         pre = [Literal(atom(terms), draw(st.booleans())) for _ in range(n)]
+        if not draw(st.integers(0, 3)):
+            # An atom and the negation of one of its predicate: the action
+            # needs one atom true and false wherever the two ground alike.
+            twin = atom(terms)
+            pre += [Literal(twin), Literal(Atom(twin.predicate, tuple(
+                draw(st.sampled_from(terms)) for _ in twin.args)), True)]
         if draw(st.booleans()):
             equal = Atom("=", (draw(st.sampled_from(terms)), draw(st.sampled_from(terms))))
             pre.append(Literal(equal, draw(st.booleans())))

@@ -197,14 +197,16 @@ def test_no_blank_needed_after_a_dot_or_a(text, triples):
 # --- the reader against the tokenizer ----------------------------------------
 
 # Texts outside the subset that the exporter never writes, each with the
-# error the reader gives.  The first four are Turtle's grammar: `a` is
-# rdf:type only as the verb, and @prefix declares a name that ends in ':'
-# and stands apart from it.
+# error the reader gives.  The first six are Turtle's grammar: `a` is
+# rdf:type only as the verb, @prefix declares a name that ends in ':' and
+# stands apart from it, and a prefix does not end in '.' (PN_PREFIX).
 _REFUSED = [
     ("a a a .", "1:1: subject must be an IRI"),
     ("<s> <p> a .", "1:9: expected an IRI or literal"),
     ("@prefix ex:foo <http://x/> .", "1:1: malformed @prefix declaration"),
     ("@prefixex: <http://x/> .", "1:1: malformed @prefix declaration"),
+    ("@prefix a.: <http://x/> .\na.:s a.:p a.:o .", "1:11: unexpected character ':'"),
+    ("@prefix a: <http://x/> .\na.:s a:p a:o .", "2:3: unexpected character ':'"),
     ("@prefix p: <> .\np: <x> <y> .", "2:1: empty IRI"),
     ('@prefix p: <> .\n<s> <p> "v"^^p: .', "2:14: empty IRI"),
     ("<> <x> <y> .", "1:1: empty IRI"),
@@ -261,6 +263,9 @@ _EXTRA_LINES = [
     "@prefix ex: <{}> .".format(EX),
     "@prefix plan:<{}> .".format(EX),
     "@prefix e: <> .",
+    "@prefix e.x: <{}> .".format(EX),
+    "@prefix e.: <{}> .".format(EX),
+    "e.x:s e.x:p e.:o .",
     "e:s e:p e: .",
     "ex:s ex:p ex:o .",
     "ex:s a ex:o .",
